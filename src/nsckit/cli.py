@@ -46,6 +46,12 @@ def _read_config(path: str | None) -> dict[str, str]:
     return cfg
 
 
+_FLAG_VALUES = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
+}
+
+
 class Options:
     """Resolved option lookup: CLI > environment (SC_*) > config > default."""
 
@@ -63,6 +69,18 @@ class Options:
         if key in self._config:
             return cast(self._config[key])
         return default
+
+    def flag(self, key: str, default: bool | None = False) -> bool | None:
+        """A boolean option: 1/0, true/false, yes/no or on/off, in any case."""
+        value = self.get(key, default)
+        if value is None or isinstance(value, bool):
+            return value
+        try:
+            return _FLAG_VALUES[value.strip().lower()]
+        except KeyError:
+            raise ValidationError(
+                f"{key} must be one of 1/0, true/false, yes/no, on/off; got {value!r}"
+            ) from None
 
 
 def _load_dataset(opts: Options) -> Dataset:
@@ -178,7 +196,7 @@ def _cmd_tune(opts: Options) -> int:
     m = opts.get("m", 30, int)
     F = fold_count(ds, opts.get("folds", 10, int))
     seed = opts.get("seed", 0, int)
-    deep = opts.get("deep-search", "on") != "off"
+    deep = opts.flag("deep-search", True)
     if deep:
         trace = deep_search(
             ds, kind, m=m, F=F, seed=seed,
@@ -261,15 +279,19 @@ def _read_performance_matrix(path, lower_is_better: bool) -> PerformanceMatrix:
 
 
 def _cmd_srd(opts: Options) -> int:
+    higher = opts.flag("higher-is-better", None)
+    lower = opts.flag("lower-is-better", None)
+    if higher is not None and higher == lower:
+        raise ValidationError("--higher-is-better and --lower-is-better contradict each other")
     M = _read_performance_matrix(
-        opts.get("input"), not bool(opts.get("higher-is-better", False))
+        opts.get("input"), lower if lower is not None else not higher
     )
     strategy = opts.get("gold", "min")
     result = compute_srd(M, strategy)
     rows, dist_rows = srd_report(result)
     _emit(rows, opts.get("out"))
     _emit(dist_rows, opts.get("dist-out"))
-    if opts.get("loo", False):
+    if opts.flag("loo"):
         loo = srd_loo(M, strategy)
         loo_rows = [["method", "loo_min", "loo_mean", "loo_max"]]
         for name, vals in loo.items():
@@ -324,8 +346,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name, *specs):
         sp = sub.add_parser(name)
         sp.add_argument("--config")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="accepted for interface compatibility; execution is sequential")
         for flag, kwargs in specs:
             sp.add_argument(flag, **kwargs)
         return sp

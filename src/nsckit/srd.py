@@ -192,21 +192,20 @@ def _warn_on_ties(name: str, v: np.ndarray) -> None:
         warnings.warn(
             f"ties detected in {name}; ranks were broken by row order but the "
             "null distribution assumes distinct ranks",
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
-def srd(M: PerformanceMatrix, strategy: str = "min") -> SrdResult:
-    """SRD of every method column against the golden standard."""
+def _rank_differences(M: PerformanceMatrix, strategy: str):
+    """Golden-standard ranks, method ranks, raw and scaled SRD of every column."""
     gold = golden_standard(M, strategy)
     ascending = M.lower_is_better
     _warn_on_ties("golden standard", gold)
     gold_rank = rank_vector(gold, ascending)
-    r = M.values.shape[0]
     method_ranks: dict[str, np.ndarray] = {}
     srd_raw: dict[str, int] = {}
     srd_scaled: dict[str, float] = {}
-    top = max_srd(r)
+    top = max_srd(M.values.shape[0])
     for c, name in enumerate(M.col_names):
         col = M.values[:, c]
         _warn_on_ties(f"column {name!r}", col)
@@ -215,6 +214,13 @@ def srd(M: PerformanceMatrix, strategy: str = "min") -> SrdResult:
         raw = int(np.abs(ranks - gold_rank).sum())
         srd_raw[name] = raw
         srd_scaled[name] = 100.0 * raw / top
+    return gold, gold_rank, method_ranks, srd_raw, srd_scaled
+
+
+def srd(M: PerformanceMatrix, strategy: str = "min") -> SrdResult:
+    """SRD of every method column against the golden standard."""
+    gold, gold_rank, method_ranks, srd_raw, srd_scaled = _rank_differences(M, strategy)
+    r = M.values.shape[0]
     if r <= EXACT_LIMIT:
         dist = exact_null_distribution(r)
         percentiles = {
@@ -240,7 +246,10 @@ def srd(M: PerformanceMatrix, strategy: str = "min") -> SrdResult:
 
 
 def srd_loo(M: PerformanceMatrix, strategy: str = "min") -> dict[str, list[float]]:
-    """Leave-one-row-out SRD spread: scaled SRDs with each case removed."""
+    """Leave-one-row-out SRD spread: scaled SRDs with each case removed.
+
+    Only the scaled SRDs are computed; no null distribution is built.
+    """
     r = M.values.shape[0]
     if r < 3:
         raise ValidationError("leave-one-out SRD needs at least 3 rows")
@@ -253,9 +262,9 @@ def srd_loo(M: PerformanceMatrix, strategy: str = "min") -> dict[str, list[float
             M.col_names,
             M.lower_is_better,
         )
-        res = srd(sub, strategy)
+        srd_scaled = _rank_differences(sub, strategy)[4]
         for name in M.col_names:
-            out[name].append(res.srd_scaled[name])
+            out[name].append(srd_scaled[name])
     return out
 
 

@@ -2,11 +2,17 @@
 
 These deliberately avoid the library's vectorized code paths: plain Python
 loops over the defining formulas, and exhaustive permutation enumeration.
+The CV oracle scores one shrunken model at a time with ``predict``, whose
+results the other oracles pin down, in place of the grid-batched engine.
 """
 
 import itertools
 import math
 from collections import Counter
+
+import numpy as np
+
+from nsckit import fit_statistics, predict, shrink, stratified_folds
 
 
 def nsc_scores(x, centroids, pooled_sd, s0, priors):
@@ -75,6 +81,25 @@ def fit_by_formulas(X, y, K, mk_mode="paper"):
         "m": m,
         "d": d,
     }
+
+
+def cv_error_counts_direct(ds, grid, F, seed, **fit_kw):
+    """CV misclassification count of every rule by the direct path.
+
+    A shrunken model is built and ``predict`` called for every (fold, rule)
+    pair, with the fold plan of ``cross_validate``.
+    """
+    plan = stratified_folds(ds, F, seed)
+    errors = [0] * len(grid)
+    all_idx = np.arange(ds.n)
+    for test_idx in plan.folds:
+        train_idx = np.setdiff1d(all_idx, test_idx, assume_unique=True)
+        stats = fit_statistics(ds.subset(train_idx), **fit_kw)
+        X_test = ds.values[:, test_idx].T
+        for g, rule in enumerate(grid):
+            pred = predict(shrink(stats, rule), X_test)
+            errors[g] += int((pred != ds.y[test_idx]).sum())
+    return errors
 
 
 def srd_null_by_enumeration(r):

@@ -122,13 +122,14 @@ class TestBench:
         assert sum(ln.startswith("# ") for ln in lines) == 3
 
 
-class TestSrd:
-    @pytest.fixture
-    def table_csv(self, tmp_path):
-        path = tmp_path / "table.csv"
-        path.write_text(table3.csv_text())
-        return path
+@pytest.fixture
+def table_csv(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text(table3.csv_text())
+    return path
 
+
+class TestSrd:
     def test_report_values(self, table_csv, capsys):
         code, out, _ = run(capsys, "srd", "--input", str(table_csv))
         assert code == 0
@@ -176,6 +177,69 @@ class TestOptionResolution:
         assert len(out_cli.read_text().splitlines()) == 4
 
 
+@pytest.mark.filterwarnings("ignore:ties detected")
+class TestBooleanOptions:
+    @pytest.fixture
+    def table_csv(self, tmp_path):
+        # the ties make the SRD depend on the ranking direction
+        path = tmp_path / "tied.csv"
+        path.write_text("case,A,B\nr1,1,1\nr2,1,2\nr3,2,3\nr4,3,3\n")
+        return path
+
+    def srd(self, capsys, table_csv, *flags):
+        code, out, err = run(capsys, "srd", "--input", str(table_csv), *flags)
+        return code, out.split("srd_value")[0], err
+
+    def test_env_zero_is_false_and_one_is_true(self, capsys, table_csv, monkeypatch):
+        _, lower, _ = self.srd(capsys, table_csv)
+        _, higher, _ = self.srd(capsys, table_csv, "--higher-is-better")
+        assert lower != higher
+        for value, want in (("0", lower), ("off", lower), ("1", higher), ("Yes", higher)):
+            monkeypatch.setenv("SC_HIGHER_IS_BETTER", value)
+            code, out, _ = self.srd(capsys, table_csv)
+            assert code == 0 and out == want
+
+    def test_lower_is_better_sets_the_direction(self, capsys, table_csv, monkeypatch):
+        _, lower, _ = self.srd(capsys, table_csv)
+        _, higher, _ = self.srd(capsys, table_csv, "--higher-is-better")
+        assert self.srd(capsys, table_csv, "--lower-is-better")[1] == lower
+        monkeypatch.setenv("SC_LOWER_IS_BETTER", "false")
+        assert self.srd(capsys, table_csv)[1] == higher
+
+    def test_both_directions_rejected(self, capsys, table_csv, monkeypatch):
+        code, _, err = self.srd(capsys, table_csv, "--lower-is-better", "--higher-is-better")
+        assert code == 1 and err.startswith("error:")
+        monkeypatch.setenv("SC_HIGHER_IS_BETTER", "1")
+        code, _, err = self.srd(capsys, table_csv, "--lower-is-better")
+        assert code == 1 and err.startswith("error:")
+
+    def test_loo_from_env_and_config(self, capsys, table_csv, tmp_path, monkeypatch):
+        loo = tmp_path / "loo.tsv"
+        args = ("--out", str(tmp_path / "r.tsv"), "--dist-out", str(tmp_path / "d.tsv"),
+                "--loo-out", str(loo))
+        monkeypatch.setenv("SC_LOO", "0")
+        assert self.srd(capsys, table_csv, *args)[0] == 0 and not loo.exists()
+        monkeypatch.delenv("SC_LOO")
+        cfg = tmp_path / "nsckit.cfg"
+        cfg.write_text("loo=on\n")
+        assert self.srd(capsys, table_csv, *args, "--config", str(cfg))[0] == 0
+        assert loo.exists()
+
+    def test_bad_boolean_value_is_one(self, capsys, table_csv, monkeypatch):
+        monkeypatch.setenv("SC_LOO", "maybe")
+        code, _, err = self.srd(capsys, table_csv)
+        assert code == 1 and err.startswith("error:") and "loo" in err
+
+    def test_deep_search_off_from_env(self, synth_dir, tmp_path, capsys, monkeypatch):
+        trace = tmp_path / "trace.tsv"
+        args = ("tune", "--data", str(synth_dir / "train.csv"), "--label-col", "label",
+                "--method", "soft", "--m", "6", "--folds", "3", "--trace", str(trace))
+        monkeypatch.setenv("SC_DEEP_SEARCH", "0")
+        assert run(capsys, *args)[0] == 0 and not trace.exists()
+        assert run(capsys, *args, "--deep-search", "banana")[0] == 1
+        assert run(capsys, *args, "--deep-search")[0] == 0 and trace.exists()
+
+
 class TestExitCodes:
     def test_validation_error_is_one(self, synth_dir, capsys):
         code, _, err = run(
@@ -191,3 +255,7 @@ class TestExitCodes:
     def test_bad_flag_is_one(self, capsys):
         code, _, _ = run(capsys, "cv", "--no-such-flag")
         assert code == 1
+
+    def test_threads_flag_is_gone(self, capsys, table_csv):
+        assert run(capsys, "srd", "--input", str(table_csv))[0] == 0
+        assert run(capsys, "srd", "--input", str(table_csv), "--threads", "2")[0] == 1

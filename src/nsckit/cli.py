@@ -18,7 +18,9 @@ import numpy as np
 
 from . import bench as bench_mod
 from .srd import PerformanceMatrix, srd as compute_srd, srd_loo, srd_report
-from .data import Dataset, fold_count, load_matrix, save_matrix
+from .data import (
+    Dataset, fold_count, load_matrix, read_samples, read_table, read_text, save_matrix,
+)
 from .errors import ValidationError
 from .model import (
     fit_statistics,
@@ -35,7 +37,7 @@ def _read_config(path: str | None) -> dict[str, str]:
     if path is None:
         return {}
     cfg = {}
-    for ln in Path(path).read_text().splitlines():
+    for ln in read_text(path).splitlines():
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
@@ -46,63 +48,63 @@ def _read_config(path: str | None) -> dict[str, str]:
     return cfg
 
 
-_FLAG_VALUES = {
-    "1": True, "true": True, "yes": True, "on": True,
-    "0": False, "false": False, "no": False, "off": False,
-}
+def _flag_value(text: str) -> bool:
+    value = text.strip().lower()
+    if value not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError("expected 1/0, true/false, yes/no or on/off")
+    return value in ("1", "true", "yes", "on")
 
 
 class Options:
-    """Resolved option lookup: CLI > environment (SC_*) > config > default."""
+    """Resolved option lookup: CLI > environment (SC_*) > config > default.
+
+    Every value given as text, wherever it comes from, goes through the same
+    ``cast``; a value the cast rejects is a ValidationError naming the key.
+    """
 
     def __init__(self, args: argparse.Namespace, config: dict[str, str]):
         self._args = vars(args)
         self._config = config
 
     def get(self, key: str, default=None, cast=str):
-        cli = self._args.get(key.replace("-", "_"))
-        if cli is not None:
-            return cli
-        env = os.environ.get("SC_" + key.replace("-", "_").upper())
-        if env is not None:
-            return cast(env)
-        if key in self._config:
-            return cast(self._config[key])
-        return default
+        name = key.replace("-", "_")
+        sources = (
+            self._args.get(name),
+            os.environ.get("SC_" + name.upper()),
+            self._config.get(key),
+        )
+        value = next((v for v in sources if v is not None), None)
+        if not isinstance(value, str):  # unset, or a store_true flag
+            return default if value is None else value
+        try:
+            return cast(value)
+        except ValueError as exc:
+            raise ValidationError(f"--{key} {value!r}: {exc}") from None
+
+    def require(self, key: str):
+        value = self.get(key)
+        if value is None:
+            raise ValidationError(f"--{key} is required")
+        return value
 
     def flag(self, key: str, default: bool | None = False) -> bool | None:
         """A boolean option: 1/0, true/false, yes/no or on/off, in any case."""
-        value = self.get(key, default)
-        if value is None or isinstance(value, bool):
-            return value
-        try:
-            return _FLAG_VALUES[value.strip().lower()]
-        except KeyError:
-            raise ValidationError(
-                f"{key} must be one of 1/0, true/false, yes/no, on/off; got {value!r}"
-            ) from None
+        return self.get(key, default, _flag_value)
 
 
 def _load_dataset(opts: Options) -> Dataset:
-    data = opts.get("data")
-    if data is None:
-        raise ValidationError("--data is required")
-    orientation = {"rows": "rows", "cols": "cols"}[opts.get("samples-in", "rows")]
     return load_matrix(
-        data,
-        orientation=orientation,
+        opts.require("data"),
+        orientation=opts.get("samples-in", "rows"),
         label_col=opts.get("label-col"),
         labels_path=opts.get("labels"),
     )
 
 
 def _fit_kw(opts: Options) -> dict:
-    s0 = opts.get("s0", "median")
-    if s0 != "median":
-        s0 = float(s0)
     return dict(
         prior_mode=opts.get("priors", "empirical"),
-        s0=s0,
+        s0=opts.get("s0", "median", lambda v: v if v == "median" else float(v)),
         mk_mode=opts.get("mk", "paper"),
     )
 
@@ -110,51 +112,58 @@ def _fit_kw(opts: Options) -> dict:
 def _emit(rows, out_path=None):
     text = "\n".join("\t".join(str(c) for c in row) for row in rows) + "\n"
     if out_path:
-        Path(out_path).write_text(text)
+        Path(out_path).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
 
 def _cmd_train(opts: Options) -> int:
+    out = opts.require("out")
     ds = _load_dataset(opts)
     rule = parse_rule(opts.get("rule", "soft:0.0"))
     model = shrink(fit_statistics(ds, **_fit_kw(opts)), rule)
-    out = opts.get("out")
-    if out is None:
-        raise ValidationError("--out is required")
-    save_model(model, out, feature_names=ds.feature_names)
+    save_model(model, out)
     print(f"model written to {out} ({model.survivors.size} surviving features)")
     return 0
 
 
+def _column_order(names: list[str], expected: tuple[str, ...]) -> list[int]:
+    """Input column of each model feature; a missing, extra or repeated name is an error."""
+    index = {f: i for i, f in enumerate(names)}
+    known = set(expected)
+    missing = [f for f in expected if f not in index]
+    extra = [f for f in index if f not in known]
+    if missing or extra or len(index) != len(names):
+        raise ValidationError(
+            f"input features differ from the model's {len(expected)}: missing "
+            f"{missing[:3]}, extra {extra[:3]}, {len(names) - len(index)} repeated"
+        )
+    return [index[f] for f in expected]
+
+
 def _cmd_predict(opts: Options) -> int:
-    model = load_model(opts.get("model"))
-    data = opts.get("data")
-    if data is None:
-        raise ValidationError("--data is required")
-    orientation = opts.get("samples-in", "rows")
-    # prediction input needs no labels; parse the matrix with a dummy reader
-    lines = [ln for ln in Path(data).read_text().splitlines() if ln.strip()]
-    delim = "\t" if "\t" in lines[0] else ","
-    rows = [ln.split(delim) for ln in lines[1:]]
-    if orientation == "rows":
-        X = np.array([[float(c) for c in cells] for cells in rows])
-    else:
-        X = np.array([[float(c) for c in cells[1:]] for cells in rows]).T
-    labels = predict_labels(model, X)
-    _emit([[lab] for lab in labels], opts.get("out"))
+    model_path, data = opts.require("model"), opts.require("data")
+    model = load_model(model_path)
+    names, _, values = read_samples(data, opts.get("samples-in", "rows"))
+    X = values.T
+    if model.stats.feature_names is not None:
+        X = X[:, _column_order(names, model.stats.feature_names)]
+    _emit([[lab] for lab in predict_labels(model, X)], opts.get("out"))
     return 0
 
 
-def _cmd_cv(opts: Options) -> int:
-    ds = _load_dataset(opts)
-    kind = opts.get("method")
+def _tuning_inputs(opts: Options):
+    """What cv and tune share: data, rule kind, fit options, m, folds and seed."""
+    kind = opts.require("method")
     if kind not in ("soft", "hard", "order"):
         raise ValidationError("--method must be soft, hard, or order")
-    fit_kw = _fit_kw(opts)
-    m = opts.get("m", 30, int)
+    ds = _load_dataset(opts)
     F = fold_count(ds, opts.get("folds", 10, int))
-    seed = opts.get("seed", 0, int)
+    return ds, kind, _fit_kw(opts), opts.get("m", 30, int), F, opts.get("seed", 0, int)
+
+
+def _cmd_cv(opts: Options) -> int:
+    ds, kind, fit_kw, m, F, seed = _tuning_inputs(opts)
     grid = threshold_grid(fit_statistics(ds, **fit_kw), kind, m)
     curve = cross_validate(ds, grid, F, seed, **fit_kw)
     rows = [["threshold", "cv_error_count", "survivor_count"]]
@@ -188,14 +197,7 @@ def _trace_rows(trace) -> list[list]:
 
 
 def _cmd_tune(opts: Options) -> int:
-    ds = _load_dataset(opts)
-    kind = opts.get("method")
-    if kind not in ("soft", "hard", "order"):
-        raise ValidationError("--method must be soft, hard, or order")
-    fit_kw = _fit_kw(opts)
-    m = opts.get("m", 30, int)
-    F = fold_count(ds, opts.get("folds", 10, int))
-    seed = opts.get("seed", 0, int)
+    ds, kind, fit_kw, m, F, seed = _tuning_inputs(opts)
     deep = opts.flag("deep-search", True)
     if deep:
         trace = deep_search(
@@ -220,11 +222,9 @@ def _cmd_bench(opts: Options) -> int:
         orientation=opts.get("samples-in", "rows"),
         label_col=opts.get("label-col", "label"),
     )
-    train = load_matrix(opts.get("train"), **load_kw)
-    test = load_matrix(opts.get("test"), **load_kw)
-    method = opts.get("method")
-    if method is None:
-        raise ValidationError("--method is required")
+    paths = [opts.require("train"), opts.require("test")]
+    method = opts.require("method")
+    train, test = (load_matrix(path, **load_kw) for path in paths)
     records = bench_mod.run_experiment(
         train,
         test,
@@ -258,33 +258,14 @@ def _cmd_bench(opts: Options) -> int:
     return 0
 
 
-def _read_performance_matrix(path, lower_is_better: bool) -> PerformanceMatrix:
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if len(lines) < 3:
-        raise ValidationError(f"{path}: need a header and at least two rows")
-    delim = "\t" if "\t" in lines[0] else ","
-    header = lines[0].split(delim)
-    col_names = tuple(h.strip() for h in header[1:])
-    row_names = []
-    values = []
-    for ln in lines[1:]:
-        cells = ln.split(delim)
-        if len(cells) != len(header):
-            raise ValidationError(f"{path}: ragged row {ln!r}")
-        row_names.append(cells[0].strip())
-        values.append([float(c) for c in cells[1:]])
-    return PerformanceMatrix(
-        np.array(values), tuple(row_names), col_names, lower_is_better
-    )
-
-
 def _cmd_srd(opts: Options) -> int:
     higher = opts.flag("higher-is-better", None)
     lower = opts.flag("lower-is-better", None)
     if higher is not None and higher == lower:
         raise ValidationError("--higher-is-better and --lower-is-better contradict each other")
-    M = _read_performance_matrix(
-        opts.get("input"), lower if lower is not None else not higher
+    methods, cases, values = read_table(opts.require("input"), 0)
+    M = PerformanceMatrix(
+        values, tuple(cases), tuple(methods), lower if lower is not None else not higher
     )
     strategy = opts.get("gold", "min")
     result = compute_srd(M, strategy)
@@ -304,7 +285,7 @@ def _cmd_srd(opts: Options) -> int:
 
 def _cmd_synth(opts: Options) -> int:
     n_classes = opts.get("k", 2, int)
-    sizes = tuple(int(v) for v in str(opts.get("n-per-class", "20")).split(","))
+    sizes = opts.get("n-per-class", (20,), lambda v: tuple(map(int, v.split(","))))
     if len(sizes) == 1:
         sizes = sizes * n_classes
     spec = bench_mod.SynthSpec(
@@ -343,49 +324,31 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, *specs):
+    def add(name, *flags, switches=()):
         sp = sub.add_parser(name)
-        sp.add_argument("--config")
-        for flag, kwargs in specs:
-            sp.add_argument(flag, **kwargs)
+        for flag in ("--config", *flags):
+            sp.add_argument(flag)
+        for flag in switches:
+            sp.add_argument(flag, action="store_true", default=None)
         return sp
 
-    data_flags = [
-        ("--data", {}),
-        ("--samples-in", {"choices": ["rows", "cols"]}),
-        ("--label-col", {}),
-        ("--labels", {}),
-    ]
-    fit_flags = [
-        ("--priors", {"choices": ["empirical", "uniform"]}),
-        ("--s0", {}),
-        ("--mk", {"choices": ["paper", "classic"]}),
-    ]
-    tune_flags = [
-        ("--method", {}),
-        ("--m", {"type": int}),
-        ("--folds", {"type": int}),
-        ("--seed", {"type": int}),
-        ("--big-gap", {"type": int}),
-    ]
-    add("train", *data_flags, *fit_flags, ("--rule", {}), ("--out", {}))
-    add("predict", ("--model", {}), ("--data", {}),
-        ("--samples-in", {"choices": ["rows", "cols"]}), ("--out", {}))
-    add("cv", *data_flags, *fit_flags, *tune_flags, ("--out", {}))
-    add("tune", *data_flags, *fit_flags, *tune_flags,
-        ("--deep-search", {"nargs": "?", "const": "on"}), ("--trace", {}))
-    add("bench", ("--train", {}), ("--test", {}),
-        ("--samples-in", {"choices": ["rows", "cols"]}), ("--label-col", {}),
-        *fit_flags, *tune_flags, ("--runs", {"type": int}), ("--out", {}))
-    add("srd", ("--input", {}), ("--gold", {"choices": ["min", "max", "mean"]}),
-        ("--lower-is-better", {"action": "store_true", "default": None}),
-        ("--higher-is-better", {"action": "store_true", "default": None}),
-        ("--loo", {"action": "store_true", "default": None}),
-        ("--out", {}), ("--dist-out", {}), ("--loo-out", {}))
-    add("synth", ("--p", {"type": int}), ("--q", {"type": int}),
-        ("--k", {"type": int}), ("--shift", {"type": float}),
-        ("--n-per-class", {}), ("--noise-sd", {"type": float}),
-        ("--seed", {"type": int}), ("--out", {}))
+    # every value is kept as text and typed and checked by Options and the
+    # code it reaches, so a flag, its SC_ variable and its config key agree
+    data_flags = ("--data", "--samples-in", "--label-col", "--labels")
+    fit_flags = ("--priors", "--s0", "--mk")
+    tune_flags = ("--method", "--m", "--folds", "--seed", "--big-gap")
+    add("train", *data_flags, *fit_flags, "--rule", "--out")
+    add("predict", "--model", "--data", "--samples-in", "--out")
+    add("cv", *data_flags, *fit_flags, *tune_flags, "--out")
+    add("tune", *data_flags, *fit_flags, *tune_flags, "--trace").add_argument(
+        "--deep-search", nargs="?", const="on"
+    )
+    add("bench", "--train", "--test", "--samples-in", "--label-col",
+        *fit_flags, *tune_flags, "--runs", "--out")
+    add("srd", "--input", "--gold", "--out", "--dist-out", "--loo-out",
+        switches=("--lower-is-better", "--higher-is-better", "--loo"))
+    add("synth", "--p", "--q", "--k", "--shift", "--n-per-class", "--noise-sd",
+        "--seed", "--out")
     return parser
 
 
@@ -398,9 +361,14 @@ def main(argv=None) -> int:
     try:
         config = _read_config(args.config)
         opts = Options(args, config)
-        return _COMMANDS[args.command](opts)
+        # values so large that the statistics overflow are an error, not a nan result
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _COMMANDS[args.command](opts)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except FloatingPointError as exc:
+        print(f"error: values out of floating-point range ({exc})", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -8,6 +8,7 @@ sortable. Datasets and fold plans are immutable after construction.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -93,7 +94,7 @@ class Dataset:
                     f"got {len(feature_names)} feature names for {p} features"
                 )
             if len(set(feature_names)) != p:
-                dup = next(f for f in feature_names if feature_names.count(f) > 1)
+                dup = next(f for f, c in Counter(feature_names).items() if c > 1)
                 raise ValidationError(f"duplicate feature name {dup!r}")
         return cls(values, labels, tuple(classes), y, feature_names)
 
@@ -128,11 +129,7 @@ class FoldPlan:
         object.__setattr__(self, "F", len(self.folds))
 
 
-def _detect_delimiter(header: str) -> str:
-    return "\t" if "\t" in header else ","
-
-
-def _parse_cell(text: str, row: int, col: int) -> float:
+def _parse_cell(text: str, row: int, col: int) -> None:
     try:
         v = float(text)
     except ValueError:
@@ -141,7 +138,75 @@ def _parse_cell(text: str, row: int, col: int) -> float:
         ) from None
     if not math.isfinite(v):
         raise ParseError(f"non-finite value {text!r} at row {row}, column {col}")
-    return v
+
+
+def read_text(path) -> str:
+    """The contents of a UTF-8 text file; any other bytes are a ParseError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
+def read_table(path, key_col: int | str | None = None):
+    """Read a delimited table: TAB if the header has one, else comma.
+
+    Blank lines are skipped.  ``key_col``, a column index or the header name
+    of a label column, is taken out as text; every other cell must be a
+    finite number.  Returns the names of the value columns, the key cell of
+    each row (``None`` without ``key_col``) and the rows x columns float
+    array.  Names are stripped of outer whitespace.
+    """
+    lines = [ln for ln in read_text(path).splitlines() if ln.strip() != ""]
+    if not lines:
+        raise ParseError(f"{path}: empty file")
+    if len(lines) == 1:
+        raise ParseError(f"{path}: no data rows")
+    delim = "\t" if "\t" in lines[0] else ","
+    header = [h.strip() for h in lines[0].split(delim)]
+    width = len(header)
+    if isinstance(key_col, str):
+        if key_col not in header:
+            raise ValidationError(f"label column {key_col!r} not in header")
+        key_col = header.index(key_col)
+    keys = None if key_col is None else []
+    if keys is not None:
+        del header[key_col]
+    values = np.empty((len(lines) - 1, len(header)))
+    for r in range(1, len(lines)):
+        cells = lines[r].split(delim)
+        if len(cells) != width:
+            raise ParseError(f"{path}: row {r} has {len(cells)} cells, expected {width}")
+        if keys is not None:
+            keys.append(cells.pop(key_col).strip())
+        try:
+            values[r - 1] = np.fromiter(map(float, cells), float, len(cells))
+        except ValueError:
+            values[r - 1] = np.nan
+        if not np.isfinite(values[r - 1]).all():
+            for col, text in enumerate(lines[r].split(delim)):
+                if col != key_col:
+                    _parse_cell(text, r, col)
+    return header, keys, values
+
+
+def read_samples(path, orientation: str = "rows", label_col: str | None = None):
+    """Read a sample matrix as ``(feature_names, labels, values)``, values p x n.
+
+    With ``orientation="rows"`` rows are samples, the header holds feature
+    names and ``label_col`` may name a label column; with ``"cols"`` rows are
+    features, the header holds sample identifiers and the first column holds
+    feature names.  ``labels`` is ``None`` without a label column.
+    """
+    if orientation == "rows":
+        names, labels, values = read_table(path, label_col)
+        return names, labels, values.T
+    if orientation != "cols":
+        raise ValidationError(f"unknown orientation {orientation!r}")
+    if label_col is not None:
+        raise ValidationError("label_col needs rows-are-samples input; use a labels file")
+    _, names, values = read_table(path, 0)
+    return names, None, values
 
 
 def load_matrix(
@@ -152,71 +217,20 @@ def load_matrix(
 ) -> Dataset:
     """Load a delimited (comma or TAB) text matrix into a Dataset.
 
-    ``orientation="rows"`` means rows are samples and the header holds
-    feature names; ``orientation="cols"`` means rows are features, the header
-    holds sample identifiers and the first column holds feature names.
-    Labels come either from a designated column (``label_col``, rows
-    orientation only) or from a sidecar file with one label per line.
+    The layout is that of :func:`read_samples`.  Labels come either from a
+    designated column (``label_col``, rows orientation only) or from a
+    sidecar file with one label per line.
     """
-    if orientation not in ("rows", "cols"):
-        raise ValidationError(f"unknown orientation {orientation!r}")
     if (label_col is None) == (labels_path is None):
         raise ValidationError("exactly one of label_col and labels_path is required")
-    path = Path(path)
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip() != ""]
-    if not lines:
-        raise ParseError(f"{path}: empty file")
-    delim = _detect_delimiter(lines[0])
-    header = lines[0].split(delim)
-    rows = [ln.split(delim) for ln in lines[1:]]
-    width = len(header)
-    for r, cells in enumerate(rows, start=1):
-        if len(cells) != width:
-            raise ParseError(
-                f"{path}: row {r} has {len(cells)} cells, expected {width}"
-            )
-
-    if orientation == "rows":
-        if label_col is not None:
-            if label_col not in header:
-                raise ValidationError(f"label column {label_col!r} not in header")
-            lc = header.index(label_col)
-            feature_names = [h for i, h in enumerate(header) if i != lc]
-            labels = [cells[lc] for cells in rows]
-            data = [
-                [
-                    _parse_cell(c, r, i)
-                    for i, c in enumerate(cells)
-                    if i != lc
-                ]
-                for r, cells in enumerate(rows, start=1)
-            ]
-        else:
-            feature_names = list(header)
-            labels = _read_label_file(labels_path, len(rows))
-            data = [
-                [_parse_cell(c, r, i) for i, c in enumerate(cells)]
-                for r, cells in enumerate(rows, start=1)
-            ]
-        values = np.array(data, dtype=float).T
-    else:
-        if label_col is not None:
-            raise ValidationError(
-                "label_col is not meaningful with rows-are-features input; "
-                "use a sidecar labels file"
-            )
-        feature_names = [cells[0] for cells in rows]
-        labels = _read_label_file(labels_path, width - 1)
-        data = [
-            [_parse_cell(c, r, i) for i, c in enumerate(cells) if i > 0]
-            for r, cells in enumerate(rows, start=1)
-        ]
-        values = np.array(data, dtype=float)
+    feature_names, labels, values = read_samples(path, orientation, label_col)
+    if labels is None:
+        labels = _read_label_file(labels_path, values.shape[1])
     return Dataset.from_arrays(values, labels, feature_names)
 
 
 def _read_label_file(labels_path, n: int) -> list[str]:
-    lines = [ln.strip() for ln in Path(labels_path).read_text().splitlines()]
+    lines = [ln.strip() for ln in read_text(labels_path).splitlines()]
     labels = [ln for ln in lines if ln != ""]
     if len(labels) != n:
         raise ValidationError(
@@ -241,7 +255,7 @@ def save_matrix(ds: Dataset, path, label_col: str = "label", delimiter: str = ",
                 (ds.labels[j], *(repr(float(v)) for v in ds.values[:, j]))
             )
         )
-    Path(path).write_text("\n".join(out) + "\n")
+    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
 def fold_count(ds: Dataset, requested: int = 10) -> int:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, read_text
 from .errors import (
     DegenerateDesignError,
     DegenerateVarianceError,
@@ -31,7 +31,8 @@ class CentroidStats:
     """All fitted centroid statistics of a dataset.
 
     Shapes: ``overall_centroid`` (p,), ``class_centroids`` and ``t_stats``
-    (p, K), ``pooled_sd`` (p,), ``m`` and ``priors`` (K,).
+    (p, K), ``pooled_sd`` (p,), ``m`` and ``priors`` (K,).  ``feature_names``
+    are those of the training data, if it had any.
     """
 
     overall_centroid: np.ndarray
@@ -42,6 +43,7 @@ class CentroidStats:
     t_stats: np.ndarray
     priors: np.ndarray
     classes: tuple[str, ...]
+    feature_names: tuple[str, ...] | None = None
 
     @property
     def p(self) -> int:
@@ -121,7 +123,8 @@ def fit_statistics(
     else:
         priors = np.full(K, 1.0 / K)
     return CentroidStats(
-        overall, class_centroids, pooled_sd, s0_val, m, t_stats, priors, ds.classes
+        overall, class_centroids, pooled_sd, s0_val, m, t_stats, priors, ds.classes,
+        ds.feature_names,
     )
 
 
@@ -189,16 +192,16 @@ def _fmt_vector(v: np.ndarray) -> str:
     return " ".join(repr(float(x)) for x in np.asarray(v).ravel())
 
 
-def save_model(model: ShrunkenModel, path, feature_names=None) -> None:
+def save_model(model: ShrunkenModel, path) -> None:
     """Write a model as versioned plain text with full-precision decimals.
 
     Only the fitted statistics and the rule are stored; the shrunken parts
     are rebuilt on load by reapplying the rule, which is exact.
     """
     stats = model.stats
-    for cls in stats.classes:
-        if "," in cls:
-            raise ValidationError(f"class identifier {cls!r} may not contain a comma")
+    for name in (*stats.classes, *(stats.feature_names or ())):
+        if "," in name:
+            raise ValidationError(f"class or feature name {name!r} may not contain a comma")
     lines = [
         f"{_MODEL_MAGIC} {_MODEL_VERSION}",
         f"p={stats.p}",
@@ -207,20 +210,20 @@ def save_model(model: ShrunkenModel, path, feature_names=None) -> None:
         f"s0={stats.s0!r}",
         "classes=" + ",".join(stats.classes),
     ]
-    if feature_names is not None:
-        lines.append("features=" + ",".join(feature_names))
+    if stats.feature_names is not None:
+        lines.append("features=" + ",".join(stats.feature_names))
     lines.append("overall_centroid " + _fmt_vector(stats.overall_centroid))
     lines.append("pooled_sd " + _fmt_vector(stats.pooled_sd))
     lines.append("m " + _fmt_vector(stats.m))
     lines.append("priors " + _fmt_vector(stats.priors))
     lines.append("class_centroids " + _fmt_vector(stats.class_centroids))
     lines.append("t_stats " + _fmt_vector(stats.t_stats))
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_model(path) -> ShrunkenModel:
     """Read a model written by :func:`save_model`; round-trips bit-exactly."""
-    lines = Path(path).read_text().splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0].split() != [_MODEL_MAGIC, _MODEL_VERSION]:
         raise ParseError(f"{path}: not a {_MODEL_MAGIC} v{_MODEL_VERSION} file")
     fields: dict[str, str] = {}
@@ -232,15 +235,21 @@ def load_model(path) -> ShrunkenModel:
         if key in fields:
             raise ParseError(f"{path}: duplicate field {key!r}")
         fields[key] = value
+
+    def vec(key, size):
+        v = np.array([float(t) for t in fields[key].split()]).reshape(size)
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"non-finite number in {key}")
+        return v
+
     try:
-        p = int(fields["p"])
-        K = int(fields["K"])
+        p, K = int(fields["p"]), int(fields["K"])
+        if min(p, K) < 1:
+            raise ValueError(f"p={p} and K={K} must be positive")
         rule = parse_rule(fields["rule"])
-        s0 = float(fields["s0"])
+        s0 = float(vec("s0", ()))
         classes = tuple(fields["classes"].split(","))
-        vec = lambda key, size: np.array(
-            [float(t) for t in fields[key].split()], dtype=float
-        ).reshape(size)
+        features = tuple(fields["features"].split(",")) if "features" in fields else None
         stats = CentroidStats(
             vec("overall_centroid", p),
             vec("class_centroids", (p, K)),
@@ -250,9 +259,14 @@ def load_model(path) -> ShrunkenModel:
             vec("t_stats", (p, K)),
             vec("priors", K),
             classes,
+            features,
         )
     except (KeyError, ValueError) as exc:
         raise ParseError(f"{path}: malformed model file ({exc})") from None
     if len(classes) != K:
         raise ParseError(f"{path}: {len(classes)} class names for K={K}")
+    if features is not None and len(features) != p:
+        raise ParseError(f"{path}: {len(features)} feature names for p={p}")
+    if not np.all(stats.priors > 0):
+        raise ParseError(f"{path}: class priors must be positive")
     return shrink(stats, rule)

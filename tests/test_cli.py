@@ -1,6 +1,14 @@
+import contextlib
+import io
+import os
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nsckit import Dataset, ThresholdRule, fit_statistics, save_model, shrink
 from nsckit.cli import main
 
 import table3
@@ -259,3 +267,242 @@ class TestExitCodes:
     def test_threads_flag_is_gone(self, capsys, table_csv):
         assert run(capsys, "srd", "--input", str(table_csv))[0] == 0
         assert run(capsys, "srd", "--input", str(table_csv), "--threads", "2")[0] == 1
+
+
+class TestPredictInput:
+    @pytest.fixture
+    def model(self, synth_dir, tmp_path, capsys):
+        path = tmp_path / "model.txt"
+        code, _, _ = run(
+            capsys, "train", "--data", str(synth_dir / "train.csv"),
+            "--label-col", "label", "--rule", "soft:0.5", "--out", str(path),
+        )
+        assert code == 0
+        return path
+
+    @pytest.fixture
+    def rows(self, synth_dir):
+        """The test matrix without its label column, as rows of cells."""
+        lines = (synth_dir / "test.csv").read_text().splitlines()
+        return [ln.split(",")[1:] for ln in lines]
+
+    def predict(self, capsys, model, tmp_path, rows, *flags):
+        data = tmp_path / "in.csv"
+        data.write_text("\n".join(",".join(r) for r in rows) + "\n")
+        return run(capsys, "predict", "--model", str(model), "--data", str(data), *flags)
+
+    def test_columns_are_aligned_by_name(self, capsys, model, tmp_path, rows):
+        code, want, _ = self.predict(capsys, model, tmp_path, rows)
+        assert code == 0 and len(set(want.split())) == 2
+        reversed_rows = [r[::-1] for r in rows]
+        assert self.predict(capsys, model, tmp_path, reversed_rows) == (0, want, "")
+        transposed = [["gene", *(f"s{j}" for j in range(len(rows) - 1))]]
+        transposed += [list(col) for col in zip(*rows)]
+        got = self.predict(capsys, model, tmp_path, transposed, "--samples-in", "cols")
+        assert got == (0, want, "")
+
+    def test_label_column_is_an_error(self, capsys, model, synth_dir, tmp_path):
+        code, _, err = run(
+            capsys, "predict", "--model", str(model),
+            "--data", str(synth_dir / "test.csv"),
+        )
+        assert code == 1 and err.startswith("error:") and err.count("\n") == 1
+        # numeric class names parse as numbers, so the name check catches them
+        numeric = tmp_path / "numeric.csv"
+        text = (synth_dir / "test.csv").read_text()
+        numeric.write_text(text.replace("\nc1,", "\n1,").replace("\nc2,", "\n2,"))
+        code, _, err = run(capsys, "predict", "--model", str(model), "--data", str(numeric))
+        assert code == 1 and "'label'" in err and err.count("\n") == 1
+
+    def test_missing_and_repeated_features_are_errors(self, capsys, model, tmp_path, rows):
+        code, _, err = self.predict(capsys, model, tmp_path, [r[1:] for r in rows])
+        assert code == 1 and f"{rows[0][0]!r}" in err
+        repeated = [r[:-1] + [r[0]] for r in rows]
+        code, _, err = self.predict(capsys, model, tmp_path, repeated)
+        assert code == 1 and "1 repeated" in err
+
+    def test_model_without_names_checks_width(self, capsys, tmp_path, rows, rng):
+        p = len(rows[0])
+        ds = Dataset.from_arrays(rng.normal(size=(p, 6)), ["a", "b"] * 3)
+        path = tmp_path / "unnamed.txt"
+        save_model(shrink(fit_statistics(ds), ThresholdRule("soft", 0.0)), path)
+        assert "features=" not in path.read_text()
+        assert self.predict(capsys, path, tmp_path, rows)[0] == 0
+        code, _, err = self.predict(capsys, path, tmp_path, [r[1:] for r in rows])
+        assert code == 1 and "expects" in err
+
+    def test_orientation_is_checked(self, capsys, model, tmp_path, rows, monkeypatch):
+        monkeypatch.setenv("SC_SAMPLES_IN", "foo")
+        code, _, err = self.predict(capsys, model, tmp_path, rows)
+        assert code == 1 and err == "error: unknown orientation 'foo'\n"
+
+
+def one_error_line(err):
+    return err.count("\n") == 1 and err.startswith("error: ")
+
+
+class TestOneLineErrors:
+    @pytest.mark.parametrize("text", ["f0,f1\n1,NA\n", "", "\n \n", "f0,f1\n"])
+    def test_bad_predict_file(self, capsys, synth_dir, tmp_path, text):
+        model = tmp_path / "model.txt"
+        run(capsys, "train", "--data", str(synth_dir / "train.csv"),
+            "--label-col", "label", "--out", str(model))
+        data = tmp_path / "x.csv"
+        data.write_text(text)
+        code, _, err = run(capsys, "predict", "--model", str(model), "--data", str(data))
+        assert code == 1 and one_error_line(err)
+
+    @pytest.mark.parametrize("text", ["case,A,B\nr1,1,x\nr2,2,3\n", "case,A\nr1,1,2\n"])
+    def test_bad_srd_file(self, capsys, tmp_path, text):
+        data = tmp_path / "t.csv"
+        data.write_text(text)
+        code, _, err = run(capsys, "srd", "--input", str(data))
+        assert code == 1 and one_error_line(err)
+
+    @pytest.mark.parametrize("flag", ["--input", "--config"])
+    def test_not_utf8(self, capsys, tmp_path, flag):
+        data = tmp_path / "t.csv"
+        data.write_bytes(b"case,A\n\xff\xfe,1\n")
+        code, _, err = run(capsys, "srd", "--input", str(data), flag, str(data))
+        assert code == 1 and one_error_line(err) and "UTF-8" in err
+
+    def test_bad_option_values(self, capsys, synth_dir, monkeypatch):
+        args = ("cv", "--data", str(synth_dir / "train.csv"), "--label-col", "label",
+                "--method", "soft")
+        code, _, err = run(capsys, *args, "--s0", "abc")
+        assert code == 1 and one_error_line(err) and "--s0" in err
+        code, _, err = run(capsys, "synth", "--n-per-class", "3,x")
+        assert code == 1 and one_error_line(err) and "--n-per-class" in err
+        monkeypatch.setenv("SC_M", "abc")
+        code, _, err = run(capsys, *args)
+        assert code == 1 and one_error_line(err) and "--m" in err
+        monkeypatch.setenv("SC_SAMPLES_IN", "foo")
+        code, _, err = run(capsys, *args, "--m", "4")
+        assert code == 1 and err == "error: unknown orientation 'foo'\n"
+
+    def test_overflow(self, capsys, tmp_path):
+        data = tmp_path / "huge.csv"
+        data.write_text("label,f0\na,1e308\na,-1e308\nb,1\nb,2\n")
+        code, _, err = run(capsys, "train", "--data", str(data), "--label-col", "label",
+                           "--out", str(tmp_path / "m.txt"))
+        assert code == 1 and one_error_line(err) and "floating-point" in err
+        assert not (tmp_path / "m.txt").exists()
+
+    @pytest.mark.parametrize("argv,missing", [
+        (("train", "--label-col", "label", "--out", "m.txt"), "--data"),
+        (("train", "--data", "TRAIN", "--label-col", "label"), "--out"),
+        (("predict", "--data", "TRAIN"), "--model"),
+        (("predict", "--model", "m.txt"), "--data"),
+        (("srd",), "--input"),
+        (("bench", "--test", "TRAIN", "--method", "sth"), "--train"),
+        (("bench", "--train", "TRAIN", "--method", "sth"), "--test"),
+        (("bench", "--train", "TRAIN", "--test", "TRAIN"), "--method"),
+        (("cv", "--data", "TRAIN", "--label-col", "label"), "--method"),
+        (("tune", "--data", "TRAIN", "--label-col", "label"), "--method"),
+    ])
+    def test_missing_required_option(self, capsys, synth_dir, argv, missing):
+        argv = [str(synth_dir / "train.csv") if a == "TRAIN" else a for a in argv]
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and err == f"error: {missing} is required\n"
+
+
+# Besides raw bytes, the fuzz input draws from text that gets past decoding:
+# lines of tokens, numeric tables with and without a label column, config
+# assignments and model-file fields, so that the parsers, the option casts,
+# fitting, prediction and SRD all see odd but well-formed input.
+TOKENS = [
+    "label", "f0", "f1", "f2", "c1", "c2", "0", "1", "-2.5", "1e308", "-1e308",
+    "nan", "inf", "NA", "", " ", "\u00e9", "\t", "m=3", "s0=abc", "median",
+    "cols", "foo", "uniform", "classic", "order:2", "order:-1", "soft:1e308",
+    "hard:nan", "order:99999999999999999999", "nsckit-model 1", "p=2", "p=-1",
+    "K=1", "K=2", "classes=c1", "classes=c1,c1", "features=f0", "features=f0,f0",
+    "features=f1,f0", "rule=order:1e300", "rule=soft:-1", "s0=nan", "s0=-1",
+    "t_stats 1 2", "t_stats 1e308 -1e308 0 0", "pooled_sd 0 0", "pooled_sd nan 1",
+    "priors 0 1", "priors 1 1", "m 0 0", "m 0.5",
+]
+CONFIG_KEYS = ["m", "s0", "rule", "samples-in", "priors", "mk", "label-col",
+               "labels", "out", "seed", "folds", "data"]
+numbers = st.one_of(st.floats().map(repr), st.integers(-3, 3).map(str))
+cells = st.one_of(st.sampled_from(TOKENS), numbers)
+
+
+def _lines(rows, delim=","):
+    return "\n".join(delim.join(r) for r in rows).encode()
+
+
+token_lines = st.tuples(
+    st.lists(st.lists(cells, min_size=1, max_size=4), max_size=8),
+    st.sampled_from([",", "\t", "="]),
+).map(lambda t: _lines(*t))
+numeric_tables = st.integers(1, 3).flatmap(lambda w: st.tuples(
+    st.booleans(),
+    st.lists(st.sampled_from(["label", "f0", "f1", "f2", "case"]), min_size=w, max_size=w),
+    st.lists(st.tuples(st.sampled_from(["c1", "c2", "c3"]),
+                       st.lists(numbers, min_size=w, max_size=w)), max_size=8),
+)).map(lambda t: _lines(
+    [(["label"] if t[0] else []) + t[1]]
+    + [([lab] if t[0] else []) + row for lab, row in t[2]]
+))
+config_lines = st.lists(
+    st.tuples(st.sampled_from(CONFIG_KEYS), cells), max_size=4
+).map(lambda kv: _lines(kv, "="))
+vectors = st.lists(numbers, max_size=5).map(lambda v: " ".join(v).encode())
+fuzz_bytes = st.one_of(
+    st.binary(max_size=200), token_lines, numeric_tables, config_lines, vectors
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A valid train file, the same samples without labels, and a model."""
+    root = tmp_path_factory.mktemp("fuzz")
+    train = root / "train.csv"
+    train.write_text("label,f0,f1\nc1,0,1\nc1,1,0\nc1,0,0\nc2,5,4\nc2,4,5\nc2,5,5\n")
+    bare = root / "bare.csv"
+    bare.write_text("f1,f0\n1,0\n4,5\n")
+    model = root / "model.txt"
+    assert main(["train", "--data", str(train), "--label-col", "label",
+                 "--out", str(model)]) == 0
+    return root, train, bare, model
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    target=st.sampled_from(["predict", "train", "srd", "config", "model"]),
+    blob=fuzz_bytes,
+    edits=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 9), cells), max_size=3),
+)
+def test_cli_fuzz_fails_with_one_error_line(fuzz_inputs, target, blob, edits):
+    root, train, bare, model = fuzz_inputs
+    fuzz = root / "fuzz.bin"
+    if target == "model" and edits:
+        # edit a valid model file instead: each edit puts a cell in place of
+        # one name or number of one line
+        lines = model.read_bytes().splitlines()
+        for line, item, text in edits:
+            parts = re.split(rb"([ =,])", lines[line])
+            parts[2 * (item % ((len(parts) + 1) // 2))] = text.encode()
+            lines[line] = b"".join(parts)
+        blob = b"\n".join(lines)
+    fuzz.write_bytes(blob)
+    out = str(root / "out.txt")
+    argv = {
+        "predict": ["predict", "--model", str(model), "--data", str(fuzz)],
+        "train": ["train", "--data", str(fuzz), "--label-col", "label", "--out", out],
+        "srd": ["srd", "--input", str(fuzz)],
+        "config": ["train", "--data", str(train), "--label-col", "label",
+                   "--out", out, "--config", str(fuzz)],
+        "model": ["predict", "--model", str(fuzz), "--data", str(bare)],
+    }[target]
+    err = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(root)  # a config may name relative output paths
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    assert len(lines) <= 1, lines
+    assert not lines or lines[0].startswith(("error:", "i/o error:")), lines

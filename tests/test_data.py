@@ -13,6 +13,8 @@ from nsckit import (
     stratified_folds,
 )
 
+from nsckit.data import read_table
+
 from conftest import random_dataset
 
 
@@ -44,6 +46,26 @@ def test_load_matrix_non_numeric_cell_names_location(tmp_path):
     f.write_text("label,f1,f2\nA,1.0,2.0\nB,NA,3.0\n")
     with pytest.raises(ParseError, match=r"'NA' at row 2, column 1"):
         load_matrix(f, label_col="label")
+
+
+def test_read_table_keys_names_and_first_bad_cell(tmp_path):
+    f = tmp_path / "t.tsv"
+    f.write_text(" case \tA\tB\n\nr1 \t1\t2.5\n r2\t-3\t4e0\n")
+    names, keys, values = read_table(f, 0)
+    assert names == ["A", "B"] and keys == ["r1", "r2"]
+    assert values.tolist() == [[1.0, 2.5], [-3.0, 4.0]]
+    f.write_text("case,A,B\nr1,1,nan\nr2,x,2\n")
+    # the first bad cell in file order is reported, whatever its fault
+    with pytest.raises(ParseError, match=r"non-finite value 'nan' at row 1, column 2"):
+        read_table(f, 0)
+    for text, message in [
+        (b"A,B\n1,2\n3\n", "row 2 has 1 cells, expected 2"),
+        (b"A,B\n", "no data rows"),
+        (b"A,B\n\xff,2\n", "not UTF-8"),
+    ]:
+        f.write_bytes(text)
+        with pytest.raises(ParseError, match=message):
+            read_table(f)
 
 
 def test_load_matrix_missing_label_column(tmp_path):

@@ -7,6 +7,7 @@ from nsckit import (
     Dataset,
     DegenerateDesignError,
     DegenerateVarianceError,
+    ParseError,
     ThresholdRule,
     ValidationError,
     discriminant_scores,
@@ -246,6 +247,7 @@ def test_dimension_mismatch_rejected(rng):
 
 def test_model_serialization_round_trip(tmp_path, rng):
     ds = random_dataset(rng, p=9)
+    ds = Dataset.from_arrays(ds.values, ds.labels, [f"gene {i}" for i in range(9)])
     st = fit_statistics(ds)
     model = shrink(st, ThresholdRule("soft", 0.7071067811865476))
     path = tmp_path / "model.txt"
@@ -259,6 +261,25 @@ def test_model_serialization_round_trip(tmp_path, rng):
     assert back.classes == model.classes
     assert np.array_equal(back.shrunken_centroids, model.shrunken_centroids)
     assert np.array_equal(back.survivors, model.survivors)
+    assert back.stats.feature_names == st.feature_names == ds.feature_names
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("p=", "-1", "must be positive"),
+    ("s0=", "nan", "non-finite number in s0"),
+    ("priors ", "0 1", "priors must be positive"),
+    ("features=", "a,b", "2 feature names for p=3"),
+])
+def test_malformed_model_file_is_a_parse_error(tmp_path, rng, field, value, message):
+    ds = random_dataset(rng, p=3, n_classes=2)
+    ds = Dataset.from_arrays(ds.values, ds.labels, ["a", "b", "c"])
+    path = tmp_path / "model.txt"
+    save_model(shrink(fit_statistics(ds), ThresholdRule("soft", 0.0)), path)
+    lines = [field + value if ln.startswith(field) else ln
+             for ln in path.read_text().splitlines()]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=message):
+        load_model(path)
 
 
 def test_predict_labels_maps_class_names(worked_example):

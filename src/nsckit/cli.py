@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -217,6 +218,9 @@ def _cmd_tune(opts: Options) -> int:
 
 
 def _cmd_bench(opts: Options) -> int:
+    runs = opts.get("runs", 100, int)
+    if runs < 2:
+        raise ValidationError(f"--runs must be at least 2 to aggregate, got {runs}")
     fit_kw = _fit_kw(opts)
     load_kw = dict(
         orientation=opts.get("samples-in", "rows"),
@@ -229,7 +233,7 @@ def _cmd_bench(opts: Options) -> int:
         train,
         test,
         method,
-        runs=opts.get("runs", 100, int),
+        runs=runs,
         base_seed=opts.get("seed", 0, int),
         m=opts.get("m", 30, int),
         folds=opts.get("folds", 10, int),
@@ -263,6 +267,7 @@ def _cmd_srd(opts: Options) -> int:
     lower = opts.flag("lower-is-better", None)
     if higher is not None and higher == lower:
         raise ValidationError("--higher-is-better and --lower-is-better contradict each other")
+    loo = opts.flag("loo")
     methods, cases, values = read_table(opts.require("input"), 0)
     M = PerformanceMatrix(
         values, tuple(cases), tuple(methods), lower if lower is not None else not higher
@@ -272,10 +277,9 @@ def _cmd_srd(opts: Options) -> int:
     rows, dist_rows = srd_report(result)
     _emit(rows, opts.get("out"))
     _emit(dist_rows, opts.get("dist-out"))
-    if opts.flag("loo"):
-        loo = srd_loo(M, strategy)
+    if loo:
         loo_rows = [["method", "loo_min", "loo_mean", "loo_max"]]
-        for name, vals in loo.items():
+        for name, vals in srd_loo(M, strategy).items():
             loo_rows.append(
                 [name, repr(min(vals)), repr(sum(vals) / len(vals)), repr(max(vals))]
             )
@@ -361,8 +365,10 @@ def main(argv=None) -> int:
     try:
         config = _read_config(args.config)
         opts = Options(args, config)
-        # values so large that the statistics overflow are an error, not a nan result
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
+        # overflow is an error, not a nan result; a warning is one stderr line
+        with np.errstate(over="raise", invalid="raise", divide="raise"), \
+                warnings.catch_warnings():
+            warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
             return _COMMANDS[args.command](opts)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

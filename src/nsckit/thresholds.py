@@ -60,21 +60,18 @@ def parse_rule(text: str) -> ThresholdRule:
     return ThresholdRule(kind, param)
 
 
-def soft(d, delta):
-    """Soft thresholding: sgn(d) * (|d| - delta)+; ``delta`` broadcasts against d."""
-    if np.any(np.less(delta, 0)):
+def soft(d, delta: float):
+    """Soft thresholding: sgn(d) * (|d| - delta)+."""
+    if delta < 0:
         raise ValidationError(f"threshold must be >= 0, got {delta}")
     d = np.asarray(d, dtype=float)
     out = np.sign(d) * np.maximum(np.abs(d) - delta, 0.0)
     return out if out.ndim else float(out)
 
 
-def hard(d, delta):
-    """Hard thresholding: keep d where |d| > delta (strict), else zero.
-
-    ``delta`` broadcasts against d.
-    """
-    if np.any(np.less(delta, 0)):
+def hard(d, delta: float):
+    """Hard thresholding: keep d where |d| > delta (strict), else zero."""
+    if delta < 0:
         raise ValidationError(f"threshold must be >= 0, got {delta}")
     d = np.asarray(d, dtype=float)
     out = np.where(np.abs(d) > delta, d, 0.0)
@@ -116,7 +113,7 @@ def order(D, keep: int) -> np.ndarray:
     """
     D = np.asarray(D, dtype=float)
     _check_keep(keep, D.size)
-    return np.where(magnitude_ranks(D) < keep, D, 0.0)
+    return np.where(retention_keys(D, "order") < keep, D, 0.0)
 
 
 def apply_rule(D: np.ndarray, rule: ThresholdRule) -> np.ndarray:
@@ -128,62 +125,50 @@ def apply_rule(D: np.ndarray, rule: ThresholdRule) -> np.ndarray:
     return order(D, rule.param)
 
 
-def apply_rules(D, kind: str, params, ranks=None) -> np.ndarray:
-    """Apply many rules of one kind to a p x K matrix, stacked as p x G x K.
+def retention_keys(D, kind: str) -> np.ndarray:
+    """Key of every entry of D under rules of one kind, smallest kept first.
 
-    Slice ``[:, g, :]`` equals ``apply_rule(D, ThresholdRule(kind,
-    params[g]))`` bit for bit.  For order, ``ranks`` may pass in the
-    :func:`magnitude_ranks` of the matrix D's rows were taken from, so that a
-    matrix shrunk many times is sorted once and some of its rows can be
-    shrunk alone; the counts are then checked against that matrix by the
-    caller.
+    Soft and hard key an entry by -|d|, order by its :func:`magnitude_ranks`
+    rank, and a zero entry by D.size.  A rule keeps the entries keyed below
+    its cut: a prefix, of the length :func:`kept_counts` gives, of any list
+    of entries sorted by key.
     """
-    D = np.asarray(D, dtype=float)[:, None, :]
-    params = np.asarray(params)[None, :, None]
-    if kind == "soft":
-        return soft(D, params)
-    if kind == "hard":
-        return hard(D, params)
-    if kind != "order":
+    D = np.asarray(D, dtype=float)
+    if kind == "order":
+        return np.where(D != 0.0, magnitude_ranks(D), D.size)
+    if kind not in KINDS:
         raise ValidationError(f"unknown thresholding kind {kind!r}")
-    if ranks is None:
-        _check_keep(params, D.size)
-        ranks = magnitude_ranks(D[:, 0, :])
-    return np.where(ranks[:, None, :] < params, D, 0.0)
+    return -np.abs(D)
+
+
+def kept_counts(sorted_keys, kind: str, params) -> np.ndarray:
+    """How many of the ascending ``sorted_keys`` the rule with each parameter keeps."""
+    params = np.asarray(params)
+    return np.searchsorted(sorted_keys, params if kind == "order" else -params, side="left")
 
 
 class RowSurvival:
     """Which rows of a p x K matrix keep a nonzero entry under rules of one kind.
 
-    Soft and hard keep a row exactly when its largest |d| exceeds the
-    threshold; order keeps a row when one of its nonzero entries ranks below
-    the retained count.  Either way a rule that keeps a row keeps every row
-    before it in ``rows``, so the survivors of any rule are a prefix of
-    ``rows`` and ``counts`` gives their number in closed form.  ``ranks`` is
-    as in :func:`apply_rules`.
+    A rule keeps a row exactly when it keeps the row's smallest
+    :func:`retention_keys` key: its largest |d| exceeds the threshold for
+    soft and hard, one of its nonzero entries ranks below the retained count
+    for order.  So the survivors of any rule are a prefix of ``rows`` and
+    ``counts`` gives their number in closed form.
     """
 
-    def __init__(self, D, kind: str, ranks=None):
-        D = np.asarray(D, dtype=float)
-        if kind == "order":
-            ranks = magnitude_ranks(D) if ranks is None else ranks
-            key = np.where(D != 0.0, ranks, D.size).min(axis=1)
-        elif kind in KINDS:
-            key = -np.abs(D).max(axis=1)
-        else:
-            raise ValidationError(f"unknown thresholding kind {kind!r}")
+    def __init__(self, D, kind: str):
+        key = retention_keys(D, kind).min(axis=1)
         self.kind = kind
-        self.size = D.size
+        self.size = np.size(D)
         self.rows = np.argsort(key, kind="stable")
         self._keys = key[self.rows]
 
     def counts(self, params) -> np.ndarray:
         """Survivor count of the rule with each parameter."""
-        params = np.asarray(params)
         if self.kind == "order":
             _check_keep(params, self.size)
-            return np.searchsorted(self._keys, params, side="left")
-        return np.searchsorted(self._keys, -params, side="left")
+        return kept_counts(self._keys, self.kind, params)
 
 
 def threshold_grid(stats, kind: str, m: int = 30) -> list[ThresholdRule]:

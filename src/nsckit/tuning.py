@@ -10,11 +10,16 @@ one extra misclassified sample.
 Each fold is fitted once per call and its held-out samples are scored for a
 whole grid at a time.  With z = (x - overall) / (s + s0) and shrunken
 statistics d', the score of class k is |z|^2 - 2 m_k z.d'_k + m_k^2 |d'_k|^2
-- 2 log prior_k; |z|^2 is common to all classes and is dropped, so the scores
-of every rule come from one product of the held-out z with the stacked
-m_k d'_k.  A row whose best and second-best scores are closer than the
-rounding error either form could make is re-scored with ``predict``, so the
-predictions equal those of ``predict(shrink(stats, rule), X)`` exactly.
+- 2 log prior_k, and |z|^2 is common to all classes and is dropped.  A fold
+sorts each class column of its statistics once in the order the rules keep
+them, so every rule keeps a prefix of every column: the cross terms of a
+grid come from segment sums of z m_k d along the longest kept prefix, the
+squared terms from prefix sums of d^2 and |d|.  A row whose best and
+second-best scores are closer than the rounding error either form could
+make is re-scored with ``predict``, so the predictions equal those of
+``predict(shrink(stats, rule), X)`` exactly.  That error scales with
+(|z| + |overall / sd| + max_k R_k)^2, where R_k is m_k times the norm of
+|d| + delta over the entries class k keeps.
 """
 
 from __future__ import annotations
@@ -33,21 +38,16 @@ from .thresholds import (  # noqa: F401
     RowSurvival,
     ThresholdRule,
     apply_rule,
-    apply_rules,
-    magnitude_ranks,
+    kept_counts,
+    retention_keys,
     threshold_grid,
 )
 
-# Most stacked statistics scored per product (512 kB of float64), so that
-# memory stays flat whatever the grid size.
-_CHUNK_VALUES = 1 << 16
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2
-
-
-def _gamma(n: int) -> float:
-    """Bound n*u / (1 - n*u) on the relative error of n floating-point roundings."""
-    nu = n * _UNIT_ROUNDOFF
-    return nu / (1.0 - nu)
+def _prefix_sums(a: np.ndarray) -> np.ndarray:
+    """[..., c]: the sum of the first c entries along the last axis of a."""
+    out = np.zeros(a.shape[:-1] + (a.shape[-1] + 1,))
+    np.cumsum(a, axis=-1, out=out[..., 1:])
+    return out
 
 
 @dataclass(frozen=True)
@@ -94,9 +94,8 @@ class DeepSearchTrace:
 class _HeldOutFold:
     """Statistics fitted without one fold, and the fold's labels.
 
-    The statistics are kept in ``RowSurvival`` order, so that the features a
-    rule keeps are a prefix and the rest, whose shrunken statistics all
-    vanish, are never stacked.
+    The entries of each class column are listed in ``retention_keys`` order,
+    so that every rule keeps a prefix of every list.
     """
 
     def __init__(self, stats: CentroidStats, test_idx: np.ndarray, y: np.ndarray, kind: str):
@@ -104,65 +103,82 @@ class _HeldOutFold:
         self.test_idx = test_idx
         self.y = y
         self.kind = kind
-        ranks = magnitude_ranks(stats.t_stats) if kind == "order" else None
-        self.survival = RowSurvival(stats.t_stats, kind, ranks)
-        self.t = stats.t_stats[self.survival.rows]
-        self.ranks = None if ranks is None else ranks[self.survival.rows]
+        self.sd = stats.pooled_sd + stats.s0
+        self.offset_norm = math.sqrt(((stats.overall_centroid / self.sd) ** 2).sum())
+        # K x p: row k lists the rows of column k in retention order; entries
+        # with equal keys are kept together, so any sort will do
+        keys = retention_keys(stats.t_stats, kind).T
+        self.order = np.argsort(keys, axis=1)
+        self.keys = np.take_along_axis(keys, self.order, axis=1)
         self.prior_terms = np.array([-2.0 * math.log(pk) for pk in stats.priors])
         # [j, k]: class j < k has the same prior term as class k
         self.earlier_twin = np.triu(self.prior_terms[:, None] == self.prior_terms[None, :], 1)
+
+    def kept(self, params: np.ndarray) -> np.ndarray:
+        """Nonzero statistics each rule keeps in each class, G x K."""
+        return np.stack([kept_counts(keys, self.kind, params) for keys in self.keys], axis=1)
 
     def predict_grid(
         self, X: np.ndarray, grid: list[ThresholdRule], params: np.ndarray
     ) -> np.ndarray:
         """Predicted class of every held-out sample under every rule, n_test x G."""
-        stats = self.stats
-        p, K = self.t.shape
-        sd = stats.pooled_sd + stats.s0
-        z = ((X - stats.overall_centroid) / sd)[:, self.survival.rows]
-        # Scale of the rounding error of a sample's scores: |z|, plus
-        # |overall / sd| because the direct form subtracts raw centroids.
-        magnitude = np.sqrt((z**2).sum(axis=1)) + math.sqrt(
-            ((stats.overall_centroid / sd) ** 2).sum()
-        )
-        gamma = _gamma(4 * p + 64)
+        K, p = self.order.shape
+        z = (X - self.stats.overall_centroid) / self.sd
+        counts = self.kept(params)
+        cls = np.arange(K)
+        # Every kept prefix ends at a cut: the products are summed between
+        # cuts and accumulated, so cross[:, g, k] = z.(m_k d'_k), where d' = d
+        # - delta sgn d on the kept entries for soft and d otherwise.
+        cuts = np.unique(np.append(counts, 0))
+        at = np.searchsorted(cuts, counts)
+        order = self.order[:, : cuts[-1]]
+        d = np.take(self.stats.t_stats, order * K + cls[:, None])
+        zs = np.take(z, order, axis=1)
+        m = self.stats.m[:, None]
+
+        def prefix_at_counts(weights):
+            segments = np.add.reduceat(zs * weights, cuts[:-1], axis=2)
+            return _prefix_sums(segments)[:, cls, at]
+
+        cross, sq = prefix_at_counts(m * d), _prefix_sums(d**2)[cls, counts]
+        reach = sq
+        if self.kind == "soft":
+            delta = params[:, None]
+            cross -= delta * prefix_at_counts(m * np.sign(d))
+            # |d'|^2 = Q - 2 delta A + delta^2 c with Q = sum d^2, A = sum |d|
+            a = 2.0 * delta * _prefix_sums(np.abs(d))[cls, counts]
+            c = delta**2 * counts
+            sq, reach = sq - a + c, sq + a + c
+        m_sq = self.stats.m**2
+        scores = self.prior_terms - 2.0 * cross + m_sq * sq
+        # Classes whose shrunken statistics all vanish and whose priors match
+        # score exactly alike in both forms, and the first of them wins the
+        # tie, so the later ones are set aside.
+        vanished = counts == 0
+        scores[:, vanished & (vanished @ self.earlier_twin)] = np.inf
+        pred = scores.argmin(axis=2)
+        two = np.partition(scores, 1, axis=2)
+        gap = two[:, :, 1] - two[:, :, 0]
+        # Rounding: gamma_n = n u / (1 - n u) bounds the relative error of n
+        # roundings of unit roundoff u.  Let R_k = m_k sqrt(Q + 2 delta A +
+        # delta^2 c), delta = 0 for hard and order: R_k >= |m_k d'_k| and, by
+        # Cauchy-Schwarz, the kept sum |z| m_k (|d| + delta) <= |z| R_k.  Both
+        # terms sum at most p values of a few roundings each, so this form's
+        # score is within gamma_(p+12) (size^2 + const) of the exact score,
+        # where size = |z| + |overall / sd| + max_k R_k.  As size bounds
+        # |z - m d'| and |overall / sd| + |m d'|, the direct form's is within
+        # gamma_(2p+24) size^2 + gamma_4 const.  The bound covers two classes
+        # in both forms; a larger gap orders the direct scores alike.
+        size = np.sqrt((z**2).sum(axis=1))[:, None] + self.offset_norm
+        size = size + np.sqrt(m_sq * reach).max(axis=1)
         const = np.abs(self.prior_terms).max()
-        survivors = self.survival.counts(params)
-        pred = np.empty((len(X), len(grid)), dtype=np.intp)
-        lo = 0
-        while lo < len(grid):
-            # rules lo..hi-1 keep the first s features; at least one rule
-            s, hi = survivors[lo], lo + 1
-            while hi < len(grid) and max(s, survivors[hi]) * (hi + 1 - lo) * K <= _CHUNK_VALUES:
-                s, hi = max(s, survivors[hi]), hi + 1
-            ranks = None if self.ranks is None else self.ranks[:s]
-            b = apply_rules(self.t[:s], self.kind, params[lo:hi], ranks)
-            # Classes whose shrunken statistics all vanish and whose priors
-            # match score exactly alike in both forms, and the first of them
-            # wins the tie, so the later ones are set aside.
-            vanished = ~b.any(axis=0)
-            twins = vanished & (vanished @ self.earlier_twin)
-            b *= stats.m
-            G = hi - lo
-            sq = np.einsum("igk,igk->gk", b, b)
-            zb = (z[:, :s] @ b.reshape(s, G * K)).reshape(-1, G, K)
-            scores = self.prior_terms - 2.0 * zb + sq
-            scores[:, twins] = np.inf
-            pred[:, lo:hi] = scores.argmin(axis=2)
-            two = np.partition(scores, 1, axis=2)
-            gap = two[:, :, 1] - two[:, :, 0]
-            # Each form's score of a class is within gamma_(2p+24) * size^2 +
-            # gamma_4 * const of the exact score, where size bounds both
-            # |z - m d'| and |overall / sd| + |m d'|.  The bound covers two
-            # classes twice over; a larger gap orders the direct scores alike.
-            size = magnitude[:, None] + np.sqrt(sq.max(axis=1))[None, :]
-            near = gap <= 2.0 * gamma * (size**2 + const)
-            # The whole batch is re-scored: numpy sums a row in an order that
-            # depends on the batch shape, and an exact tie can fall either way.
-            for g in np.flatnonzero(near.any(axis=0)):
-                direct = predict(shrink(stats, grid[lo + g]), X)
-                pred[near[:, g], lo + g] = direct[near[:, g]]
-            lo = hi
+        nu = (4 * p + 64) * np.finfo(float).eps / 2
+        near = gap <= 2.0 * nu / (1.0 - nu) * (size**2 + const)
+        # The whole batch is re-scored: numpy sums a row in an order that
+        # depends on the batch shape, and an exact tie can fall either way.
+        for g in np.flatnonzero(near.any(axis=0)):
+            direct = predict(shrink(self.stats, grid[g]), X)
+            pred[near[:, g], g] = direct[near[:, g]]
         return pred
 
 

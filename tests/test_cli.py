@@ -129,6 +129,20 @@ class TestBench:
         assert lines[0].split("\t")[0] == "method"
         assert sum(ln.startswith("# ") for ln in lines) == 3
 
+    @pytest.mark.parametrize("runs", ["1", "0", "-2"])
+    def test_too_few_runs_fail_before_any_work(self, synth_dir, capsys, monkeypatch, runs):
+        import nsckit.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli.bench_mod, "run_experiment", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(cli, "load_matrix", lambda *a, **k: calls.append(a))
+        code, _, err = run(
+            capsys, "bench", "--train", str(synth_dir / "train.csv"),
+            "--test", str(synth_dir / "test.csv"), "--method", "sth", "--runs", runs,
+        )
+        assert code == 1 and calls == []
+        assert err.splitlines() == [f"error: --runs must be at least 2 to aggregate, got {runs}"]
+
 
 @pytest.fixture
 def table_csv(tmp_path):
@@ -160,6 +174,17 @@ class TestSrd:
         lines = loo.read_text().splitlines()
         assert lines[0] == "method\tloo_min\tloo_mean\tloo_max"
         assert len(lines) == 4
+
+    def test_tie_warnings_are_one_line_each(self, tmp_path, capsys):
+        path = tmp_path / "tied.csv"
+        path.write_text("case,A,B\nr1,1,1\nr2,1,2\nr3,2,3\nr4,3,3\n")
+        code, _, err = run(capsys, "srd", "--input", str(path))
+        assert code == 0
+        assert err.splitlines() == [
+            f"warning: ties detected in {name}; ranks were broken by row order but "
+            "the null distribution assumes distinct ranks"
+            for name in ("golden standard", "column 'A'", "column 'B'")
+        ]
 
 
 class TestOptionResolution:
@@ -503,6 +528,7 @@ def test_cli_fuzz_fails_with_one_error_line(fuzz_inputs, target, blob, edits):
     finally:
         os.chdir(cwd)
     assert code in (0, 1, 2)
-    lines = err.getvalue().splitlines()
+    # valid input may also warn, one "warning:" line per warning
+    lines = [ln for ln in err.getvalue().splitlines() if not ln.startswith("warning: ")]
     assert len(lines) <= 1, lines
     assert not lines or lines[0].startswith(("error:", "i/o error:")), lines

@@ -8,17 +8,20 @@ from hypothesis import strategies as st
 import nsckit.tuning as tuning
 from nsckit import (
     Dataset,
+    SynthSpec,
     ThresholdRule,
     apply_rule,
     cross_validate,
     deep_search,
     fit_statistics,
     fold_count,
+    generate_synthetic,
     predict,
     shrink,
+    stratified_folds,
     threshold_grid,
 )
-from nsckit.thresholds import RowSurvival, apply_rules, magnitude_ranks
+from nsckit.thresholds import RowSurvival, kept_counts, retention_keys
 
 import oracles
 
@@ -115,9 +118,15 @@ def test_closed_forms_match_apply_rule(D, kind, data):
             st.one_of(st.sampled_from(levels), st.floats(0.0, 4.0)), min_size=1, max_size=6
         ))
     rules = [ThresholdRule(kind, v) for v in params]
-    stacked = apply_rules(D, kind, params)
-    for g, rule in enumerate(rules):
-        assert np.array_equal(stacked[:, g, :], apply_rule(D, rule))
+    keys = retention_keys(D, kind)
+    for k in range(D.shape[1]):
+        counts = kept_counts(np.sort(keys[:, k]), kind, params)
+        for rule, count in zip(rules, counts):
+            # a rule keeps the nonzero entries of a column keyed below all others
+            kept = apply_rule(D, rule)[:, k] != 0.0
+            assert count == kept.sum()
+            if 0 < count < len(D):
+                assert keys[kept, k].max() < keys[~kept, k].min()
     survival = RowSurvival(D, kind)
     assert survival.counts(params).tolist() == [
         int(np.any(apply_rule(D, rule) != 0.0, axis=1).sum()) for rule in rules
@@ -126,11 +135,86 @@ def test_closed_forms_match_apply_rule(D, kind, data):
     for rule, count in zip(rules, survival.counts(params)):
         kept = np.flatnonzero(np.any(apply_rule(D, rule) != 0.0, axis=1))
         assert sorted(survival.rows[:count].tolist()) == kept.tolist()
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ds=datasets(), kind=st.sampled_from(KINDS), data=st.data())
+def test_fold_kept_counts_match_apply_rule(ds, kind, data):
+    """Per-class kept counts and vanished classes equal the nonzeros of apply_rule."""
+    stats = fit_statistics(ds)
+    t = stats.t_stats
     if kind == "order":
-        ranks = magnitude_ranks(D)
-        rows = survival.rows[: max(survival.counts(params))]
-        prefix = apply_rules(D[rows], kind, params, ranks[rows])
-        assert np.array_equal(prefix, stacked[rows])
+        params = data.draw(st.lists(st.integers(0, t.size), min_size=1, max_size=6))
+    else:
+        levels = sorted({0.0, *np.abs(t).ravel().tolist()})
+        params = data.draw(st.lists(
+            st.one_of(st.sampled_from(levels), st.floats(0.0, 2 * levels[-1] + 1)),
+            min_size=1, max_size=6,
+        ))
+    counts = tuning._HeldOutFold(stats, None, None, kind).kept(np.array(params))
+    for g, v in enumerate(params):
+        shrunk = apply_rule(t, ThresholdRule(kind, v))
+        assert counts[g].tolist() == np.count_nonzero(shrunk, axis=0).tolist()
+        assert (counts[g] == 0).tolist() == (~shrunk.any(axis=0)).tolist()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_soft_expansion_cancels_near_large_delta(seed):
+    """Many |d| just above a large delta: Q - 2 delta A + delta^2 c cancels.
+
+    Forty identical features give every class forty equal |d|; each soft
+    threshold sits a few ulps to 1e-9 below one of them, so the kept
+    statistics shrink to almost nothing while Q, delta A and delta^2 c stay
+    large.  Samples midway between two shrunken centroids then tie up to
+    rounding, and must still get predict's class.
+    """
+    rng = np.random.default_rng(seed)
+    labels = ["a"] * 6 + ["b"] * 6 + ["c"] * 6
+    base = rng.normal(size=len(labels)) + np.repeat([3.0, 0.0, -3.0], 6)
+    ds = Dataset.from_arrays(np.tile(base, (40, 1)), labels)
+    stats = fit_statistics(ds)
+    grid = [ThresholdRule("soft", float(v * (1 - eps)))
+            for v in np.abs(stats.t_stats[0]) for eps in (1e-15, 1e-13, 1e-11, 1e-9)]
+    models = [shrink(stats, rule) for rule in grid]
+    X = np.array([(mdl.shrunken_centroids[:, j] + mdl.shrunken_centroids[:, k]) / 2
+                  for mdl in models for j, k in ((0, 1), (0, 2), (1, 2))])
+    fold = tuning._HeldOutFold(stats, None, None, "soft")
+    got = fold.predict_grid(X, grid, np.array([rule.param for rule in grid]))
+    for g, mdl in enumerate(models):
+        assert got[:, g].tolist() == predict(mdl, X).tolist()
+    # the same thresholds placed just below the |d| of every fold's fit
+    F = 3
+    grid = sorted(
+        {ThresholdRule("soft", float(v * (1 - eps)))
+         for test_idx in stratified_folds(ds, F, seed).folds
+         for v in np.abs(fit_statistics(ds.subset(np.setdiff1d(np.arange(ds.n), test_idx)))
+                         .t_stats[0])
+         for eps in (1e-15, 1e-11)},
+        key=lambda rule: rule.param,
+    )
+    curve = cross_validate(ds, grid, F, seed)
+    assert [pt.cv_error_count for pt in curve.points] == (
+        oracles.cv_error_counts_direct(ds, grid, F, seed)
+    )
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_narrow_deep_sized_set_needs_no_fallback(kind, monkeypatch):
+    """A loose rounding bound would slow scoring silently; this set never falls back.
+
+    It is sized like the benchmark's narrow-deep workload.  The search runs
+    with every floating-point exception raised, stricter than the CLI's
+    over, invalid and divide.
+    """
+    train, _ = generate_synthetic(SynthSpec(
+        p=2000, n_classes=3, informative=20, shift=0.8, n_per_class=(24,) * 3,
+        noise_sd=1.0, seed=2003,
+    ))
+    monkeypatch.setattr(tuning, "predict", None)
+    with np.errstate(all="raise"):
+        grid = threshold_grid(fit_statistics(train), kind, 30)
+        cross_validate(train, grid, 10, 0)
+        deep_search(train, kind, F=10, seed=0)
 
 
 def test_offset_near_ties_fall_back_to_predict(monkeypatch):

@@ -1,9 +1,11 @@
-"""Seeded benchmark harness and synthetic data generation.
+"""Threshold tuning, the seeded benchmark harness and synthetic data.
 
-Reproduces the evaluation protocol: for each of ``runs`` seeded repetitions
-the threshold is re-tuned on the training set (fold assignment is the only
-re-randomized ingredient), a final model is fitted on the full training set,
-and the percent test error plus the survivor count are recorded.
+``tune`` is the one tuning entry point, shared by ``nsckit cv``/``tune``/
+``bench``.  ``run_experiment`` reproduces the evaluation protocol: for each
+of ``runs`` seeded repetitions the threshold is re-tuned on the training set
+(fold assignment is the only re-randomized ingredient), a final model is
+fitted on the full training set, and the percent test error plus the
+survivor count are recorded.
 """
 
 from __future__ import annotations
@@ -14,9 +16,11 @@ import numpy as np
 
 from .data import Dataset, fold_count
 from .errors import ValidationError
-from .model import fit_statistics, predict, shrink
+from .model import CentroidStats, fit_statistics, predict, shrink
 from .thresholds import ThresholdRule, threshold_grid
-from .tuning import cross_validate, deep_search, select_smallest
+from .tuning import (
+    DeepSearchIteration, DeepSearchTrace, cross_validate, deep_search, select_smallest,
+)
 
 METHODS = {
     "sth": ("soft", False),
@@ -26,6 +30,26 @@ METHODS = {
     "hth2": ("hard", True),
     "oth2": ("order", True),
 }
+
+
+def tune(
+    ds: Dataset, full: CentroidStats, kind: str, deep: bool, seed: int, *,
+    m: int = 30, folds: int = 10, big_gap: int = 2000, **fit_kw,
+) -> DeepSearchTrace:
+    """Tune the ``kind`` threshold on ``ds`` over at most ``folds`` folds.
+
+    ``full`` is the caller's fit of all of ``ds`` with ``fit_kw``; the m-point
+    grid is built from it.  With ``deep`` this is ``deep_search``'s trace.
+    Without, the grid's smallest-error point is recorded as a single
+    iteration with no runner-up and stop reason ``"grid-only"``.
+    """
+    F = fold_count(ds, folds)
+    if deep:
+        return deep_search(ds, kind, m=m, F=F, seed=seed, big_gap=big_gap, **fit_kw)
+    curve = cross_validate(ds, threshold_grid(full, kind, m), F, seed, **fit_kw)
+    tau = select_smallest(curve)
+    iteration = DeepSearchIteration(curve, tau, None, False, None, 0)
+    return DeepSearchTrace((iteration,), curve.points[tau].rule, "grid-only")
 
 
 @dataclass(frozen=True)
@@ -114,7 +138,6 @@ def run_experiment(
         raise ValidationError("test set contains classes absent from training")
     kind, deep = METHODS[method]
     fit_kw = dict(prior_mode=prior_mode, s0=s0, mk_mode=mk_mode)
-    F = fold_count(train, folds)
     full_stats = fit_statistics(train, **fit_kw)
     # test labels mapped through the training class order
     train_index = {cls: k for k, cls in enumerate(train.classes)}
@@ -123,14 +146,9 @@ def run_experiment(
     records = []
     for r in range(runs):
         seed = base_seed + r
-        if deep:
-            rule = deep_search(
-                train, kind, m=m, F=F, seed=seed, big_gap=big_gap, **fit_kw
-            ).final_rule
-        else:
-            grid = threshold_grid(full_stats, kind, m)
-            curve = cross_validate(train, grid, F, seed, **fit_kw)
-            rule = curve.points[select_smallest(curve)].rule
+        rule = tune(
+            train, full_stats, kind, deep, seed, m=m, folds=folds, big_gap=big_gap, **fit_kw
+        ).final_rule
         model = shrink(full_stats, rule)
         pred = predict(model, X_test)
         err_pct = 100.0 * float((pred != y_test).sum()) / test.n

@@ -19,9 +19,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from .srd import PerformanceMatrix, srd as compute_srd, srd_loo, srd_report
-from .data import (
-    Dataset, fold_count, load_matrix, read_samples, read_table, read_text, save_matrix,
-)
+from .data import Dataset, load_matrix, read_samples, read_table, read_text, save_matrix
 from .errors import ValidationError
 from .model import (
     fit_statistics,
@@ -30,8 +28,7 @@ from .model import (
     save_model,
     shrink,
 )
-from .thresholds import parse_rule, threshold_grid
-from .tuning import cross_validate, deep_search, select_smallest
+from .thresholds import parse_rule
 
 
 def _read_config(path: str | None) -> dict[str, str]:
@@ -153,22 +150,29 @@ def _cmd_predict(opts: Options) -> int:
     return 0
 
 
-def _tuning_inputs(opts: Options):
-    """What cv and tune share: data, rule kind, fit options, m, folds and seed."""
+def _tuning_kw(opts: Options, deep: bool) -> dict:
+    """The seed, m and folds of cv, tune and bench, and big-gap where deep search may run."""
+    kw = dict(seed=opts.get("seed", 0, int), m=opts.get("m", 30, int),
+              folds=opts.get("folds", 10, int))
+    if deep:
+        kw["big_gap"] = opts.get("big-gap", 2000, int)
+    return kw
+
+
+def _tune(opts: Options, deep: bool):
+    """The trace of ``bench.tune`` on --data, as cv and tune run it."""
     kind = opts.require("method")
     if kind not in ("soft", "hard", "order"):
         raise ValidationError("--method must be soft, hard, or order")
+    fit_kw, tuning_kw = _fit_kw(opts), _tuning_kw(opts, deep)
     ds = _load_dataset(opts)
-    F = fold_count(ds, opts.get("folds", 10, int))
-    return ds, kind, _fit_kw(opts), opts.get("m", 30, int), F, opts.get("seed", 0, int)
+    full = fit_statistics(ds, **fit_kw)
+    return bench_mod.tune(ds, full, kind, deep, **tuning_kw, **fit_kw)
 
 
 def _cmd_cv(opts: Options) -> int:
-    ds, kind, fit_kw, m, F, seed = _tuning_inputs(opts)
-    grid = threshold_grid(fit_statistics(ds, **fit_kw), kind, m)
-    curve = cross_validate(ds, grid, F, seed, **fit_kw)
     rows = [["threshold", "cv_error_count", "survivor_count"]]
-    for pt in curve.points:
+    for pt in _tune(opts, False).iterations[0].curve.points:
         rows.append([pt.rule.param, pt.cv_error_count, pt.survivor_count])
     _emit(rows, opts.get("out"))
     return 0
@@ -198,22 +202,11 @@ def _trace_rows(trace) -> list[list]:
 
 
 def _cmd_tune(opts: Options) -> int:
-    ds, kind, fit_kw, m, F, seed = _tuning_inputs(opts)
-    deep = opts.flag("deep-search", True)
-    if deep:
-        trace = deep_search(
-            ds, kind, m=m, F=F, seed=seed,
-            big_gap=opts.get("big-gap", 2000, int), **fit_kw,
-        )
-        rule = trace.final_rule
-        trace_path = opts.get("trace")
-        if trace_path:
-            _emit(_trace_rows(trace), trace_path)
-    else:
-        grid = threshold_grid(fit_statistics(ds, **fit_kw), kind, m)
-        curve = cross_validate(ds, grid, F, seed, **fit_kw)
-        rule = curve.points[select_smallest(curve)].rule
-    print(f"selected rule: {rule}")
+    trace = _tune(opts, opts.flag("deep-search", True))
+    trace_path = opts.get("trace")
+    if trace_path:
+        _emit(_trace_rows(trace), trace_path)
+    print(f"selected rule: {trace.final_rule}")
     return 0
 
 
@@ -221,7 +214,7 @@ def _cmd_bench(opts: Options) -> int:
     runs = opts.get("runs", 100, int)
     if runs < 2:
         raise ValidationError(f"--runs must be at least 2 to aggregate, got {runs}")
-    fit_kw = _fit_kw(opts)
+    fit_kw, tuning_kw = _fit_kw(opts), _tuning_kw(opts, True)
     load_kw = dict(
         orientation=opts.get("samples-in", "rows"),
         label_col=opts.get("label-col", "label"),
@@ -229,35 +222,20 @@ def _cmd_bench(opts: Options) -> int:
     paths = [opts.require("train"), opts.require("test")]
     method = opts.require("method")
     train, test = (load_matrix(path, **load_kw) for path in paths)
+    seed = tuning_kw.pop("seed")
     records = bench_mod.run_experiment(
-        train,
-        test,
-        method,
-        runs=runs,
-        base_seed=opts.get("seed", 0, int),
-        m=opts.get("m", 30, int),
-        folds=opts.get("folds", 10, int),
-        big_gap=opts.get("big-gap", 2000, int),
-        **fit_kw,
+        train, test, method, runs=runs, base_seed=seed, **tuning_kw, **fit_kw
     )
     rows = [["method", "seed", "chosen_rule", "test_error_pct", "survivor_count"]]
-    for rec in records:
-        rows.append(
-            [rec.method, rec.seed, rec.chosen_rule, repr(rec.test_error_pct),
-             rec.survivor_count]
-        )
+    rows += [[rec.method, rec.seed, rec.chosen_rule, repr(rec.test_error_pct),
+              rec.survivor_count] for rec in records]
     agg = bench_mod.aggregate(records)
-    rows.append(
-        ["# aggregate", "", "", "", ""]
-    )
-    rows.append(
+    rows += [
+        ["# aggregate", "", "", "", ""],
         ["# mean/median/se error", repr(agg.mean_error), repr(agg.median_error),
-         repr(agg.se_error), ""]
-    )
-    rows.append(
-        ["# mean/se survivors", repr(agg.mean_survivors), repr(agg.se_survivors),
-         "", ""]
-    )
+         repr(agg.se_error), ""],
+        ["# mean/se survivors", repr(agg.mean_survivors), repr(agg.se_survivors), "", ""],
+    ]
     _emit(rows, opts.get("out"))
     return 0
 
@@ -340,15 +318,15 @@ def _build_parser() -> argparse.ArgumentParser:
     # code it reaches, so a flag, its SC_ variable and its config key agree
     data_flags = ("--data", "--samples-in", "--label-col", "--labels")
     fit_flags = ("--priors", "--s0", "--mk")
-    tune_flags = ("--method", "--m", "--folds", "--seed", "--big-gap")
+    tune_flags = ("--method", "--m", "--folds", "--seed")
     add("train", *data_flags, *fit_flags, "--rule", "--out")
     add("predict", "--model", "--data", "--samples-in", "--out")
     add("cv", *data_flags, *fit_flags, *tune_flags, "--out")
-    add("tune", *data_flags, *fit_flags, *tune_flags, "--trace").add_argument(
+    add("tune", *data_flags, *fit_flags, *tune_flags, "--big-gap", "--trace").add_argument(
         "--deep-search", nargs="?", const="on"
     )
     add("bench", "--train", "--test", "--samples-in", "--label-col",
-        *fit_flags, *tune_flags, "--runs", "--out")
+        *fit_flags, *tune_flags, "--big-gap", "--runs", "--out")
     add("srd", "--input", "--gold", "--out", "--dist-out", "--loo-out",
         switches=("--lower-is-better", "--higher-is-better", "--loo"))
     add("synth", "--p", "--q", "--k", "--shift", "--n-per-class", "--noise-sd",
@@ -365,10 +343,18 @@ def main(argv=None) -> int:
     try:
         config = _read_config(args.config)
         opts = Options(args, config)
-        # overflow is an error, not a nan result; a warning is one stderr line
+        shown = set()
+
+        def show(msg, *_):
+            if str(msg) not in shown:
+                shown.add(str(msg))
+                print(f"warning: {msg}", file=sys.stderr)
+
+        # overflow is an error, not a nan result; each distinct warning is
+        # one stderr line, however often the command gives it
         with np.errstate(over="raise", invalid="raise", divide="raise"), \
                 warnings.catch_warnings():
-            warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+            warnings.showwarning = show
             return _COMMANDS[args.command](opts)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,7 +5,8 @@ over stratified folds.  ``select_smallest`` picks the smallest-error point,
 preferring smaller models on ties.  ``deep_search`` repeatedly narrows the
 threshold interval around the selected point, optionally jumping to the
 runner-up when it buys a drastically smaller model at the cost of at most
-one extra misclassified sample.
+one extra misclassified sample.  Callers tune through ``bench.tune``, which
+caps the fold count and runs one or the other.
 
 Each fold is fitted once per call and its held-out samples are scored for a
 whole grid at a time.  With z = (x - overall) / (s + s0) and shrunken
@@ -248,28 +249,22 @@ def cross_validate(
     return _FoldFits(ds, grid[0].kind, F, seed, fit_kw).curve(grid)
 
 
-def select_smallest(curve: CvCurve) -> int:
-    """Index of the smallest-CV-error point (0-based).
-
-    Ties are broken by smaller survivor count, then by larger shrinkage
-    (later grid position).
-    """
+def _preference(curve: CvCurve):
+    """Sort key of a grid index: smaller CV error first, then fewer
+    survivors, then larger shrinkage (later grid position)."""
     pts = curve.points
-    return min(
-        range(len(pts)),
-        key=lambda i: (pts[i].cv_error_count, pts[i].survivor_count, -i),
-    )
+    return lambda i: (pts[i].cv_error_count, pts[i].survivor_count, -i)
+
+
+def select_smallest(curve: CvCurve) -> int:
+    """Index of the smallest-CV-error point (0-based), ties as ``_preference``."""
+    return min(range(len(curve.points)), key=_preference(curve))
 
 
 def _runner_up(curve: CvCurve, tau: int) -> int | None:
     """Second-smallest-error index: best point excluding tau, same tie rules."""
-    pts = curve.points
-    rest = [i for i in range(len(pts)) if i != tau]
-    if not rest:
-        return None
-    return min(
-        rest, key=lambda i: (pts[i].cv_error_count, pts[i].survivor_count, -i)
-    )
+    rest = (i for i in range(len(curve.points)) if i != tau)
+    return min(rest, key=_preference(curve), default=None)
 
 
 def _switch_to_runner_up(

@@ -4,18 +4,25 @@ import numpy as np
 import pytest
 
 from nsckit import (
+    DeepSearchTrace,
     RunRecord,
     SynthSpec,
     ThresholdRule,
     ValidationError,
     aggregate,
+    cross_validate,
+    deep_search,
     fit_statistics,
+    fold_count,
     generate_synthetic,
     predict,
     run_experiment,
+    select_smallest,
     shrink,
+    threshold_grid,
 )
-from nsckit.bench import METHODS
+from nsckit.bench import METHODS, tune
+from nsckit.tuning import DeepSearchIteration
 
 
 def record(err, survivors=10, method="sth", seed=0):
@@ -94,6 +101,41 @@ class TestGenerateSynthetic:
 @pytest.fixture(scope="module")
 def pair():
     return generate_synthetic(spec(shift=1.5, seed=11))
+
+
+class TestTune:
+    # folds=50 is more than the smallest class (12), so tune must cap it
+    @pytest.mark.parametrize("kind", ["soft", "hard", "order"])
+    def test_grid_only_is_cross_validate_and_select_smallest(self, pair, kind):
+        train, _ = pair
+        fit_kw = dict(prior_mode="uniform", s0=0.5, mk_mode="classic")
+        full = fit_statistics(train, **fit_kw)
+        F = fold_count(train, 50)
+        curve = cross_validate(train, threshold_grid(full, kind, 8), F, 3, **fit_kw)
+        tau = select_smallest(curve)
+        want = DeepSearchTrace(
+            (DeepSearchIteration(curve, tau, None, False, None, 0),),
+            curve.points[tau].rule,
+            "grid-only",
+        )
+        assert tune(train, full, kind, False, 3, m=8, folds=50, **fit_kw) == want
+
+    @pytest.mark.parametrize("kind", ["soft", "hard", "order"])
+    def test_deep_is_deep_search(self, pair, kind):
+        train, _ = pair
+        full = fit_statistics(train, s0=0.5)
+        want = deep_search(
+            train, kind, m=8, F=fold_count(train, 50), seed=4, big_gap=5, s0=0.5
+        )
+        assert tune(train, full, kind, True, 4, m=8, folds=50, big_gap=5, s0=0.5) == want
+
+    def test_run_experiment_picks_the_tuned_rule(self, pair):
+        train, test = pair
+        full = fit_statistics(train)
+        for method, (kind, deep) in METHODS.items():
+            [rec] = run_experiment(train, test, method, runs=1, base_seed=6, folds=4)
+            trace = tune(train, full, kind, deep, 6, folds=4)
+            assert rec.chosen_rule == trace.final_rule
 
 
 class TestRunExperiment:

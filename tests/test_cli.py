@@ -112,6 +112,25 @@ class TestCvAndTune:
         )
         assert code == 0 and out.startswith("selected rule: order:")
 
+    @pytest.mark.parametrize("kind", ["soft", "hard", "order"])
+    def test_plain_trace_is_the_cv_curve(self, synth_dir, tmp_path, capsys, kind):
+        args = ("--data", str(synth_dir / "train.csv"), "--label-col", "label",
+                "--method", kind, "--m", "10", "--folds", "5", "--seed", "1")
+        cv, trace = tmp_path / "cv.tsv", tmp_path / "trace.tsv"
+        assert run(capsys, "cv", *args, "--out", str(cv))[0] == 0
+        code, out, _ = run(capsys, "tune", *args, "--deep-search", "off",
+                           "--trace", str(trace))
+        assert code == 0
+        rows = [ln.split("\t") for ln in trace.read_text().splitlines()[1:]]
+        assert {row[0] for row in rows} == {"0"}
+        assert [row[1:4] for row in rows] == [
+            ln.split("\t") for ln in cv.read_text().splitlines()[1:]
+        ]
+        # one chosen row, no runner-up or switch, and it is the printed rule
+        chosen = [row for row in rows if row[4] == "1"]
+        assert len(chosen) == 1 and all(row[5:] == ["0", "0"] for row in rows)
+        assert out == f"selected rule: {kind}:{chosen[0][1]}\n"
+
 
 class TestBench:
     def test_pipeline_and_byte_identical_repeats(self, synth_dir, tmp_path, capsys):
@@ -178,13 +197,16 @@ class TestSrd:
     def test_tie_warnings_are_one_line_each(self, tmp_path, capsys):
         path = tmp_path / "tied.csv"
         path.write_text("case,A,B\nr1,1,1\nr2,1,2\nr3,2,3\nr4,3,3\n")
-        code, _, err = run(capsys, "srd", "--input", str(path))
-        assert code == 0
-        assert err.splitlines() == [
+        want = [
             f"warning: ties detected in {name}; ranks were broken by row order but "
             "the null distribution assumes distinct ranks"
             for name in ("golden standard", "column 'A'", "column 'B'")
         ]
+        code, _, err = run(capsys, "srd", "--input", str(path))
+        assert code == 0 and err.splitlines() == want
+        # the leave-one-out tables show the same ties again: still one line each
+        code, _, err = run(capsys, "srd", "--input", str(path), "--loo")
+        assert code == 0 and err.splitlines() == want
 
 
 class TestOptionResolution:
@@ -268,7 +290,11 @@ class TestBooleanOptions:
         args = ("tune", "--data", str(synth_dir / "train.csv"), "--label-col", "label",
                 "--method", "soft", "--m", "6", "--folds", "3", "--trace", str(trace))
         monkeypatch.setenv("SC_DEEP_SEARCH", "0")
-        assert run(capsys, *args)[0] == 0 and not trace.exists()
+        assert run(capsys, *args)[0] == 0
+        # plain tuning writes its grid as iteration 0 and nothing more
+        iterations = {ln.split("\t")[0] for ln in trace.read_text().splitlines()[1:]}
+        assert iterations == {"0"}
+        trace.unlink()
         assert run(capsys, *args, "--deep-search", "banana")[0] == 1
         assert run(capsys, *args, "--deep-search")[0] == 0 and trace.exists()
 
@@ -292,6 +318,12 @@ class TestExitCodes:
     def test_threads_flag_is_gone(self, capsys, table_csv):
         assert run(capsys, "srd", "--input", str(table_csv))[0] == 0
         assert run(capsys, "srd", "--input", str(table_csv), "--threads", "2")[0] == 1
+
+    def test_cv_takes_no_big_gap(self, synth_dir, capsys):
+        args = ("cv", "--data", str(synth_dir / "train.csv"), "--label-col", "label",
+                "--method", "soft", "--m", "4", "--folds", "3")
+        assert run(capsys, *args)[0] == 0
+        assert run(capsys, *args, "--big-gap", "5")[0] == 1
 
 
 class TestPredictInput:

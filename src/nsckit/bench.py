@@ -39,13 +39,13 @@ def tune(
     """Tune the ``kind`` threshold on ``ds`` over at most ``folds`` folds.
 
     ``full`` is the caller's fit of all of ``ds`` with ``fit_kw``; the m-point
-    grid is built from it.  With ``deep`` this is ``deep_search``'s trace.
-    Without, the grid's smallest-error point is recorded as a single
-    iteration with no runner-up and stop reason ``"grid-only"``.
+    grid is built from it, and the deep search reuses it.  With ``deep`` this
+    is ``deep_search``'s trace.  Without, the grid's smallest-error point is
+    recorded as a single iteration with no runner-up and stop reason ``"grid-only"``.
     """
     F = fold_count(ds, folds)
     if deep:
-        return deep_search(ds, kind, m=m, F=F, seed=seed, big_gap=big_gap, **fit_kw)
+        return deep_search(ds, kind, m=m, F=F, seed=seed, big_gap=big_gap, full=full, **fit_kw)
     curve = cross_validate(ds, threshold_grid(full, kind, m), F, seed, **fit_kw)
     tau = select_smallest(curve)
     iteration = DeepSearchIteration(curve, tau, None, False, None, 0)

@@ -252,12 +252,14 @@ def _cmd_srd(opts: Options) -> int:
     )
     strategy = opts.get("gold", "min")
     result = compute_srd(M, strategy)
+    # leave-one-out before any output, so that too few rows write nothing
+    loo_values = srd_loo(M, strategy) if loo else None
     rows, dist_rows = srd_report(result)
     _emit(rows, opts.get("out"))
     _emit(dist_rows, opts.get("dist-out"))
-    if loo:
+    if loo_values is not None:
         loo_rows = [["method", "loo_min", "loo_mean", "loo_max"]]
-        for name, vals in srd_loo(M, strategy).items():
+        for name, vals in loo_values.items():
             loo_rows.append(
                 [name, repr(min(vals)), repr(sum(vals) / len(vals)), repr(max(vals))]
             )

@@ -87,45 +87,38 @@ def max_srd(r: int) -> int:
 def exact_null_counts(r: int) -> dict[int, int]:
     """Permutation counts by total displacement sum |pi(i) - i|.
 
-    Dynamic program over boundary crossings: scanning positions 1..r, the
-    state is the number of open top/bottom arcs that must match to the
-    right; each boundary between consecutive positions contributes the
-    number of arcs crossing it to the displacement sum.
+    Dynamic program over boundary crossings.  Scanning positions 1..r, every
+    position adds one top (its index) and one bottom (its value), each either
+    matched at once, closing an open arc, or left open; every transition
+    changes the open tops and the open bottoms alike, so the state is one
+    index a, the number of open arcs of each kind.  Each boundary between
+    consecutive positions adds the 2a crossing arcs to the displacement sum.
+    Counts are Python ints (an object array), exact for every r.
     """
     if r < 1:
         raise ValidationError(f"need r >= 1, got {r}")
-    # dp[(i, j)] -> {cost: count} with i open tops and j open bottoms
-    dp: dict[tuple[int, int], dict[int, int]] = {(0, 0): {0: 1}}
+    # Only a <= min(b, r - b) after position b can still close, so r // 2 + 1
+    # rows suffice.  A state past that bound never returns to a = 0, so what
+    # it loses off the array, above row r // 2 or past max_srd(r), is moot.
+    arcs = np.arange(r // 2 + 1)
+    width = max_srd(r) + 1
+    stay = np.array([1 + 2 * a for a in arcs.tolist()], dtype=object)[:, None]
+    close = np.array([a * a for a in arcs[1:].tolist()], dtype=object)[:, None]
+    # row a moves 2a along the cost axis at every boundary
+    rows, cols = np.nonzero(arcs[:, None] * 2 + np.arange(width) < width)
+    counts = np.zeros((arcs.size, width), dtype=object)
+    counts[0, 0] = 1
     for b in range(1, r + 1):
-        nxt: dict[tuple[int, int], dict[int, int]] = {}
-
-        def add(state, cost, ways):
-            if ways:
-                bucket = nxt.setdefault(state, {})
-                bucket[cost] = bucket.get(cost, 0) + ways
-
-        for (i, j), costs in dp.items():
-            for cost, cnt in costs.items():
-                # new top and new bottom match each other
-                add((i, j), cost, cnt)
-                # top closes an open bottom, bottom closes an open top
-                add((i - 1, j - 1), cost, cnt * i * j)
-                # top closes an open bottom, bottom stays open
-                add((i, j), cost, cnt * j)
-                # top stays open, bottom closes an open top
-                add((i, j), cost, cnt * i)
-                # both stay open
-                add((i + 1, j + 1), cost, cnt)
-        if b < r:
-            dp = {
-                state: {cost + state[0] + state[1]: cnt for cost, cnt in costs.items()}
-                for state, costs in nxt.items()
-            }
-        else:
-            dp = nxt
-    final = dp.get((0, 0), {})
+        # a stays: matched pair, or one closes an open arc and one opens (1 + 2a);
+        # a - 1: both close one of a open arcs (a * a); a + 1: both stay open
+        nxt = counts * stay
+        nxt[:-1] += counts[1:] * close
+        nxt[1:] += counts[:-1]
+        counts = np.zeros_like(nxt)
+        counts[rows, cols + 2 * rows] = nxt[rows, cols]
+    final = {v: c for v, c in enumerate(counts[0].tolist()) if c}
     assert sum(final.values()) == math.factorial(r)
-    return dict(sorted(final.items()))
+    return final
 
 
 def exact_null_distribution(r: int) -> dict[int, float]:
@@ -248,24 +241,24 @@ def srd(M: PerformanceMatrix, strategy: str = "min") -> SrdResult:
 def srd_loo(M: PerformanceMatrix, strategy: str = "min") -> dict[str, list[float]]:
     """Leave-one-row-out SRD spread: scaled SRDs with each case removed.
 
-    Only the scaled SRDs are computed; no null distribution is built.
+    Ranks break ties in row order and each case's golden value depends on
+    its own row only, so removing case d lowers by one every rank above d's,
+    in every method column and in the golden standard.  The full matrix is
+    ranked once and every leave-one-out SRD is read off that rank shift; tie
+    warnings are the full matrix's, once per column.  Only the scaled SRDs
+    are computed; no null distribution is built.
     """
     r = M.values.shape[0]
     if r < 3:
         raise ValidationError("leave-one-out SRD needs at least 3 rows")
-    out: dict[str, list[float]] = {name: [] for name in M.col_names}
-    for drop in range(r):
-        keep = [i for i in range(r) if i != drop]
-        sub = PerformanceMatrix(
-            M.values[keep],
-            tuple(M.row_names[i] for i in keep),
-            M.col_names,
-            M.lower_is_better,
-        )
-        srd_scaled = _rank_differences(sub, strategy)[4]
-        for name in M.col_names:
-            out[name].append(srd_scaled[name])
-    return out
+    _, gold_rank, method_ranks, _, _ = _rank_differences(M, strategy)
+    ranks = np.column_stack([gold_rank, *method_ranks.values()])
+    # shifted[d, i, c]: rank of row i in column c once row d is removed
+    shifted = ranks - (ranks > ranks[:, None, :])
+    diffs = np.abs(shifted[:, :, 1:] - shifted[:, :, :1])
+    diffs[np.arange(r), np.arange(r)] = 0  # the removed row itself
+    scaled = 100.0 * diffs.sum(axis=1) / max_srd(r - 1)
+    return dict(zip(method_ranks, scaled.T.tolist()))
 
 
 def srd_report(result: SrdResult) -> tuple[list[list[str]], list[list[str]]]:

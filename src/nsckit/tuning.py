@@ -190,11 +190,14 @@ class _FoldFits:
     against every grid of that call.
     """
 
-    def __init__(self, ds: Dataset, kind: str, F: int, seed: int, fit_kw: dict):
+    def __init__(
+        self, ds: Dataset, kind: str, F: int, seed: int, fit_kw: dict,
+        full: CentroidStats | None = None,
+    ):
         plan = stratified_folds(ds, F, seed)
         self.seed = seed
         self.values = ds.values
-        self.full = fit_statistics(ds, **fit_kw)
+        self.full = fit_statistics(ds, **fit_kw) if full is None else full
         self.full_survival = RowSurvival(self.full.t_stats, kind)
         self.folds: list[_HeldOutFold] = []
         all_idx = np.arange(ds.n)
@@ -341,6 +344,7 @@ def deep_search(
     prior_mode: str = "empirical",
     s0: str | float = "median",
     mk_mode: str = "paper",
+    full: CentroidStats | None = None,
 ) -> DeepSearchTrace:
     """Iterative grid-refinement search for the thresholding parameter.
 
@@ -350,10 +354,13 @@ def deep_search(
     cross-validation over the same fold fits, made once per call.  Stops
     when no interval qualifies, the refined grid is empty or cannot improve,
     or the survivor span is exhausted.  Raises ``DeepSearchError`` past ``max_iterations``.
+    ``full``, when given, is the caller's fit of all of ``ds`` with the same
+    fit options, used in place of a refit.
     """
     if F is None:
         F = fold_count(ds)
-    fits = _FoldFits(ds, kind, F, seed, dict(prior_mode=prior_mode, s0=s0, mk_mode=mk_mode))
+    fit_kw = dict(prior_mode=prior_mode, s0=s0, mk_mode=mk_mode)
+    fits = _FoldFits(ds, kind, F, seed, fit_kw, full)
     grid = threshold_grid(fits.full, kind, m)
     iterations: list[DeepSearchIteration] = []
     current: CvPoint | None = None

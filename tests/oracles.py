@@ -12,7 +12,16 @@ from collections import Counter
 
 import numpy as np
 
-from nsckit import fit_statistics, predict, shrink, stratified_folds
+from nsckit import (
+    PerformanceMatrix,
+    fit_statistics,
+    golden_standard,
+    max_srd,
+    predict,
+    rank_vector,
+    shrink,
+    stratified_folds,
+)
 
 
 def nsc_scores(x, centroids, pooled_sd, s0, priors):
@@ -112,3 +121,23 @@ def srd_null_by_enumeration(r):
 
 def max_displacement_by_enumeration(r):
     return max(srd_null_by_enumeration(r))
+
+
+def srd_loo_direct(M, strategy="min"):
+    """Leave-one-out scaled SRDs by ranking every sub-matrix anew."""
+    r = M.values.shape[0]
+    out = {name: [] for name in M.col_names}
+    for drop in range(r):
+        keep = [i for i in range(r) if i != drop]
+        sub = PerformanceMatrix(
+            M.values[keep],
+            tuple(M.row_names[i] for i in keep),
+            M.col_names,
+            M.lower_is_better,
+        )
+        gold_rank = rank_vector(golden_standard(sub, strategy), M.lower_is_better)
+        for c, name in enumerate(M.col_names):
+            ranks = rank_vector(sub.values[:, c], M.lower_is_better)
+            raw = int(np.abs(ranks - gold_rank).sum())
+            out[name].append(100.0 * raw / max_srd(r - 1))
+    return out

@@ -21,6 +21,7 @@ from nsckit import (
     shrink,
     threshold_grid,
 )
+from nsckit import bench, tuning
 from nsckit.bench import METHODS, tune
 from nsckit.tuning import DeepSearchIteration
 
@@ -128,6 +129,28 @@ class TestTune:
             train, kind, m=8, F=fold_count(train, 50), seed=4, big_gap=5, s0=0.5
         )
         assert tune(train, full, kind, True, 4, m=8, folds=50, big_gap=5, s0=0.5) == want
+
+    @pytest.mark.parametrize("kind", ["soft", "hard", "order"])
+    def test_deep_search_with_the_callers_fit_is_unchanged(self, pair, kind):
+        train, _ = pair
+        fit_kw = dict(prior_mode="uniform", s0=0.5, mk_mode="classic")
+        full = fit_statistics(train, **fit_kw)
+        args = dict(m=8, F=4, seed=2, big_gap=5, **fit_kw)
+        assert deep_search(train, kind, full=full, **args) == deep_search(train, kind, **args)
+
+    def test_deep_run_experiment_fits_the_full_data_once(self, pair, monkeypatch):
+        train, test = pair
+        sizes = []
+
+        def counted(ds, **kw):
+            sizes.append(ds.n)
+            return fit_statistics(ds, **kw)
+
+        monkeypatch.setattr(bench, "fit_statistics", counted)
+        monkeypatch.setattr(tuning, "fit_statistics", counted)
+        run_experiment(train, test, "sth2", runs=2, folds=5)
+        assert sizes.count(train.n) == 1
+        assert len(sizes) == 1 + 2 * 5
 
     def test_run_experiment_picks_the_tuned_rule(self, pair):
         train, test = pair

@@ -208,6 +208,18 @@ class TestSrd:
         code, _, err = run(capsys, "srd", "--input", str(path), "--loo")
         assert code == 0 and err.splitlines() == want
 
+    def test_loo_on_two_rows_fails_before_any_output(self, tmp_path, capsys):
+        path = tmp_path / "two.csv"
+        path.write_text("case,A,B\nr1,1,2\nr2,3,4\n")
+        outs = [tmp_path / name for name in ("r.tsv", "d.tsv", "l.tsv")]
+        code, out, err = run(
+            capsys, "srd", "--input", str(path), "--loo", "--out", str(outs[0]),
+            "--dist-out", str(outs[1]), "--loo-out", str(outs[2]),
+        )
+        assert code == 1 and out == ""
+        assert err == "error: leave-one-out SRD needs at least 3 rows\n"
+        assert not any(p.exists() for p in outs)
+
 
 class TestOptionResolution:
     def test_env_overrides_config_and_cli_overrides_env(

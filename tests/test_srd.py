@@ -1,7 +1,11 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsckit import (
     PerformanceMatrix,
@@ -96,6 +100,18 @@ class TestExactNull:
     def test_out_of_range(self):
         with pytest.raises(ValidationError):
             exact_null_distribution(14)
+
+    # 25! > 2**63 > 20!, so r = 25 needs counts past int64
+    @pytest.mark.parametrize("r", [*range(2, 14), 25])
+    def test_exact_moments_match_closed_forms(self, r):
+        # Diaconis & Graham (1977): mean (r^2 - 1)/3, variance (r+1)(2r^2+7)/45
+        counts = exact_null_counts(r)
+        total = math.factorial(r)
+        assert sum(counts.values()) == total
+        mean = Fraction(sum(v * c for v, c in counts.items()), total)
+        second = Fraction(sum(v * v * c for v, c in counts.items()), total)
+        assert mean == Fraction(r * r - 1, 3)
+        assert second - mean**2 == Fraction((r + 1) * (2 * r * r + 7), 45)
 
 
 class TestNormalApprox:
@@ -247,3 +263,43 @@ class TestReportAndLoo:
         full = srd(M, "min").srd_scaled
         for name, vals in loo.items():
             assert min(vals) - 25.0 <= full[name] <= max(vals) + 25.0
+
+
+@st.composite
+def tied_matrices(draw):
+    """Error percentages over 72 test samples: few levels, many ties."""
+    r = draw(st.integers(3, 45))
+    c = draw(st.integers(1, 7))
+    top = draw(st.integers(0, 20))
+    errors = draw(st.lists(
+        st.lists(st.integers(0, top), min_size=c, max_size=c), min_size=r, max_size=r
+    ))
+    return PerformanceMatrix(
+        100.0 * np.array(errors) / 72,
+        tuple(f"case{i}" for i in range(r)),
+        tuple(f"m{j}" for j in range(c)),
+        draw(st.booleans()),
+    )
+
+
+def tie_messages(call):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call()
+    return [str(w.message) for w in caught]
+
+
+@settings(max_examples=200, deadline=None)
+@given(M=tied_matrices(), strategy=st.sampled_from(["min", "max", "mean"]))
+def test_loo_rank_shift_equals_reranking(M, strategy):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert srd_loo(M, strategy) == oracles.srd_loo_direct(M, strategy)
+
+
+@settings(max_examples=50, deadline=None)
+@given(M=tied_matrices(), strategy=st.sampled_from(["min", "max", "mean"]))
+def test_loo_gives_the_tie_messages_of_srd_once_each(M, strategy):
+    full = tie_messages(lambda: srd(M, strategy))
+    loo = tie_messages(lambda: srd_loo(M, strategy))
+    assert sorted(loo) == sorted(set(loo)) == sorted(set(full))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import compress
 from statistics import NormalDist
 
 import numpy as np
@@ -20,6 +21,7 @@ import numpy as np
 from .errors import ValidationError
 
 EXACT_LIMIT = 13
+PERCENTILES = (("xx1", 0.05), ("med", 0.50), ("xx19", 0.95))
 
 
 @dataclass(frozen=True)
@@ -43,6 +45,9 @@ class PerformanceMatrix:
             raise ValidationError("performance matrix has missing or non-finite entries")
         if len(self.row_names) != r or len(self.col_names) != c:
             raise ValidationError("row/column name counts do not match the matrix")
+        if len(set(self.col_names)) != c:
+            repeated = next(n for i, n in enumerate(self.col_names) if n in self.col_names[:i])
+            raise ValidationError(f"column name {repeated!r} is repeated")
 
 
 @dataclass(frozen=True)
@@ -70,13 +75,15 @@ def golden_standard(M: PerformanceMatrix, strategy: str = "min") -> np.ndarray:
 
 
 def rank_vector(v, ascending: bool = True) -> np.ndarray:
-    """Ranks 1..r; ties receive consecutive ranks in row-index order."""
+    """Ranks 1..r along axis 0, every column of a 2-D input in one sort;
+    ties receive consecutive ranks in row-index order."""
     v = np.asarray(v, dtype=float)
     key = v if ascending else -v
-    order = np.argsort(key, kind="stable")
-    ranks = np.empty(v.size, dtype=int)
-    ranks[order] = np.arange(1, v.size + 1)
-    return ranks
+    key = key[:, None] if key.ndim == 1 else key  # a 1-D input as one column
+    order = np.argsort(key, axis=0, kind="stable")
+    ranks = np.empty(key.shape, dtype=int)
+    ranks[order, np.arange(key.shape[1])] = np.arange(1, len(key) + 1)[:, None]
+    return ranks.reshape(v.shape)
 
 
 def max_srd(r: int) -> int:
@@ -180,61 +187,46 @@ def _discrete_percentile(dist: dict[int, float], q: float) -> float:
     return float(max(dist))
 
 
-def _warn_on_ties(name: str, v: np.ndarray) -> None:
-    if np.unique(v).size != v.size:
+def _rank_differences(M: PerformanceMatrix, strategy: str):
+    """The golden standard and the (r, c + 1) ranks of it, then of every column;
+    warns once per tied column at the caller of ``srd`` or ``srd_loo``."""
+    gold = golden_standard(M, strategy)
+    values = np.column_stack([gold, M.values])
+    ranks = rank_vector(values, M.lower_is_better)
+    # each column's values in sorted order: ties are adjacent equal entries
+    in_order = np.empty_like(values)
+    in_order[ranks - 1, np.arange(values.shape[1])] = values
+    tied = (in_order[1:] == in_order[:-1]).any(axis=0).tolist()
+    names = ["golden standard", *(f"column {name!r}" for name in M.col_names)]
+    for name in compress(names, tied):
         warnings.warn(
             f"ties detected in {name}; ranks were broken by row order but the "
             "null distribution assumes distinct ranks",
-            stacklevel=4,
+            stacklevel=3,
         )
-
-
-def _rank_differences(M: PerformanceMatrix, strategy: str):
-    """Golden-standard ranks, method ranks, raw and scaled SRD of every column."""
-    gold = golden_standard(M, strategy)
-    ascending = M.lower_is_better
-    _warn_on_ties("golden standard", gold)
-    gold_rank = rank_vector(gold, ascending)
-    method_ranks: dict[str, np.ndarray] = {}
-    srd_raw: dict[str, int] = {}
-    srd_scaled: dict[str, float] = {}
-    top = max_srd(M.values.shape[0])
-    for c, name in enumerate(M.col_names):
-        col = M.values[:, c]
-        _warn_on_ties(f"column {name!r}", col)
-        ranks = rank_vector(col, ascending)
-        method_ranks[name] = ranks
-        raw = int(np.abs(ranks - gold_rank).sum())
-        srd_raw[name] = raw
-        srd_scaled[name] = 100.0 * raw / top
-    return gold, gold_rank, method_ranks, srd_raw, srd_scaled
+    return gold, ranks
 
 
 def srd(M: PerformanceMatrix, strategy: str = "min") -> SrdResult:
     """SRD of every method column against the golden standard."""
-    gold, gold_rank, method_ranks, srd_raw, srd_scaled = _rank_differences(M, strategy)
+    gold, ranks = _rank_differences(M, strategy)
     r = M.values.shape[0]
     if r <= EXACT_LIMIT:
         dist = exact_null_distribution(r)
-        percentiles = {
-            "xx1": _discrete_percentile(dist, 0.05),
-            "med": _discrete_percentile(dist, 0.50),
-            "xx19": _discrete_percentile(dist, 0.95),
-        }
+        percentiles = {name: _discrete_percentile(dist, q) for name, q in PERCENTILES}
         mode = "exact"
     else:
         null = normal_approx_null(r)
         dist = {}
-        percentiles = {
-            "xx1": null.percentile(0.05),
-            "med": null.percentile(0.50),
-            "xx19": null.percentile(0.95),
-        }
+        percentiles = {name: null.percentile(q) for name, q in PERCENTILES}
         mode = "normal"
-    row_order = np.argsort(gold_rank, kind="stable")
+    gold_rank, *method_ranks = ranks.T.copy()
+    raw = np.abs(ranks[:, 1:] - ranks[:, :1]).sum(axis=0).tolist()
+    top = max_srd(r)
     return SrdResult(
-        gold, gold_rank, method_ranks, srd_raw, srd_scaled, dist,
-        percentiles, mode, row_order,
+        gold, gold_rank, dict(zip(M.col_names, method_ranks)), dict(zip(M.col_names, raw)),
+        {name: 100.0 * v / top for name, v in zip(M.col_names, raw)}, dist,
+        percentiles, mode, np.argsort(gold_rank, kind="stable"),
     )
 
 
@@ -251,14 +243,13 @@ def srd_loo(M: PerformanceMatrix, strategy: str = "min") -> dict[str, list[float
     r = M.values.shape[0]
     if r < 3:
         raise ValidationError("leave-one-out SRD needs at least 3 rows")
-    _, gold_rank, method_ranks, _, _ = _rank_differences(M, strategy)
-    ranks = np.column_stack([gold_rank, *method_ranks.values()])
+    _, ranks = _rank_differences(M, strategy)
     # shifted[d, i, c]: rank of row i in column c once row d is removed
     shifted = ranks - (ranks > ranks[:, None, :])
     diffs = np.abs(shifted[:, :, 1:] - shifted[:, :, :1])
     diffs[np.arange(r), np.arange(r)] = 0  # the removed row itself
     scaled = 100.0 * diffs.sum(axis=1) / max_srd(r - 1)
-    return dict(zip(method_ranks, scaled.T.tolist()))
+    return dict(zip(M.col_names, scaled.T.tolist()))
 
 
 def srd_report(result: SrdResult) -> tuple[list[list[str]], list[list[str]]]:
@@ -268,25 +259,13 @@ def srd_report(result: SrdResult) -> tuple[list[list[str]], list[list[str]]]:
     scaled XX1/Med/XX19 percentiles, and a significance verdict (scaled SRD
     strictly below scaled XX1).
     """
-    r = result.gold_rank.size
-    top = max_srd(r)
-    scale = 100.0 / top
-    header = ["method", "srd_raw", "srd_scaled", "xx1", "med", "xx19", "significant"]
-    rows = [header]
+    scale = 100.0 / max_srd(result.gold_rank.size)
+    levels = [result.percentiles[name] * scale for name, _ in PERCENTILES]
+    rows = [["method", "srd_raw", "srd_scaled", *(name for name, _ in PERCENTILES), "significant"]]
     for name, raw in result.srd_raw.items():
         scaled = result.srd_scaled[name]
-        xx1 = result.percentiles["xx1"] * scale
-        rows.append(
-            [
-                name,
-                str(raw),
-                repr(scaled),
-                repr(xx1),
-                repr(result.percentiles["med"] * scale),
-                repr(result.percentiles["xx19"] * scale),
-                "yes" if scaled < xx1 else "no",
-            ]
-        )
+        verdict = "yes" if scaled < levels[0] else "no"
+        rows.append([name, str(raw), repr(scaled), *map(repr, levels), verdict])
     dist_rows = [["srd_value", "probability"]]
     for v in sorted(result.null_distribution):
         dist_rows.append([str(v), repr(result.null_distribution[v])])

@@ -123,6 +123,16 @@ def max_displacement_by_enumeration(r):
     return max(srd_null_by_enumeration(r))
 
 
+def rank_by_formula(v, ascending=True):
+    """rank_i = 1 + #{j : v_j < v_i} + #{j < i : v_j = v_i}, on -v when
+    higher is better."""
+    key = [x if ascending else -x for x in v]
+    return [
+        1 + sum(k < ki for k in key) + sum(key[j] == ki for j in range(i))
+        for i, ki in enumerate(key)
+    ]
+
+
 def srd_loo_direct(M, strategy="min"):
     """Leave-one-out scaled SRDs by ranking every sub-matrix anew."""
     r = M.values.shape[0]

@@ -208,6 +208,13 @@ class TestSrd:
         code, _, err = run(capsys, "srd", "--input", str(path), "--loo")
         assert code == 0 and err.splitlines() == want
 
+    def test_repeated_method_name_is_one_error(self, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        path.write_text("case,A,A,B\nr1,1,5,9\nr2,2,4,8\nr3,3,6,7\n")
+        code, out, err = run(capsys, "srd", "--input", str(path))
+        assert code == 1 and out == ""
+        assert err == "error: column name 'A' is repeated\n"
+
     def test_loo_on_two_rows_fails_before_any_output(self, tmp_path, capsys):
         path = tmp_path / "two.csv"
         path.write_text("case,A,B\nr1,1,2\nr2,3,4\n")

@@ -1,5 +1,7 @@
+import importlib
 import math
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +25,15 @@ from nsckit.srd import exact_null_counts
 
 import oracles
 import table3
+
+# the module itself: the package attribute nsckit.srd is the srd function
+srd_module = importlib.import_module("nsckit.srd")
+
+
+class TestPerformanceMatrix:
+    def test_repeated_column_name_rejected(self):
+        with pytest.raises(ValidationError, match="column name 'A' is repeated"):
+            PerformanceMatrix(np.ones((3, 4)), ("a", "b", "c"), ("x", "A", "A", "B"))
 
 
 class TestGoldenStandard:
@@ -150,6 +161,28 @@ class TestNormalApprox:
         assert null.percentile(0.5) == pytest.approx(null.mean, rel=1e-2)
 
 
+class TestNullCalls:
+    """The benchmark counts null builds by wrapping these names in srd's module."""
+
+    def test_one_null_call_per_srd_through_the_module(self, monkeypatch, rng):
+        calls = Counter()
+        for name in ("exact_null_distribution", "normal_approx_null"):
+            real = getattr(srd_module, name)
+
+            def counted(r, real=real, name=name):
+                calls[name] += 1
+                return real(r)
+
+            monkeypatch.setattr(srd_module, name, counted)
+        for r in (13, 13, 40, 40, 40):
+            M = PerformanceMatrix(
+                rng.normal(size=(r, 3)), tuple(f"r{i}" for i in range(r)), ("a", "b", "c")
+            )
+            srd(M, "min")
+            srd_loo(M, "min")
+        assert calls == {"exact_null_distribution": 2, "normal_approx_null": 3}
+
+
 class TestSrdTable3:
     def test_gold_ranks_and_diffs(self):
         result = srd(table3.matrix(), "min")
@@ -212,6 +245,17 @@ class TestSrdGeneral:
         with pytest.warns(UserWarning, match="ties"):
             srd(M, "min")
 
+    def test_tie_warnings_point_at_the_caller(self):
+        M = PerformanceMatrix(
+            np.array([[1.0, 1.0], [1.0, 3.0], [2.0, 0.5]]),
+            ("a", "b", "c"), ("x", "y"),
+        )
+        for call in (srd, srd_loo):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call(M, "min")
+            assert len(caught) == 2 and {w.filename for w in caught} == {__file__}
+
     def test_normal_mode_beyond_13_rows(self, rng):
         M = PerformanceMatrix(
             rng.normal(size=(15, 2)),
@@ -266,10 +310,10 @@ class TestReportAndLoo:
 
 
 @st.composite
-def tied_matrices(draw):
+def tied_matrices(draw, min_rows=3, max_cols=7):
     """Error percentages over 72 test samples: few levels, many ties."""
-    r = draw(st.integers(3, 45))
-    c = draw(st.integers(1, 7))
+    r = draw(st.integers(min_rows, 45))
+    c = draw(st.integers(1, max_cols))
     top = draw(st.integers(0, 20))
     errors = draw(st.lists(
         st.lists(st.integers(0, top), min_size=c, max_size=c), min_size=r, max_size=r
@@ -303,3 +347,32 @@ def test_loo_gives_the_tie_messages_of_srd_once_each(M, strategy):
     full = tie_messages(lambda: srd(M, strategy))
     loo = tie_messages(lambda: srd_loo(M, strategy))
     assert sorted(loo) == sorted(set(loo)) == sorted(set(full))
+
+
+@settings(max_examples=200, deadline=None)
+@given(M=tied_matrices(min_rows=2, max_cols=8), strategy=st.sampled_from(["min", "max", "mean"]))
+def test_ranks_and_srd_equal_the_rank_formula(M, strategy):
+    ascending = M.lower_is_better
+    r = M.values.shape[0]
+    columns = [golden_standard(M, strategy), *M.values.T]
+    want = [oracles.rank_by_formula(col.tolist(), ascending) for col in columns]
+    for col, ranks in zip(columns, want):
+        assert rank_vector(col, ascending).tolist() == ranks
+    assert rank_vector(np.column_stack(columns), ascending).T.tolist() == want
+    results = []
+    messages = tie_messages(lambda: results.append(srd(M, strategy)))
+    result = results[0]
+    assert result.gold_rank.tolist() == want[0]
+    raw = {
+        name: sum(abs(a - g) for a, g in zip(ranks, want[0]))
+        for name, ranks in zip(M.col_names, want[1:])
+    }
+    assert result.srd_raw == raw
+    assert result.srd_scaled == {name: 100.0 * v / max_srd(r) for name, v in raw.items()}
+    names = ["golden standard", *(f"column {name!r}" for name in M.col_names)]
+    assert messages == [
+        f"ties detected in {name}; ranks were broken by row order but the null "
+        "distribution assumes distinct ranks"
+        for name, col in zip(names, columns)
+        if len(set(col.tolist())) < r
+    ]

@@ -141,11 +141,40 @@ def _parse_cell(text: str, row: int, col: int) -> None:
 
 
 def read_text(path) -> str:
-    """The contents of a UTF-8 text file; any other bytes are a ParseError."""
+    """The contents of a UTF-8 text file; any other bytes are a ParseError.
+
+    A leading byte-order mark is dropped, as the ``utf-8-sig`` codec drops
+    it; the byte offset of a decoding error counts from the start of the file.
+    """
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    return text.removeprefix("\ufeff")
+
+
+def _parse_block(rows, delim: str, width: int, key_col: int | None):
+    """Keys and values of ``rows`` by numpy's C reader, or None to walk them.
+
+    None when a row has the wrong width, a cell is one the reader refuses,
+    or a value is not finite: the walk then gives the error or, for a cell
+    only ``float`` reads, the value.  The reader takes U+001F as whitespace,
+    which ``float`` does not, so a row holding one is walked too.
+    """
+    if not all(ln.count(delim) == width - 1 and "\x1f" not in ln for ln in rows):
+        return None
+    try:
+        values = np.loadtxt(
+            rows, delimiter=delim, comments=None, dtype=float, ndmin=2,
+            usecols=[c for c in range(width) if c != key_col],
+        )
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    if key_col is None:
+        return None, values
+    return [ln.split(delim, key_col + 1)[key_col].strip() for ln in rows], values
 
 
 def read_table(path, key_col: int | str | None = None):
@@ -153,9 +182,16 @@ def read_table(path, key_col: int | str | None = None):
 
     Blank lines are skipped.  ``key_col``, a column index or the header name
     of a label column, is taken out as text; every other cell must be a
-    finite number.  Returns the names of the value columns, the key cell of
-    each row (``None`` without ``key_col``) and the rows x columns float
-    array.  Names are stripped of outer whitespace.
+    finite number as Python's ``float`` reads it.  Returns the names of the
+    value columns, the key cell of each row (``None`` without ``key_col``)
+    and the rows x columns float array.  Names are stripped of outer
+    whitespace.
+
+    When every row has the header's width, numpy's C reader parses the
+    numeric cells in one call.  A table it refuses, or that holds a
+    non-finite value, is walked cell by cell instead: the walk reports the
+    first bad cell, and accepts the cells that ``float`` reads but the C
+    reader does not (``1_000``, non-ASCII digits).
     """
     lines = [ln for ln in read_text(path).splitlines() if ln.strip() != ""]
     if not lines:
@@ -169,9 +205,13 @@ def read_table(path, key_col: int | str | None = None):
         if key_col not in header:
             raise ValidationError(f"label column {key_col!r} not in header")
         key_col = header.index(key_col)
-    keys = None if key_col is None else []
-    if keys is not None:
+    if key_col is not None:
+        key_col = range(width)[key_col]  # a negative index counts from the end
         del header[key_col]
+    parsed = _parse_block(lines[1:], delim, width, key_col)
+    if parsed is not None:
+        return header, *parsed
+    keys = None if key_col is None else []
     values = np.empty((len(lines) - 1, len(header)))
     for r in range(1, len(lines)):
         cells = lines[r].split(delim)

@@ -26,6 +26,14 @@ def random_dataset(rng, p=None, n_classes=None, max_p=50, max_n=40, max_k=4,
     return Dataset.from_arrays(values, labels)
 
 
+def tied_matrix(seed, p, K, zeros, levels):
+    """Values from a few magnitudes with random signs and zeros, so ties abound."""
+    rng = np.random.default_rng(seed)
+    D = rng.integers(1, levels + 1, size=(p, K)) * rng.choice([-0.5, 0.5], size=(p, K))
+    D[rng.random((p, K)) < zeros] = 0.0
+    return D
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

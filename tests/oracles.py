@@ -151,3 +151,47 @@ def srd_loo_direct(M, strategy="min"):
             raw = int(np.abs(ranks - gold_rank).sum())
             out[name].append(100.0 * raw / max_srd(r - 1))
     return out
+
+
+def read_table_direct(path, key_col=None):
+    """A delimited table by splitting every line and calling ``float`` on
+    every value cell: ``(names, keys, rows)`` with ``rows`` a list of lists.
+
+    Blank lines are skipped, the delimiter is TAB if the header has one and
+    comma otherwise, and names and keys are stripped.  Raises ValueError on
+    a cell ``float`` refuses, a non-finite value or a row of the wrong width.
+    """
+    with open(path, encoding="utf-8-sig") as f:
+        lines = [ln for ln in f.read().splitlines() if ln.strip()]
+    delim = "\t" if "\t" in lines[0] else ","
+    header = [h.strip() for h in lines[0].split(delim)]
+    if isinstance(key_col, str):
+        key_col = header.index(key_col)
+    names = [h for c, h in enumerate(header) if c != key_col]
+    keys = None if key_col is None else []
+    rows = []
+    for ln in lines[1:]:
+        cells = ln.split(delim)
+        if len(cells) != len(header):
+            raise ValueError(f"row has {len(cells)} cells")
+        row = []
+        for c, text in enumerate(cells):
+            if c == key_col:
+                keys.append(text.strip())
+                continue
+            v = float(text)
+            if not math.isfinite(v):
+                raise ValueError(f"non-finite cell {text!r}")
+            row.append(v)
+        rows.append(row)
+    return names, keys, rows
+
+
+def magnitude_ranks_direct(D):
+    """Rank of every entry by the sort key (-|d|, row, column), as lists."""
+    p, K = len(D), len(D[0])
+    ordered = sorted((-abs(float(D[i][k])), i, k) for i in range(p) for k in range(K))
+    ranks = [[0] * K for _ in range(p)]
+    for rank, (_, i, k) in enumerate(ordered):
+        ranks[i][k] = rank
+    return ranks

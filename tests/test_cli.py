@@ -77,6 +77,23 @@ class TestTrainPredict:
         agreement = np.mean([g == t for g, t in zip(got, truth)])
         assert agreement >= 0.9
 
+    def test_byte_order_mark_is_ignored(self, tmp_path, capsys):
+        # spreadsheet "CSV UTF-8" exports start with the bytes EF BB BF
+        train = tmp_path / "train.csv"
+        train.write_bytes(b"\xef\xbb\xbflabel,a,b\nx,0,1\nx,1,0\ny,5,4\ny,4,5\n")
+        model = tmp_path / "model.txt"
+        code, _, err = run(capsys, "train", "--data", str(train), "--label-col", "label",
+                           "--out", str(model))
+        assert code == 0 and err == ""
+        assert "features=a,b" in model.read_text()
+        bare = tmp_path / "bare.csv"
+        bare.write_bytes(b"\xef\xbb\xbfb,a\n1,0\n4,5\n")
+        pred = tmp_path / "pred.txt"
+        code, _, err = run(capsys, "predict", "--model", str(model), "--data", str(bare),
+                           "--out", str(pred))
+        assert code == 0 and err == ""
+        assert pred.read_text().split() == ["x", "y"]
+
 
 class TestCvAndTune:
     def test_cv_table_shape(self, synth_dir, tmp_path, capsys):
@@ -463,6 +480,13 @@ class TestOneLineErrors:
                            "--out", str(tmp_path / "m.txt"))
         assert code == 1 and one_error_line(err) and "floating-point" in err
         assert not (tmp_path / "m.txt").exists()
+
+    def test_value_beyond_float_range(self, capsys, tmp_path):
+        data = tmp_path / "huge.csv"
+        data.write_text("label,f0\na,1e500\na,1\nb,1\nb,2\n")
+        code, _, err = run(capsys, "train", "--data", str(data), "--label-col", "label",
+                           "--out", str(tmp_path / "m.txt"))
+        assert code == 1 and err == "error: non-finite value '1e500' at row 1, column 1\n"
 
     @pytest.mark.parametrize("argv,missing", [
         (("train", "--label-col", "label", "--out", "m.txt"), "--data"),

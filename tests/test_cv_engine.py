@@ -24,6 +24,7 @@ from nsckit import (
 from nsckit.thresholds import RowSurvival, kept_counts, retention_keys
 
 import oracles
+from conftest import tied_matrix
 
 KINDS = ("soft", "hard", "order")
 
@@ -94,18 +95,10 @@ def test_every_deep_search_curve_equals_direct_oracle(ds, kind, seed, fit_kw):
 
 
 matrices = st.builds(
-    lambda seed, p, K, zeros, levels: _tied_matrix(seed, p, K, zeros, levels),
+    tied_matrix,
     st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 4),
     st.floats(0.0, 0.6), st.integers(1, 6),
 )
-
-
-def _tied_matrix(seed, p, K, zeros, levels):
-    """Values from a few magnitudes with random signs and zeros, so ties abound."""
-    rng = np.random.default_rng(seed)
-    D = rng.integers(1, levels + 1, size=(p, K)) * rng.choice([-0.5, 0.5], size=(p, K))
-    D[rng.random((p, K)) < zeros] = 0.0
-    return D
 
 
 @given(D=matrices, kind=st.sampled_from(KINDS), data=st.data())

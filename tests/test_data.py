@@ -13,8 +13,9 @@ from nsckit import (
     stratified_folds,
 )
 
-from nsckit.data import read_table
+from nsckit.data import _parse_block, read_table, read_text
 
+import oracles
 from conftest import random_dataset
 
 
@@ -66,6 +67,166 @@ def test_read_table_keys_names_and_first_bad_cell(tmp_path):
         f.write_bytes(text)
         with pytest.raises(ParseError, match=message):
             read_table(f)
+
+
+# Cells that Python's float reads, some of which numpy's C reader refuses:
+# shortest-repr floats, integers, an underflow to zero, signed zeros,
+# underscores and non-ASCII digits.
+number_text = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["1e-400", "-1e-400", "-0.0", "0", "1_000", "-2_5.0_1", "\u0661\u0662",
+                     "\U0001d7cf.\U0001d7d3", "\u0663e\u0662"]),
+)
+
+
+@st.composite
+def value_cells(draw, delim):
+    """A number cell, padded with whitespace other than the delimiter."""
+    pads = st.sampled_from(["", " ", "  ", "\u00a0", "\u2003"] + ([] if delim == "\t" else ["\t"]))
+    return draw(pads) + draw(number_text) + draw(pads)
+
+
+@st.composite
+def tables(draw, max_rows=5, max_cols=4):
+    """Text of a valid table, its key column (index, name or None) and the
+    cells of its value block."""
+    delim = draw(st.sampled_from([",", "\t"]))
+    n_rows = draw(st.integers(1, max_rows))
+    n_cols = draw(st.integers(1, max_cols))
+    block = draw(st.lists(st.lists(value_cells(delim), min_size=n_cols, max_size=n_cols),
+                          min_size=n_rows, max_size=n_rows))
+    names = [f" f{c}" if c % 2 else f"f{c}" for c in range(n_cols)]
+    # absent, first, in the middle or last
+    where = draw(st.sampled_from([None, 0, n_cols // 2, n_cols]))
+    rows = [names] + [list(r) for r in block]
+    if where is not None:
+        # keys may look like numbers too, as case numbers do
+        keys = draw(st.lists(st.sampled_from(["c1", " c2 ", "\u00e9", "x y", "7", " -0.5"]),
+                             min_size=n_rows, max_size=n_rows))
+        for row, key in zip(rows, ["label", *keys]):
+            row.insert(where, key)
+    lines = [delim.join(r) for r in rows]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", "  "])))
+    key = where if where is None or draw(st.booleans()) else "label"
+    return "\n".join(lines) + "\n", key
+
+
+@pytest.fixture(scope="module")
+def table_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("tables")
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=tables())
+def test_read_table_equals_direct_oracle(table_dir, table):
+    text, key = table
+    f = table_dir / "t.txt"
+    f.write_text(text, encoding="utf-8")
+    names, keys, values = read_table(f, key)
+    want_names, want_keys, want_rows = oracles.read_table_direct(f, key)
+    assert names == want_names and keys == want_keys
+    assert values.flags.c_contiguous
+    assert np.array_equal(bits(values), bits(want_rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(delim=st.sampled_from([",", "\t"]), n=st.integers(2, 5), p=st.integers(1, 4),
+       where=st.integers(0, 4), data=st.data())
+def test_load_matrix_both_orientations_equal_direct_oracle(table_dir, delim, n, p, where, data):
+    block = data.draw(st.lists(st.lists(value_cells(delim), min_size=p, max_size=p),
+                               min_size=n, max_size=n))
+    labels = ["a", "b"] * n
+    features = [f"g{i}" for i in range(p)]
+    # samples in rows, the label column at any position
+    where = min(where, p)
+    rows = [features[:where] + ["label"] + features[where:]]
+    rows += [r[:where] + [lab] + r[where:] for r, lab in zip(block, labels)]
+    by_rows = table_dir / "rows.txt"
+    by_rows.write_text("\n".join(delim.join(r) for r in rows), encoding="utf-8")
+    # features in rows, their names in column 0, labels from a file
+    cols = [["gene"] + [f"s{j}" for j in range(n)]]
+    cols += [[features[i]] + [block[j][i] for j in range(n)] for i in range(p)]
+    by_cols = table_dir / "cols.txt"
+    by_cols.write_text("\n".join(delim.join(r) for r in cols), encoding="utf-8")
+    label_file = table_dir / "labels.txt"
+    label_file.write_text("\n".join(labels[:n]))
+
+    _, _, want = oracles.read_table_direct(by_rows, "label")
+    ds = load_matrix(by_rows, label_col="label")
+    assert ds.feature_names == tuple(features) and ds.labels == tuple(labels[:n])
+    assert np.array_equal(bits(ds.values), bits(want).T)
+    ds = load_matrix(by_cols, orientation="cols", labels_path=label_file)
+    assert ds.feature_names == tuple(features) and ds.labels == tuple(labels[:n])
+    assert np.array_equal(bits(ds.values), bits(want).T)
+
+
+@pytest.mark.parametrize("rows,message", [
+    (["r1,NA,2"], "malformed numeric cell 'NA' at row 1, column 1"),
+    (["r1,1,nan"], "non-finite value 'nan' at row 1, column 2"),
+    (["r1,2,3", "r2,inf,1"], "non-finite value 'inf' at row 2, column 1"),
+    (["r1,1e500,2"], "non-finite value '1e500' at row 1, column 1"),
+    (["r1,1,"], "malformed numeric cell '' at row 1, column 2"),
+    (["r1,0x10,2"], "malformed numeric cell '0x10' at row 1, column 1"),
+    (["r1,1#2,2"], "malformed numeric cell '1#2' at row 1, column 1"),
+    # numpy's reader strips U+001F as whitespace; float does not
+    (["r1,\x1f1,2"], "malformed numeric cell '\\x1f1' at row 1, column 1"),
+    (["r1,1,2", "r2,1"], "{path}: row 2 has 2 cells, expected 3"),
+    (["r1,1,2", "r2,3,4", "r3,5,x", "r4,7,8", "r5,NA,1"],
+     "malformed numeric cell 'x' at row 3, column 2"),
+    (["r1,1,2", "r2,3,4", "r3,inf,6", "r4,7,8", "r5,1"],
+     "non-finite value 'inf' at row 3, column 1"),
+])
+def test_read_table_error_names_first_bad_cell(tmp_path, rows, message):
+    f = tmp_path / "t.csv"
+    f.write_text("case,A,B\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ParseError) as exc:
+        read_table(f, 0)
+    assert str(exc.value) == message.format(path=f)
+
+
+@pytest.mark.parametrize("delim", [",", "\t"])
+@pytest.mark.parametrize("key_col", [None, 0, 3])
+def test_plain_table_takes_the_block_reader(delim, key_col):
+    # the walk gives the same result, so only this shows that the C reader ran
+    cells = [[" 1.5", "7", "-2e3"], ["0", "8 ", "4"]]
+    keys = None if key_col is None else ["r1", "r2"]
+    if keys is not None:
+        for row, key in zip(cells, keys):
+            row.insert(key_col, key)
+    parsed = _parse_block([delim.join(r) for r in cells], delim, len(cells[0]), key_col)
+    assert parsed is not None
+    assert parsed[0] == keys
+    assert parsed[1].tolist() == [[1.5, 7.0, -2e3], [0.0, 8.0, 4.0]]
+
+
+def test_read_table_negative_key_index(tmp_path):
+    f = tmp_path / "t.csv"
+    f.write_text("A,B,case\n1,2,7\n3,4,8\n")
+    names, keys, values = read_table(f, -1)
+    assert names == ["A", "B"] and keys == ["7", "8"]
+    assert values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+def test_byte_order_mark_is_not_part_of_the_header(tmp_path):
+    f = tmp_path / "m.csv"
+    f.write_bytes(b"\xef\xbb\xbfa,b\n1,2\n")
+    names, _, values = read_table(f)
+    assert names == ["a", "b"] and values.tolist() == [[1.0, 2.0]]
+    f.write_bytes(b"\xef\xbb\xbflabel,a,b\nx,1,2\ny,3,4\n")
+    assert load_matrix(f, label_col="label").feature_names == ("a", "b")
+    # only the first character of the file is a byte-order mark
+    f.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbfa,b\n1,2\n")
+    assert read_table(f)[0] == ["\ufeffa", "b"]
+    # a decoding error counts bytes from the start of the file, mark included
+    f.write_bytes(b"\xef\xbb\xbfa,b\n\xff,2\n")
+    with pytest.raises(ParseError, match=r"not UTF-8 text \(byte 7\)"):
+        read_text(f)
 
 
 def test_load_matrix_missing_label_column(tmp_path):

@@ -18,7 +18,10 @@ from nsckit import (
     threshold_grid,
 )
 
-from conftest import random_dataset
+from nsckit.thresholds import magnitude_ranks
+
+import oracles
+from conftest import random_dataset, tied_matrix
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
 nonneg = st.floats(0, 1e6, allow_nan=False)
@@ -97,6 +100,34 @@ def test_order_count_exactness_and_scale_invariance(seed, keep):
     assert np.count_nonzero(out) == expected
     scaled = order(D * 7.25, keep)
     assert np.array_equal(scaled != 0, out != 0)
+
+
+@st.composite
+def tie_free_matrices(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    D = rng.normal(size=(draw(st.integers(1, 40)), draw(st.integers(1, 5))))
+    assert np.unique(np.abs(D)).size == D.size
+    return D
+
+
+@st.composite
+def tied_matrices(draw):
+    """A :func:`tied_matrix` with a 0.0 / -0.0 pair put in."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    D = tied_matrix(seed, draw(st.integers(2, 12)), draw(st.integers(1, 4)),
+                    draw(st.floats(0.0, 0.6)), draw(st.integers(1, 6)))
+    i, j = np.random.default_rng(seed).choice(D.size, 2, replace=False)
+    D.flat[i], D.flat[j] = 0.0, -0.0
+    return D
+
+
+@pytest.mark.parametrize("matrices", [tie_free_matrices(), tied_matrices()],
+                         ids=["tie-free", "tied"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_magnitude_ranks_equal_direct_oracle(matrices, data):
+    D = data.draw(matrices)
+    assert magnitude_ranks(D).tolist() == oracles.magnitude_ranks_direct(D.tolist())
 
 
 def test_shrinkage_dominance_all_rules(rng):

@@ -100,29 +100,39 @@ def exact_null_counts(r: int) -> dict[int, int]:
     changes the open tops and the open bottoms alike, so the state is one
     index a, the number of open arcs of each kind.  Each boundary between
     consecutive positions adds the 2a crossing arcs to the displacement sum.
-    Counts are Python ints (an object array), exact for every r.
+
+    Counts are machine integers (int64) through r = 20 and Python ints (an
+    object array) beyond, returned as Python ints either way.  The recurrence
+    only adds and multiplies, so int64 gets every count right modulo 2**64,
+    even where a state that can no longer close wraps; every final count is
+    at most r!, and 20! < 2**63 < 21!, so through r = 20 it comes out exact.
     """
     if r < 1:
         raise ValidationError(f"need r >= 1, got {r}")
+    dtype = np.int64 if r <= 20 else object
     # Only a <= min(b, r - b) after position b can still close, so r // 2 + 1
     # rows suffice.  A state past that bound never returns to a = 0, so what
     # it loses off the array, above row r // 2 or past max_srd(r), is moot.
     arcs = np.arange(r // 2 + 1)
     width = max_srd(r) + 1
-    stay = np.array([1 + 2 * a for a in arcs.tolist()], dtype=object)[:, None]
-    close = np.array([a * a for a in arcs[1:].tolist()], dtype=object)[:, None]
-    # row a moves 2a along the cost axis at every boundary
+    stay = np.array([1 + 2 * a for a in arcs.tolist()], dtype=dtype)[:, None]
+    close = np.array([a * a for a in arcs[1:].tolist()], dtype=dtype)[:, None]
+    # row a moves 2a along the cost axis at every boundary: flat indices of
+    # every cell that stays on the array and of the cell it moves to
     rows, cols = np.nonzero(arcs[:, None] * 2 + np.arange(width) < width)
-    counts = np.zeros((arcs.size, width), dtype=object)
+    src = rows * width + cols
+    dst = src + 2 * rows
+    counts = np.zeros((arcs.size, width), dtype=dtype)
+    nxt = np.empty_like(counts)
     counts[0, 0] = 1
     for b in range(1, r + 1):
         # a stays: matched pair, or one closes an open arc and one opens (1 + 2a);
         # a - 1: both close one of a open arcs (a * a); a + 1: both stay open
-        nxt = counts * stay
+        np.multiply(counts, stay, out=nxt)
         nxt[:-1] += counts[1:] * close
         nxt[1:] += counts[:-1]
-        counts = np.zeros_like(nxt)
-        counts[rows, cols + 2 * rows] = nxt[rows, cols]
+        counts.fill(0)
+        counts.ravel()[dst] = nxt.ravel()[src]
     final = {v: c for v, c in enumerate(counts[0].tolist()) if c}
     assert sum(final.values()) == math.factorial(r)
     return final

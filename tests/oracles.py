@@ -119,6 +119,25 @@ def srd_null_by_enumeration(r):
     return dict(sorted(counts.items()))
 
 
+def srd_null_counts_direct(r):
+    """Counts of sum |pi(i) - i| from the boundary-crossing recurrence, one
+    dict of (open arcs, cost) -> count per position, in Python ints, with no
+    truncation.  Position by position: the new top and bottom are matched to
+    each other, or one closes one of a open arcs and the other opens one
+    (1 + 2a ways, a stays); both close one (a * a ways, a - 1); both stay open
+    (a + 1).  Each boundary then adds the 2a arcs that cross it."""
+    states = {(0, 0): 1}
+    for _ in range(r):
+        moved = Counter()
+        for (a, cost), n in states.items():
+            moved[a, cost] += n * (1 + 2 * a)
+            if a:
+                moved[a - 1, cost] += n * a * a
+            moved[a + 1, cost] += n
+        states = {(a, cost + 2 * a): n for (a, cost), n in moved.items()}
+    return dict(sorted((cost, n) for (a, cost), n in states.items() if a == 0))
+
+
 def max_displacement_by_enumeration(r):
     return max(srd_null_by_enumeration(r))
 

@@ -97,7 +97,15 @@ class TestExactNull:
 
     @pytest.mark.parametrize("r", range(2, 9))
     def test_matches_brute_force(self, r):
-        assert exact_null_counts(r) == oracles.srd_null_by_enumeration(r)
+        brute = oracles.srd_null_by_enumeration(r)
+        assert exact_null_counts(r) == oracles.srd_null_counts_direct(r) == brute
+
+    # int64 counts through r = 20, Python ints beyond: 20! < 2**63 < 21!
+    @pytest.mark.parametrize("r", range(9, 23))
+    def test_matches_recurrence_oracle_across_the_dtype_switch(self, r):
+        counts = exact_null_counts(r)
+        assert counts == oracles.srd_null_counts_direct(r)
+        assert all(type(v) is int and type(c) is int for v, c in counts.items())
 
     def test_all_values_even(self):
         for r in range(2, 9):
@@ -112,8 +120,8 @@ class TestExactNull:
         with pytest.raises(ValidationError):
             exact_null_distribution(14)
 
-    # 25! > 2**63 > 20!, so r = 25 needs counts past int64
-    @pytest.mark.parametrize("r", [*range(2, 14), 25])
+    # 25! > 21! > 2**63 > 20!: r = 20 runs on int64, r = 21 and 25 on Python ints
+    @pytest.mark.parametrize("r", [*range(2, 14), 20, 21, 25])
     def test_exact_moments_match_closed_forms(self, r):
         # Diaconis & Graham (1977): mean (r^2 - 1)/3, variance (r+1)(2r^2+7)/45
         counts = exact_null_counts(r)

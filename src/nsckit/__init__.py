@@ -10,12 +10,11 @@ seeded benchmark harness with synthetic data generation.
 from .errors import (
     DeepSearchError,
     DegenerateDesignError,
-    DegenerateFoldError,
     DegenerateVarianceError,
     ParseError,
     ValidationError,
 )
-from .data import Dataset, FoldPlan, fold_count, load_matrix, save_matrix, stratified_folds
+from .data import Dataset, fold_count, load_matrix, save_matrix, stratified_folds
 from .thresholds import (
     ThresholdRule,
     apply_rule,
@@ -77,9 +76,7 @@ __all__ = [
     "DeepSearchError",
     "DeepSearchTrace",
     "DegenerateDesignError",
-    "DegenerateFoldError",
     "DegenerateVarianceError",
-    "FoldPlan",
     "ParseError",
     "PerformanceMatrix",
     "RunRecord",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, fold_count
+from .data import Dataset, column_order, fold_count
 from .errors import ValidationError
 from .model import CentroidStats, fit_statistics, predict, shrink
 from .thresholds import ThresholdRule, threshold_grid
@@ -126,7 +126,11 @@ def run_experiment(
     s0: str | float = "median",
     mk_mode: str = "paper",
 ) -> list[RunRecord]:
-    """Tune, fit, and score ``runs`` times with seeds base_seed + run index."""
+    """Tune, fit, and score ``runs`` times with seeds base_seed + run index.
+
+    When both sets name their features, test features are matched to the
+    training features by name, as ``nsckit predict`` matches a model's.
+    """
     method = method.lower()
     if method not in METHODS:
         raise ValidationError(
@@ -136,13 +140,16 @@ def run_experiment(
         raise ValidationError("train and test feature counts differ")
     if set(test.classes) - set(train.classes):
         raise ValidationError("test set contains classes absent from training")
+    X_test = test.values.T
+    names = train.feature_names
+    if names is not None and test.feature_names not in (None, names):
+        X_test = X_test[:, column_order(test.feature_names, names)]
     kind, deep = METHODS[method]
     fit_kw = dict(prior_mode=prior_mode, s0=s0, mk_mode=mk_mode)
     full_stats = fit_statistics(train, **fit_kw)
     # test labels mapped through the training class order
     train_index = {cls: k for k, cls in enumerate(train.classes)}
     y_test = np.array([train_index[lab] for lab in test.labels])
-    X_test = test.values.T
     records = []
     for r in range(runs):
         seed = base_seed + r

@@ -19,7 +19,9 @@ import numpy as np
 
 from . import bench as bench_mod
 from .srd import PerformanceMatrix, srd as compute_srd, srd_loo, srd_report
-from .data import Dataset, load_matrix, read_samples, read_table, read_text, save_matrix
+from .data import (
+    Dataset, column_order, load_matrix, read_samples, read_table, read_text, save_matrix,
+)
 from .errors import ValidationError
 from .model import (
     fit_statistics,
@@ -28,7 +30,7 @@ from .model import (
     save_model,
     shrink,
 )
-from .thresholds import parse_rule
+from .thresholds import KINDS, parse_rule
 
 
 def _read_config(path: str | None) -> dict[str, str]:
@@ -125,27 +127,13 @@ def _cmd_train(opts: Options) -> int:
     return 0
 
 
-def _column_order(names: list[str], expected: tuple[str, ...]) -> list[int]:
-    """Input column of each model feature; a missing, extra or repeated name is an error."""
-    index = {f: i for i, f in enumerate(names)}
-    known = set(expected)
-    missing = [f for f in expected if f not in index]
-    extra = [f for f in index if f not in known]
-    if missing or extra or len(index) != len(names):
-        raise ValidationError(
-            f"input features differ from the model's {len(expected)}: missing "
-            f"{missing[:3]}, extra {extra[:3]}, {len(names) - len(index)} repeated"
-        )
-    return [index[f] for f in expected]
-
-
 def _cmd_predict(opts: Options) -> int:
     model_path, data = opts.require("model"), opts.require("data")
     model = load_model(model_path)
     names, _, values = read_samples(data, opts.get("samples-in", "rows"))
     X = values.T
     if model.stats.feature_names is not None:
-        X = X[:, _column_order(names, model.stats.feature_names)]
+        X = X[:, column_order(names, model.stats.feature_names)]
     _emit([[lab] for lab in predict_labels(model, X)], opts.get("out"))
     return 0
 
@@ -162,7 +150,7 @@ def _tuning_kw(opts: Options, deep: bool) -> dict:
 def _tune(opts: Options, deep: bool):
     """The trace of ``bench.tune`` on --data, as cv and tune run it."""
     kind = opts.require("method")
-    if kind not in ("soft", "hard", "order"):
+    if kind not in KINDS:
         raise ValidationError("--method must be soft, hard, or order")
     fit_kw, tuning_kw = _fit_kw(opts), _tuning_kw(opts, deep)
     ds = _load_dataset(opts)

@@ -2,14 +2,14 @@
 
 Datasets are stored feature-major (p x n). Class identifiers are mapped to
 contiguous indices in first-appearance order so labels never need to be
-sortable. Datasets and fold plans are immutable after construction.
+sortable. Datasets are immutable after construction.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -118,18 +118,7 @@ class Dataset:
         )
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    """Partition of sample indices {0..n-1} into F disjoint nonempty blocks."""
-
-    folds: tuple[np.ndarray, ...]
-    F: int = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "F", len(self.folds))
-
-
-def _parse_cell(text: str, row: int, col: int) -> None:
+def _parse_cell(text: str, row: int, col: int) -> float:
     try:
         v = float(text)
     except ValueError:
@@ -138,6 +127,21 @@ def _parse_cell(text: str, row: int, col: int) -> None:
         ) from None
     if not math.isfinite(v):
         raise ParseError(f"non-finite value {text!r} at row {row}, column {col}")
+    return v
+
+
+def column_order(names, expected: tuple[str, ...]) -> list[int]:
+    """Input column of each expected feature; a missing, extra or repeated name is an error."""
+    index = {f: i for i, f in enumerate(names)}
+    known = set(expected)
+    missing = [f for f in expected if f not in index]
+    extra = [f for f in index if f not in known]
+    if missing or extra or len(index) != len(names):
+        raise ValidationError(
+            f"input features differ from the model's {len(expected)}: missing "
+            f"{missing[:3]}, extra {extra[:3]}, {len(names) - len(index)} repeated"
+        )
+    return [index[f] for f in expected]
 
 
 def read_text(path) -> str:
@@ -218,15 +222,8 @@ def read_table(path, key_col: int | str | None = None):
         if len(cells) != width:
             raise ParseError(f"{path}: row {r} has {len(cells)} cells, expected {width}")
         if keys is not None:
-            keys.append(cells.pop(key_col).strip())
-        try:
-            values[r - 1] = np.fromiter(map(float, cells), float, len(cells))
-        except ValueError:
-            values[r - 1] = np.nan
-        if not np.isfinite(values[r - 1]).all():
-            for col, text in enumerate(lines[r].split(delim)):
-                if col != key_col:
-                    _parse_cell(text, r, col)
+            keys.append(cells[key_col].strip())
+        values[r - 1] = [_parse_cell(text, r, c) for c, text in enumerate(cells) if c != key_col]
     return header, keys, values
 
 
@@ -305,11 +302,13 @@ def fold_count(ds: Dataset, requested: int = 10) -> int:
     return min(requested, int(ds.class_sizes.min()))
 
 
-def stratified_folds(ds: Dataset, F: int, seed: int) -> FoldPlan:
-    """Seeded per-class shuffle followed by round-robin fold assignment.
+def stratified_folds(ds: Dataset, F: int, seed: int) -> tuple[np.ndarray, ...]:
+    """The F held-out index blocks of a seeded per-class shuffle followed by
+    round-robin fold assignment.
 
-    Per-fold counts of every class differ by at most one, and the result is
-    a deterministic function of (ds, F, seed).
+    Per-fold counts of every class differ by at most one, so with F at most
+    the smallest class size every class keeps a sample outside every fold.
+    The result is a deterministic function of (ds, F, seed).
     """
     if not 2 <= F <= int(ds.class_sizes.min()):
         raise ValidationError(
@@ -321,4 +320,4 @@ def stratified_folds(ds: Dataset, F: int, seed: int) -> FoldPlan:
         idx = ds.class_members(k)
         rng.shuffle(idx)
         assign[idx] = np.arange(idx.size) % F
-    return FoldPlan(tuple(np.flatnonzero(assign == f) for f in range(F)))
+    return tuple(np.flatnonzero(assign == f) for f in range(F))

@@ -17,9 +17,5 @@ class DegenerateVarianceError(ValidationError):
     """Pooled standard deviations vanish and no positive guard value is available."""
 
 
-class DegenerateFoldError(ValidationError):
-    """A cross-validation fold leaves some class with no training samples."""
-
-
 class DeepSearchError(RuntimeError):
     """The deep search exceeded its iteration cap (diagnostic, should not happen)."""

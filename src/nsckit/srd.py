@@ -52,7 +52,6 @@ class PerformanceMatrix:
 
 @dataclass(frozen=True)
 class SrdResult:
-    golden: np.ndarray
     gold_rank: np.ndarray
     method_ranks: dict[str, np.ndarray]
     srd_raw: dict[str, int]
@@ -60,7 +59,6 @@ class SrdResult:
     null_distribution: dict[int, float]
     percentiles: dict[str, float]  # raw-scale xx1 (5%), med (50%), xx19 (95%)
     mode: str  # "exact" | "normal"
-    row_order: np.ndarray  # row indices sorted by golden-standard rank
 
 
 def golden_standard(M: PerformanceMatrix, strategy: str = "min") -> np.ndarray:
@@ -163,29 +161,18 @@ def _displacement_moments(r: int) -> tuple[float, float]:
     return float(mean), float(second - mean**2)
 
 
-@dataclass(frozen=True)
-class NormalNull:
-    mean: float
-    sd: float
-
-    def percentile(self, q: float) -> float:
-        if not 0 < q < 1:
-            raise ValidationError(f"percentile level must be in (0,1), got {q}")
-        return NormalDist(self.mean, self.sd).inv_cdf(q)
-
-
-def normal_approx_null(r: int) -> NormalNull:
+def normal_approx_null(r: int) -> NormalDist:
     """Normal approximation of the SRD null for r > 13 cases.
 
-    Uses the exact first two moments of the displacement statistic,
-    computed by direct summation over value assignments.
+    A ``NormalDist`` with the exact first two moments of the displacement
+    statistic, computed by direct summation over value assignments.
     """
     if r < EXACT_LIMIT + 1:
         raise ValidationError(
             f"normal approximation is for r >= {EXACT_LIMIT + 1}, got {r}"
         )
     mean, var = _displacement_moments(r)
-    return NormalNull(mean, math.sqrt(var))
+    return NormalDist(mean, math.sqrt(var))
 
 
 def _discrete_percentile(dist: dict[int, float], q: float) -> float:
@@ -198,7 +185,7 @@ def _discrete_percentile(dist: dict[int, float], q: float) -> float:
 
 
 def _rank_differences(M: PerformanceMatrix, strategy: str):
-    """The golden standard and the (r, c + 1) ranks of it, then of every column;
+    """The (r, c + 1) ranks of the golden standard, then of every column;
     warns once per tied column at the caller of ``srd`` or ``srd_loo``."""
     gold = golden_standard(M, strategy)
     values = np.column_stack([gold, M.values])
@@ -214,12 +201,12 @@ def _rank_differences(M: PerformanceMatrix, strategy: str):
             "null distribution assumes distinct ranks",
             stacklevel=3,
         )
-    return gold, ranks
+    return ranks
 
 
 def srd(M: PerformanceMatrix, strategy: str = "min") -> SrdResult:
     """SRD of every method column against the golden standard."""
-    gold, ranks = _rank_differences(M, strategy)
+    ranks = _rank_differences(M, strategy)
     r = M.values.shape[0]
     if r <= EXACT_LIMIT:
         dist = exact_null_distribution(r)
@@ -228,15 +215,14 @@ def srd(M: PerformanceMatrix, strategy: str = "min") -> SrdResult:
     else:
         null = normal_approx_null(r)
         dist = {}
-        percentiles = {name: null.percentile(q) for name, q in PERCENTILES}
+        percentiles = {name: null.inv_cdf(q) for name, q in PERCENTILES}
         mode = "normal"
     gold_rank, *method_ranks = ranks.T.copy()
     raw = np.abs(ranks[:, 1:] - ranks[:, :1]).sum(axis=0).tolist()
     top = max_srd(r)
     return SrdResult(
-        gold, gold_rank, dict(zip(M.col_names, method_ranks)), dict(zip(M.col_names, raw)),
-        {name: 100.0 * v / top for name, v in zip(M.col_names, raw)}, dist,
-        percentiles, mode, np.argsort(gold_rank, kind="stable"),
+        gold_rank, dict(zip(M.col_names, method_ranks)), dict(zip(M.col_names, raw)),
+        {name: 100.0 * v / top for name, v in zip(M.col_names, raw)}, dist, percentiles, mode,
     )
 
 
@@ -253,7 +239,7 @@ def srd_loo(M: PerformanceMatrix, strategy: str = "min") -> dict[str, list[float
     r = M.values.shape[0]
     if r < 3:
         raise ValidationError("leave-one-out SRD needs at least 3 rows")
-    _, ranks = _rank_differences(M, strategy)
+    ranks = _rank_differences(M, strategy)
     # shifted[d, i, c]: rank of row i in column c once row d is removed
     shifted = ranks - (ranks > ranks[:, None, :])
     diffs = np.abs(shifted[:, :, 1:] - shifted[:, :, :1])

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, fold_count, stratified_folds
-from .errors import DeepSearchError, DegenerateFoldError, ValidationError
+from .errors import DeepSearchError, ValidationError
 from .model import CentroidStats, fit_statistics, predict, shrink
 # apply_rule stays bound here: benchmarks/bench_workloads.py instruments it by
 # name in every module that imports it.
@@ -66,11 +66,6 @@ class CvCurve:
 
     points: tuple[CvPoint, ...]
     fold_plan_seed: int
-
-    def __post_init__(self):
-        kinds = {pt.rule.kind for pt in self.points}
-        if len(kinds) != 1:
-            raise ValidationError("a CV curve must hold rules of a single kind")
 
 
 @dataclass(frozen=True)
@@ -194,21 +189,15 @@ class _FoldFits:
         self, ds: Dataset, kind: str, F: int, seed: int, fit_kw: dict,
         full: CentroidStats | None = None,
     ):
-        plan = stratified_folds(ds, F, seed)
+        folds = stratified_folds(ds, F, seed)
         self.seed = seed
         self.values = ds.values
         self.full = fit_statistics(ds, **fit_kw) if full is None else full
         self.full_survival = RowSurvival(self.full.t_stats, kind)
         self.folds: list[_HeldOutFold] = []
         all_idx = np.arange(ds.n)
-        for f, test_idx in enumerate(plan.folds):
+        for test_idx in folds:
             train_idx = np.setdiff1d(all_idx, test_idx, assume_unique=True)
-            held_in_counts = np.bincount(ds.y[train_idx], minlength=ds.n_classes)
-            if np.any(held_in_counts == 0):
-                missing = ds.classes[int(np.flatnonzero(held_in_counts == 0)[0])]
-                raise DegenerateFoldError(
-                    f"fold {f} leaves class {missing!r} with no training samples"
-                )
             stats = fit_statistics(ds.subset(train_idx), **fit_kw)
             self.folds.append(_HeldOutFold(stats, test_idx, ds.y[test_idx], kind))
 
@@ -244,8 +233,6 @@ def cross_validate(
     grid = list(grid)
     if not grid:
         raise ValidationError("grid must be nonempty")
-    if F < 2:
-        raise ValidationError(f"need at least 2 folds, got {F}")
     if len({rule.kind for rule in grid}) != 1:
         raise ValidationError("a CV curve must hold rules of a single kind")
     fit_kw = dict(prior_mode=prior_mode, s0=s0, mk_mode=mk_mode)

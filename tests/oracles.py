@@ -98,10 +98,9 @@ def cv_error_counts_direct(ds, grid, F, seed, **fit_kw):
     A shrunken model is built and ``predict`` called for every (fold, rule)
     pair, with the fold plan of ``cross_validate``.
     """
-    plan = stratified_folds(ds, F, seed)
     errors = [0] * len(grid)
     all_idx = np.arange(ds.n)
-    for test_idx in plan.folds:
+    for test_idx in stratified_folds(ds, F, seed):
         train_idx = np.setdiff1d(all_idx, test_idx, assume_unique=True)
         stats = fit_statistics(ds.subset(train_idx), **fit_kw)
         X_test = ds.values[:, test_idx].T

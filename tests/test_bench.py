@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nsckit import (
+    Dataset,
     DeepSearchTrace,
     RunRecord,
     SynthSpec,
@@ -213,6 +214,37 @@ class TestRunExperiment:
         assert set(METHODS) == {"sth", "hth", "oth", "sth2", "hth2", "oth2"}
         with pytest.raises(ValidationError):
             run_experiment(*generate_synthetic(spec()), "banana", runs=1)
+
+    def test_test_features_matched_by_name(self, pair):
+        train, test = pair
+        reversed_values = test.values[::-1]
+        permuted = Dataset.from_arrays(reversed_values, test.labels, test.feature_names[::-1])
+        unnamed = Dataset.from_arrays(reversed_values, test.labels)
+        for method in ("sth", "oth2"):
+            want = run_experiment(train, test, method, runs=2, folds=4)
+            assert run_experiment(train, permuted, method, runs=2, folds=4) == want
+            # without names the columns are scored by position
+            assert run_experiment(train, unnamed, method, runs=2, folds=4) != want
+
+    def test_matching_names_score_the_test_matrix_itself(self, pair, monkeypatch):
+        train, test = pair
+        scored = []
+
+        def spy(model, X):
+            scored.append(X)
+            return predict(model, X)
+
+        monkeypatch.setattr(bench, "predict", spy)
+        run_experiment(train, test, "sth", runs=1, folds=4)
+        assert scored and all(np.shares_memory(X, test.values) for X in scored)
+
+    def test_renamed_test_features_rejected(self, pair):
+        train, test = pair
+        renamed = Dataset.from_arrays(
+            test.values, test.labels, ("g1", *test.feature_names[1:])
+        )
+        with pytest.raises(ValidationError, match=r"missing \['f1'\], extra \['g1'\]"):
+            run_experiment(train, renamed, "sth", runs=1)
 
     def test_mismatched_test_set_rejected(self, pair):
         train, _ = pair

@@ -179,7 +179,7 @@ def test_soft_expansion_cancels_near_large_delta(seed):
     F = 3
     grid = sorted(
         {ThresholdRule("soft", float(v * (1 - eps)))
-         for test_idx in stratified_folds(ds, F, seed).folds
+         for test_idx in stratified_folds(ds, F, seed)
          for v in np.abs(fit_statistics(ds.subset(np.setdiff1d(np.arange(ds.n), test_idx)))
                          .t_stats[0])
          for eps in (1e-15, 1e-11)},

@@ -292,7 +292,7 @@ def test_stratified_folds_forced_balance(rng):
         rng.normal(size=(2, 8)), ["A"] * 4 + ["B"] * 4
     )
     plan = stratified_folds(ds, 4, seed=1)
-    for fold in plan.folds:
+    for fold in plan:
         y = ds.y[fold]
         assert (y == 0).sum() == 1 and (y == 1).sum() == 1
 
@@ -301,7 +301,7 @@ def test_stratified_folds_deterministic(rng):
     ds = random_dataset(rng)
     a = stratified_folds(ds, 2, seed=99)
     b = stratified_folds(ds, 2, seed=99)
-    assert all(np.array_equal(x, y) for x, y in zip(a.folds, b.folds))
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_stratified_folds_range_check(rng):
@@ -310,6 +310,20 @@ def test_stratified_folds_range_check(rng):
         stratified_folds(ds, 4, seed=0)
     with pytest.raises(ValidationError):
         stratified_folds(ds, 1, seed=0)
+
+
+@pytest.mark.parametrize("sizes", [(2, 2), (2, 5, 8), (3, 3, 3), (4, 7), (5, 8, 6, 7)])
+def test_every_class_keeps_a_sample_outside_every_fold(sizes, rng):
+    labels = rng.permutation([f"c{k}" for k, nk in enumerate(sizes) for _ in range(nk)])
+    ds = Dataset.from_arrays(rng.normal(size=(2, sum(sizes))), labels)
+    all_idx = np.arange(ds.n)
+    for F in range(2, min(sizes) + 1):
+        for seed in range(3):
+            for fold in stratified_folds(ds, F, seed):
+                held_in = np.bincount(ds.y[np.setdiff1d(all_idx, fold)], minlength=ds.n_classes)
+                # at most ceil(n_k / F) of class k's n_k samples are held out
+                assert np.all(held_in >= ds.class_sizes - -(-ds.class_sizes // F))
+                assert np.all(held_in >= 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -321,10 +335,10 @@ def test_fold_plan_partitions_and_balances(seed, F):
     if F < 2:
         return
     plan = stratified_folds(ds, F, seed=seed)
-    merged = np.sort(np.concatenate(plan.folds))
+    merged = np.sort(np.concatenate(plan))
     assert np.array_equal(merged, np.arange(ds.n))
     for k in range(ds.n_classes):
-        per_fold = [int((ds.y[f] == k).sum()) for f in plan.folds]
+        per_fold = [int((ds.y[f] == k).sum()) for f in plan]
         assert max(per_fold) - min(per_fold) <= 1
 
 

@@ -164,9 +164,9 @@ class TestNormalApprox:
         se_mean = mc_sd / math.sqrt(draws)
         assert abs(null.mean - mc_mean) <= 3 * se_mean
         # SE of the SD is approximately sd / sqrt(2 (n - 1))
-        assert abs(null.sd - mc_sd) <= 3 * mc_sd / math.sqrt(2 * (draws - 1))
-        assert null.sd > 0
-        assert null.percentile(0.5) == pytest.approx(null.mean, rel=1e-2)
+        assert abs(null.stdev - mc_sd) <= 3 * mc_sd / math.sqrt(2 * (draws - 1))
+        assert null.stdev > 0
+        assert null.inv_cdf(0.5) == pytest.approx(null.mean, rel=1e-2)
 
 
 class TestNullCalls:

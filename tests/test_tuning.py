@@ -7,7 +7,6 @@ from nsckit import (
     CvCurve,
     CvPoint,
     DeepSearchError,
-    DegenerateFoldError,
     SynthSpec,
     ThresholdRule,
     ValidationError,

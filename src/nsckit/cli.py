@@ -331,8 +331,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        config = _read_config(args.config)
-        opts = Options(args, config)
+        opts = Options(args, _read_config(Options(args, {}).get("config")))
         shown = set()
 
         def show(msg, *_):

@@ -97,9 +97,11 @@ def fit_statistics(
     class_centroids = np.empty((ds.p, K))
     ss = np.zeros(ds.p)
     for k in range(K):
-        Xk = X[:, ds.class_members(k)]
+        Xk = X[:, ds.class_members(k)]  # a copy, so squared in place below
         class_centroids[:, k] = Xk.mean(axis=1)
-        ss += ((Xk - class_centroids[:, k][:, None]) ** 2).sum(axis=1)
+        Xk -= class_centroids[:, k][:, None]
+        Xk *= Xk
+        ss += Xk.sum(axis=1)
     pooled_sd = np.sqrt(ss / (n - K))
     if s0 == "median":
         s0_val = float(np.median(pooled_sd))

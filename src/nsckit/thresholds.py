@@ -78,19 +78,32 @@ def hard(d, delta: float):
     return out if out.ndim else float(out)
 
 
+def _stable_argsort(a) -> np.ndarray:
+    """``np.argsort(a, kind="stable")`` of a NaN-free array, by two plain sorts:
+    one groups equal values, the other orders the groups' runs by index."""
+    a = np.ravel(a)
+    first = np.argsort(a)
+    ordered = a[first]
+    run = np.zeros(a.size, dtype=np.int64)
+    np.cumsum(ordered[1:] != ordered[:-1], out=run[1:])
+    return first[np.argsort(run * a.size + first)]
+
+
+def magnitude_order(D) -> np.ndarray:
+    """Flat row-major indices of D's entries, largest |d| first; ties in
+    magnitude go to the smaller row index, then the smaller column index."""
+    return _stable_argsort(-np.abs(np.asarray(D, dtype=float)))
+
+
 def magnitude_ranks(D) -> np.ndarray:
     """Retention rank of every entry of D by magnitude, pooled over the matrix.
 
-    Rank 0 is the largest |d|.  Ties in magnitude are broken
-    deterministically: the entry with smaller row index (then smaller column
-    index) ranks first.  The order rule keeps the entries ranked below its
-    retained count.
+    Rank 0 is the largest |d|, and ties fall as in :func:`magnitude_order`.
+    The order rule keeps the entries ranked below its retained count.
     """
     D = np.asarray(D, dtype=float)
-    # stable argsort of descending magnitude: ties fall in row-major order
-    ranked = np.argsort(-np.abs(D).ravel(), kind="stable")
     ranks = np.empty(D.size, dtype=np.intp)
-    ranks[ranked] = np.arange(D.size)
+    ranks[magnitude_order(D)] = np.arange(D.size)
     return ranks.reshape(D.shape)
 
 
@@ -161,7 +174,7 @@ class RowSurvival:
         key = retention_keys(D, kind).min(axis=1)
         self.kind = kind
         self.size = np.size(D)
-        self.rows = np.argsort(key, kind="stable")
+        self.rows = _stable_argsort(key)
         self._keys = key[self.rows]
 
     def counts(self, params) -> np.ndarray:

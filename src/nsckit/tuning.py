@@ -8,13 +8,13 @@ runner-up when it buys a drastically smaller model at the cost of at most
 one extra misclassified sample.  Callers tune through ``bench.tune``, which
 caps the fold count and runs one or the other.
 
-Each fold is fitted once per call and its held-out samples are scored for a
-whole grid at a time.  With z = (x - overall) / (s + s0) and shrunken
-statistics d', the score of class k is |z|^2 - 2 m_k z.d'_k + m_k^2 |d'_k|^2
-- 2 log prior_k, and |z|^2 is common to all classes and is dropped.  A fold
-sorts each class column of its statistics once in the order the rules keep
-them, so every rule keeps a prefix of every column: the cross terms of a
-grid come from segment sums of z m_k d along the longest kept prefix, the
+Each fold is fitted once per call, keeps its held-out samples as z = (x -
+overall) / (s + s0) and sorts each class column of its statistics in the
+order the rules keep them, so every rule keeps a prefix of every column.
+With shrunken statistics d', class k scores |z|^2 - 2 m_k z.d'_k + m_k^2
+|d'_k|^2 - 2 log prior_k, and the common |z|^2 is dropped.  A grid is scored
+against a group of folds at once: the cross terms of all their samples come
+from one pass of segment sums of z m_k d between the folds' kept counts, the
 squared terms from prefix sums of d^2 and |d|.  A row whose best and
 second-best scores are closer than the rounding error either form could
 make is re-scored with ``predict``, so the predictions equal those of
@@ -26,7 +26,7 @@ make is re-scored with ``predict``, so the predictions equal those of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .thresholds import (  # noqa: F401
     ThresholdRule,
     apply_rule,
     kept_counts,
+    magnitude_order,
     retention_keys,
     threshold_grid,
 )
@@ -88,24 +89,41 @@ class DeepSearchTrace:
 
 
 class _HeldOutFold:
-    """Statistics fitted without one fold, and the fold's labels.
+    """Statistics fitted without one fold, and the fold's held-out samples.
 
     The entries of each class column are listed in ``retention_keys`` order,
-    so that every rule keeps a prefix of every list.
+    so that every rule keeps a prefix of every list.  The samples are kept as
+    z; a fallback gathers them again from ``values``, the dataset's matrix.
     """
 
-    def __init__(self, stats: CentroidStats, test_idx: np.ndarray, y: np.ndarray, kind: str):
+    def __init__(self, stats: CentroidStats, values: np.ndarray, test_idx: np.ndarray,
+                 y: np.ndarray, kind: str):
         self.stats = stats
+        self.values = values
         self.test_idx = test_idx
         self.y = y
         self.kind = kind
-        self.sd = stats.pooled_sd + stats.s0
-        self.offset_norm = math.sqrt(((stats.overall_centroid / self.sd) ** 2).sum())
-        # K x p: row k lists the rows of column k in retention order; entries
-        # with equal keys are kept together, so any sort will do
-        keys = retention_keys(stats.t_stats, kind).T
-        self.order = np.argsort(keys, axis=1)
-        self.keys = np.take_along_axis(keys, self.order, axis=1)
+        sd = stats.pooled_sd + stats.s0
+        self.z = (values[:, test_idx].T - stats.overall_centroid) / sd
+        # |z| + |overall / sd|: the grid-free part of the size in the bound
+        offset = math.sqrt(((stats.overall_centroid / sd) ** 2).sum())
+        self.norms = np.sqrt((self.z**2).sum(axis=1)) + offset
+        # K x p: row k lists the rows of column k in retention order
+        K = stats.m.size
+        if kind == "order":
+            # column k's entries in pooled order, zeros (keyed by the size)
+            # last; column numbers in a small integer type sort by radix
+            flat = magnitude_order(stats.t_stats)
+            col = (flat % K).astype(np.min_scalar_type(K))
+            ranks = np.argsort(col, kind="stable").reshape(K, -1)
+            entries = flat[ranks]
+            self.order = entries // K
+            self.keys = np.where(np.take(stats.t_stats, entries) != 0.0, ranks, flat.size)
+        else:
+            # entries with equal keys are kept together, so any sort will do
+            keys = retention_keys(stats.t_stats, kind).T
+            self.order = np.argsort(keys, axis=1)
+            self.keys = np.take_along_axis(keys, self.order, axis=1)
         self.prior_terms = np.array([-2.0 * math.log(pk) for pk in stats.priors])
         # [j, k]: class j < k has the same prior term as class k
         self.earlier_twin = np.triu(self.prior_terms[:, None] == self.prior_terms[None, :], 1)
@@ -114,68 +132,82 @@ class _HeldOutFold:
         """Nonzero statistics each rule keeps in each class, G x K."""
         return np.stack([kept_counts(keys, self.kind, params) for keys in self.keys], axis=1)
 
-    def predict_grid(
-        self, X: np.ndarray, grid: list[ThresholdRule], params: np.ndarray
-    ) -> np.ndarray:
-        """Predicted class of every held-out sample under every rule, n_test x G."""
-        K, p = self.order.shape
-        z = (X - self.stats.overall_centroid) / self.sd
-        counts = self.kept(params)
-        cls = np.arange(K)
-        # Every kept prefix ends at a cut: the products are summed between
-        # cuts and accumulated, so cross[:, g, k] = z.(m_k d'_k), where d' = d
-        # - delta sgn d on the kept entries for soft and d otherwise.
-        cuts = np.unique(np.append(counts, 0))
-        at = np.searchsorted(cuts, counts)
-        order = self.order[:, : cuts[-1]]
-        d = np.take(self.stats.t_stats, order * K + cls[:, None])
-        zs = np.take(z, order, axis=1)
-        m = self.stats.m[:, None]
 
-        def prefix_at_counts(weights):
-            segments = np.add.reduceat(zs * weights, cuts[:-1], axis=2)
-            return _prefix_sums(segments)[:, cls, at]
+def _predict_group(
+    folds: list[_HeldOutFold], counts: np.ndarray, grid: list[ThresholdRule], params: np.ndarray
+) -> np.ndarray:
+    """Predicted class of every held-out sample of the folds under every rule,
+    n x G with the folds' samples in turn; ``counts[i]`` is ``folds[i].kept(params)``."""
+    K, p = folds[0].order.shape
+    cls = np.arange(K)
+    sizes = [len(fold.z) for fold in folds]
+    of = np.repeat(np.arange(len(folds)), sizes)  # the fold of every row
+    rows = [slice(a - n, a) for a, n in zip(np.cumsum(sizes), sizes)]
+    # Every kept prefix of every fold ends at a cut: the products of all
+    # folds are summed between cuts and accumulated, so cross[r, g, k] =
+    # z_r.(m_k d'_k) with the statistics of row r's fold, where d' = d -
+    # delta sgn d on the kept entries for soft and d otherwise.
+    cuts = np.unique(np.append(counts, 0))
+    at = np.searchsorted(cuts, counts)[of]
+    orders = [fold.order[:, : cuts[-1]] for fold in folds]
+    d = np.stack([np.take(f.stats.t_stats, o * K + cls[:, None]) for f, o in zip(folds, orders)])
+    zs = np.empty((len(of), K, cuts[-1]))
+    for fold, o, r in zip(folds, orders, rows):
+        np.take(fold.z, o, axis=1, out=zs[r], mode="clip")  # in range; unbuffered
+    m = np.stack([fold.stats.m for fold in folds])
+    each = np.arange(len(folds))[:, None, None]
 
-        cross, sq = prefix_at_counts(m * d), _prefix_sums(d**2)[cls, counts]
-        reach = sq
-        if self.kind == "soft":
-            delta = params[:, None]
-            cross -= delta * prefix_at_counts(m * np.sign(d))
-            # |d'|^2 = Q - 2 delta A + delta^2 c with Q = sum d^2, A = sum |d|
-            a = 2.0 * delta * _prefix_sums(np.abs(d))[cls, counts]
-            c = delta**2 * counts
-            sq, reach = sq - a + c, sq + a + c
-        m_sq = self.stats.m**2
-        scores = self.prior_terms - 2.0 * cross + m_sq * sq
-        # Classes whose shrunken statistics all vanish and whose priors match
-        # score exactly alike in both forms, and the first of them wins the
-        # tie, so the later ones are set aside.
-        vanished = counts == 0
-        scores[:, vanished & (vanished @ self.earlier_twin)] = np.inf
-        pred = scores.argmin(axis=2)
-        two = np.partition(scores, 1, axis=2)
-        gap = two[:, :, 1] - two[:, :, 0]
-        # Rounding: gamma_n = n u / (1 - n u) bounds the relative error of n
-        # roundings of unit roundoff u.  Let R_k = m_k sqrt(Q + 2 delta A +
-        # delta^2 c), delta = 0 for hard and order: R_k >= |m_k d'_k| and, by
-        # Cauchy-Schwarz, the kept sum |z| m_k (|d| + delta) <= |z| R_k.  Both
-        # terms sum at most p values of a few roundings each, so this form's
-        # score is within gamma_(p+12) (size^2 + const) of the exact score,
-        # where size = |z| + |overall / sd| + max_k R_k.  As size bounds
-        # |z - m d'| and |overall / sd| + |m d'|, the direct form's is within
-        # gamma_(2p+24) size^2 + gamma_4 const.  The bound covers two classes
-        # in both forms; a larger gap orders the direct scores alike.
-        size = np.sqrt((z**2).sum(axis=1))[:, None] + self.offset_norm
-        size = size + np.sqrt(m_sq * reach).max(axis=1)
-        const = np.abs(self.prior_terms).max()
-        nu = (4 * p + 64) * np.finfo(float).eps / 2
-        near = gap <= 2.0 * nu / (1.0 - nu) * (size**2 + const)
-        # The whole batch is re-scored: numpy sums a row in an order that
-        # depends on the batch shape, and an exact tie can fall either way.
-        for g in np.flatnonzero(near.any(axis=0)):
-            direct = predict(shrink(self.stats, grid[g]), X)
-            pred[near[:, g], g] = direct[near[:, g]]
-        return pred
+    def prefix_at_counts(weights):
+        products = np.empty_like(zs)
+        for w, r in zip(weights, rows):
+            np.multiply(zs[r], w, out=products[r])
+        segments = np.add.reduceat(products, cuts[:-1], axis=2)
+        return _prefix_sums(segments)[np.arange(len(of))[:, None, None], cls, at]
+
+    cross, sq = prefix_at_counts(m[:, :, None] * d), _prefix_sums(d**2)[each, cls, counts]
+    reach = sq
+    if folds[0].kind == "soft":
+        delta = params[:, None]
+        cross -= delta * prefix_at_counts(m[:, :, None] * np.sign(d))
+        # |d'|^2 = Q - 2 delta A + delta^2 c with Q = sum d^2, A = sum |d|
+        a = 2.0 * delta * _prefix_sums(np.abs(d))[each, cls, counts]
+        c = delta**2 * counts
+        sq, reach = sq - a + c, sq + a + c
+    m_sq = m[:, None] ** 2
+    prior_terms = np.stack([fold.prior_terms for fold in folds])
+    scores = prior_terms[of, None] - 2.0 * cross + (m_sq * sq)[of]
+    # Classes whose shrunken statistics all vanish and whose priors match
+    # score exactly alike in both forms, and the first of them wins the
+    # tie, so the later ones are set aside.
+    vanished = counts == 0
+    twins = np.stack([fold.earlier_twin for fold in folds])
+    scores[(vanished & (vanished @ twins))[of]] = np.inf
+    pred = scores.argmin(axis=2)
+    two = np.partition(scores, 1, axis=2)
+    gap = two[:, :, 1] - two[:, :, 0]
+    # Rounding: gamma_n = n u / (1 - n u) bounds the relative error of n
+    # roundings of unit roundoff u.  Let R_k = m_k sqrt(Q + 2 delta A +
+    # delta^2 c), delta = 0 for hard and order: R_k >= |m_k d'_k| and, by
+    # Cauchy-Schwarz, the kept sum |z| m_k (|d| + delta) <= |z| R_k.  Each of
+    # a row's at most p kept products meets one addition per entry of its
+    # segment and one per cut after it, at most p in all whatever cuts the
+    # other rows add, so this form's score is within gamma_(p+12) (size^2 +
+    # const) of the exact score, where size = |z| + |overall / sd| + max_k
+    # R_k.  As size bounds |z - m d'| and |overall / sd| + |m d'|, the direct
+    # form's is within gamma_(2p+24) size^2 + gamma_4 const.  The bound covers
+    # two classes in both forms; a larger gap orders the direct scores alike.
+    size = np.concatenate([fold.norms for fold in folds])[:, None]
+    size = size + np.sqrt(m_sq * reach).max(axis=2)[of]
+    const = np.abs(prior_terms).max(axis=1)[of, None]
+    nu = (4 * p + 64) * np.finfo(float).eps / 2
+    near = gap <= 2.0 * nu / (1.0 - nu) * (size**2 + const)
+    # The fold's whole batch is re-scored: numpy sums a row in an order that
+    # depends on the batch shape, and an exact tie can fall either way.
+    for f, g in np.argwhere(np.logical_or.reduceat(near, np.cumsum(sizes) - sizes)):
+        fold, hit = folds[f], near[rows[f], g]
+        direct = predict(shrink(fold.stats, grid[g]), fold.values[:, fold.test_idx].T)
+        pred[rows[f]][hit, g] = direct[hit]
+    return pred
 
 
 class _FoldFits:
@@ -191,24 +223,38 @@ class _FoldFits:
     ):
         folds = stratified_folds(ds, F, seed)
         self.seed = seed
-        self.values = ds.values
         self.full = fit_statistics(ds, **fit_kw) if full is None else full
         self.full_survival = RowSurvival(self.full.t_stats, kind)
-        self.folds: list[_HeldOutFold] = []
-        all_idx = np.arange(ds.n)
-        for test_idx in folds:
-            train_idx = np.setdiff1d(all_idx, test_idx, assume_unique=True)
-            stats = fit_statistics(ds.subset(train_idx), **fit_kw)
-            self.folds.append(_HeldOutFold(stats, test_idx, ds.y[test_idx], kind))
+        # Training sets are gathered from a sample-major copy, where each
+        # sample is contiguous; the subsets, and so the fits, are the same.
+        src = replace(ds, values=np.asfortranarray(ds.values))
+        train = [np.setdiff1d(np.arange(ds.n), idx, assume_unique=True) for idx in folds]
+        fits = [fit_statistics(src.subset(idx), **fit_kw) for idx in train]
+        del src
+        self.folds = [_HeldOutFold(st, ds.values, i, ds.y[i], kind) for st, i in zip(fits, folds)]
 
     def curve(self, grid: list[ThresholdRule]) -> CvCurve:
-        """CV error counts over the folds, survivor counts from the full fit."""
+        """CV error counts over the folds, survivor counts from the full fit.
+
+        Folds are scored in groups of consecutive folds, none with more
+        products than one fold's full prefix: a first grid fold by fold, a
+        refined grid, of short prefixes, in one call.
+        """
         params = np.array([rule.param for rule in grid])
         survivors = self.full_survival.counts(params)
+        counts = np.stack([fold.kept(params) for fold in self.folds])
+        sizes, tops = np.array([len(fold.z) for fold in self.folds]), counts.max(axis=(1, 2))
+        budget = sizes.max() * self.full.p
         errors = np.zeros(len(grid), dtype=int)
-        for fold in self.folds:
-            pred = fold.predict_grid(self.values[:, fold.test_idx].T, grid, params)
-            errors += (pred != fold.y[:, None]).sum(axis=0)
+        start = 0
+        for stop in range(1, len(self.folds) + 1):
+            more = slice(start, stop + 1)
+            if stop < len(self.folds) and sizes[more].sum() * tops[more].max() <= budget:
+                continue
+            group = self.folds[start:stop]
+            pred = _predict_group(group, counts[start:stop], grid, params)
+            errors += (pred != np.concatenate([fold.y for fold in group])[:, None]).sum(axis=0)
+            start = stop
         points = tuple(
             CvPoint(rule, int(errors[g]), int(survivors[g])) for g, rule in enumerate(grid)
         )

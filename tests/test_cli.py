@@ -268,6 +268,27 @@ class TestOptionResolution:
         assert len(out_cli.read_text().splitlines()) == 4
 
 
+    def test_config_file_from_env_and_flag_over_env(
+        self, synth_dir, tmp_path, capsys, monkeypatch
+    ):
+        env_cfg, flag_cfg = tmp_path / "env.cfg", tmp_path / "flag.cfg"
+        env_cfg.write_text("method=soft\nm=4\nfolds=5\n")
+        flag_cfg.write_text("method=soft\nm=6\nfolds=5\n")
+        data = ("cv", "--data", str(synth_dir / "train.csv"), "--label-col", "label")
+        monkeypatch.setenv("SC_CONFIG", str(env_cfg))
+        out_env = tmp_path / "from_env.tsv"
+        assert run(capsys, *data, "--out", str(out_env))[0] == 0
+        assert len(out_env.read_text().splitlines()) == 5  # header + m=4
+
+        out_flag = tmp_path / "from_flag.tsv"
+        assert run(capsys, *data, "--config", str(flag_cfg), "--out", str(out_flag))[0] == 0
+        assert len(out_flag.read_text().splitlines()) == 7
+
+        monkeypatch.setenv("SC_CONFIG", str(tmp_path / "missing.cfg"))
+        code, out, err = run(capsys, *data, "--out", str(out_env))
+        assert code == 2 and "missing.cfg" in err
+
+
 @pytest.mark.filterwarnings("ignore:ties detected")
 class TestBooleanOptions:
     @pytest.fixture

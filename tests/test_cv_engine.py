@@ -1,5 +1,7 @@
 """The fold-batched CV engine against the direct per-rule oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -24,7 +26,7 @@ from nsckit import (
 from nsckit.thresholds import RowSurvival, kept_counts, retention_keys
 
 import oracles
-from conftest import tied_matrix
+from conftest import random_dataset, tied_matrix
 
 KINDS = ("soft", "hard", "order")
 
@@ -94,6 +96,104 @@ def test_every_deep_search_curve_equals_direct_oracle(ds, kind, seed, fit_kw):
         )
 
 
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ds=datasets(), kind=st.sampled_from(KINDS), seed=st.integers(0, 1000), data=st.data())
+def test_grouped_folds_equal_direct_oracle(ds, kind, seed, data):
+    """Grids of full-length and short prefixes over 2 to 5 folds, scored in groups.
+
+    No group may hold more products than one fold's full-length prefix.
+    """
+    smallest = int(ds.class_sizes.min())
+    # two folds of a class of 3 can leave one sample per class, too few to fit
+    F = data.draw(st.integers(2 if smallest > 3 else 3, min(5, smallest)))
+    fits = tuning._FoldFits(ds, kind, F, seed, {})
+    if kind == "order":
+        params = st.integers(0, ds.p * ds.n_classes)
+    else:
+        levels = sorted({0.0, *np.abs([f.stats.t_stats for f in fits.folds]).ravel().tolist()})
+        params = st.one_of(st.sampled_from(levels), st.floats(0.0, 2 * levels[-1] + 1))
+    grids = [threshold_grid(fits.full, kind, 6)] + [
+        [ThresholdRule(kind, v) for v in data.draw(st.lists(params, min_size=1, max_size=6))]
+        for _ in range(3)
+    ]
+    values = []
+    scorer = tuning._predict_group
+
+    def recording(folds, counts, *args):
+        values.append(sum(len(f.z) for f in folds) * ds.n_classes * max(c.max() for c in counts))
+        return scorer(folds, counts, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tuning, "_predict_group", recording)
+        for grid in grids:
+            assert [pt.cv_error_count for pt in fits.curve(grid).points] == (
+                oracles.cv_error_counts_direct(ds, grid, F, seed)
+            )
+    budget = max(len(f.z) for f in fits.folds) * ds.n_classes * ds.p
+    assert max(values) <= budget
+
+
+def test_refined_grids_score_every_fold_in_one_call(monkeypatch):
+    """Sized like narrow-deep: a first grid goes fold by fold, a refined grid in one call."""
+    train, _ = generate_synthetic(SynthSpec(
+        p=300, n_classes=3, informative=20, shift=0.8, n_per_class=(24,) * 3,
+        noise_sd=1.0, seed=2003,
+    ))
+    groups = []
+    scorer = tuning._predict_group
+
+    def grouping(folds, *args):
+        groups.append(len(folds))
+        return scorer(folds, *args)
+
+    monkeypatch.setattr(tuning, "_predict_group", grouping)
+    deep_search(train, "hard", F=10, seed=0)
+    assert len(groups) > 10
+    assert groups == [1] * 10 + [10] * (len(groups) - 10)
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_fold_fits_equal_subset_fits(layout, rng):
+    """Fold fits are bit for bit those of the subsets, whatever the layout of the values."""
+    ds = random_dataset(rng, p=40, n_classes=3, max_n=30)
+    ds = Dataset.from_arrays(np.asarray(ds.values, order=layout) * 1e3 + 7.0, ds.labels)
+    assert ds.values.flags[f"{layout}_CONTIGUOUS"]
+    fits = tuning._FoldFits(ds, "soft", 2, 1, {})
+    for fold, test_idx in zip(fits.folds, stratified_folds(ds, 2, 1)):
+        want = fit_statistics(ds.subset(np.setdiff1d(np.arange(ds.n), test_idx)))
+        for field in dataclasses.fields(want):
+            got = getattr(fold.stats, field.name)
+            assert np.asarray(got).tobytes() == np.asarray(getattr(want, field.name)).tobytes()
+
+
+def tie_patterns(p=400):
+    """Tie-free, rounded, constant-feature and balanced two-class datasets."""
+    spec = SynthSpec(p=p, n_classes=4, informative=20, shift=0.8, n_per_class=(6,) * 4,
+                     noise_sd=1.0, seed=5)
+    train, _ = generate_synthetic(spec)
+    constant = train.values.copy()
+    constant[::5] = 3.0
+    two, _ = generate_synthetic(dataclasses.replace(spec, n_classes=2, n_per_class=(9, 9)))
+    return {
+        "tie-free": train,
+        "rounded": Dataset.from_arrays(np.round(train.values, 2), train.labels),
+        "constant": Dataset.from_arrays(constant, train.labels),
+        "two-class": two,
+    }
+
+
+@pytest.mark.parametrize("pattern", ["tie-free", "rounded", "constant", "two-class"])
+def test_order_fold_lists_columns_by_retention_key(pattern):
+    ds = tie_patterns()[pattern]
+    stats = fit_statistics(ds)
+    fold = tuning._HeldOutFold(stats, ds.values, np.arange(ds.n), ds.y, "order")
+    keys = retention_keys(stats.t_stats, "order")
+    for k in range(ds.n_classes):
+        assert sorted(fold.order[k].tolist()) == list(range(ds.p))
+        assert fold.keys[k].tolist() == np.sort(keys[:, k]).tolist()
+        assert keys[fold.order[k], k].tolist() == fold.keys[k].tolist()
+
+
 matrices = st.builds(
     tied_matrix,
     st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 4),
@@ -144,11 +244,43 @@ def test_fold_kept_counts_match_apply_rule(ds, kind, data):
             st.one_of(st.sampled_from(levels), st.floats(0.0, 2 * levels[-1] + 1)),
             min_size=1, max_size=6,
         ))
-    counts = tuning._HeldOutFold(stats, None, None, kind).kept(np.array(params))
+    counts = tuning._HeldOutFold(stats, ds.values, np.arange(ds.n), ds.y, kind).kept(
+        np.array(params)
+    )
     for g, v in enumerate(params):
         shrunk = apply_rule(t, ThresholdRule(kind, v))
         assert counts[g].tolist() == np.count_nonzero(shrunk, axis=0).tolist()
         assert (counts[g] == 0).tolist() == (~shrunk.any(axis=0)).tolist()
+
+
+def group_predict(fits, grid):
+    """Scores blocks of samples as one group of folds, one (stats, X) per fold.
+
+    Returns each block's n_f x G predictions.
+    """
+    params = np.array([rule.param for rule in grid])
+    folds = [tuning._HeldOutFold(stats, X.T, np.arange(len(X)), None, grid[0].kind)
+             for stats, X in fits]
+    counts = np.stack([fold.kept(params) for fold in folds])
+    pred = tuning._predict_group(folds, counts, grid, params)
+    return np.split(pred, np.cumsum([len(X) for _, X in fits])[:-1])
+
+
+def leave_one_out_fits(ds, count):
+    """The fit of ds, then fits without one more sample of every class."""
+    drop = [np.array([ds.class_members(k)[i] for k in range(ds.n_classes)])
+            for i in range(count - 1)]
+    return [fit_statistics(ds)] + [
+        fit_statistics(ds.subset(np.setdiff1d(np.arange(ds.n), out))) for out in drop
+    ]
+
+
+def midpoints(stats, grid, pairs):
+    """Samples halfway between two shrunken centroids of every rule."""
+    models = [shrink(stats, rule) for rule in grid]
+    X = np.array([(mdl.shrunken_centroids[:, j] + mdl.shrunken_centroids[:, k]) / 2
+                  for mdl in models for j, k in pairs])
+    return models, X
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -159,22 +291,21 @@ def test_soft_expansion_cancels_near_large_delta(seed):
     threshold sits a few ulps to 1e-9 below one of them, so the kept
     statistics shrink to almost nothing while Q, delta A and delta^2 c stay
     large.  Samples midway between two shrunken centroids then tie up to
-    rounding, and must still get predict's class.
+    rounding, and must still get predict's class, also when several folds,
+    each with its own fit, are scored as one group.
     """
     rng = np.random.default_rng(seed)
     labels = ["a"] * 6 + ["b"] * 6 + ["c"] * 6
     base = rng.normal(size=len(labels)) + np.repeat([3.0, 0.0, -3.0], 6)
     ds = Dataset.from_arrays(np.tile(base, (40, 1)), labels)
-    stats = fit_statistics(ds)
-    grid = [ThresholdRule("soft", float(v * (1 - eps)))
-            for v in np.abs(stats.t_stats[0]) for eps in (1e-15, 1e-13, 1e-11, 1e-9)]
-    models = [shrink(stats, rule) for rule in grid]
-    X = np.array([(mdl.shrunken_centroids[:, j] + mdl.shrunken_centroids[:, k]) / 2
-                  for mdl in models for j, k in ((0, 1), (0, 2), (1, 2))])
-    fold = tuning._HeldOutFold(stats, None, None, "soft")
-    got = fold.predict_grid(X, grid, np.array([rule.param for rule in grid]))
-    for g, mdl in enumerate(models):
-        assert got[:, g].tolist() == predict(mdl, X).tolist()
+    for fits in (leave_one_out_fits(ds, 1), leave_one_out_fits(ds, 3)):
+        grid = [ThresholdRule("soft", float(v * (1 - eps))) for stats in fits
+                for v in np.abs(stats.t_stats[0]) for eps in (1e-15, 1e-13, 1e-11, 1e-9)]
+        blocks = [midpoints(stats, grid, ((0, 1), (0, 2), (1, 2))) for stats in fits]
+        got = group_predict([(stats, X) for stats, (_, X) in zip(fits, blocks)], grid)
+        for got_f, (models, X) in zip(got, blocks):
+            for g, mdl in enumerate(models):
+                assert got_f[:, g].tolist() == predict(mdl, X).tolist()
     # the same thresholds placed just below the |d| of every fold's fit
     F = 3
     grid = sorted(
@@ -211,25 +342,40 @@ def test_narrow_deep_sized_set_needs_no_fallback(kind, monkeypatch):
 
 
 def test_offset_near_ties_fall_back_to_predict(monkeypatch):
-    """With a 1e6 offset some rows are re-scored by predict, and still match."""
+    """With a 1e6 offset some rows are re-scored by predict, and still match.
+
+    From the fifth grid point on, the kept prefixes are short enough that
+    the three folds are scored as one group.
+    """
     rng = np.random.default_rng(7)
     labels = ["a"] * 6 + ["b"] * 5 + ["c"] * 7
     values = rng.normal(size=(20, len(labels))) + 1e6
     ds = Dataset.from_arrays(values, labels)
     rescored = []
     direct = tuning.predict
+    groups = []
+    scorer = tuning._predict_group
 
     def counting_predict(model, X):
         rescored.append(len(X))
         return direct(model, X)
 
+    def grouping(folds, *args):
+        groups.append(len(folds))
+        return scorer(folds, *args)
+
     monkeypatch.setattr(tuning, "predict", counting_predict)
-    grid = threshold_grid(fit_statistics(ds), "soft", 10)
-    curve = cross_validate(ds, grid, 3, 5)
-    assert sum(rescored) > 0
-    assert [pt.cv_error_count for pt in curve.points] == (
-        oracles.cv_error_counts_direct(ds, grid, 3, 5)
-    )
+    monkeypatch.setattr(tuning, "_predict_group", grouping)
+    for start, sizes in ((0, [1, 1, 1]), (4, [3])):
+        rescored.clear()
+        groups.clear()
+        grid = threshold_grid(fit_statistics(ds), "soft", 10)[start:]
+        curve = cross_validate(ds, grid, 3, 5)
+        assert groups == sizes
+        assert sum(rescored) > 0
+        assert [pt.cv_error_count for pt in curve.points] == (
+            oracles.cv_error_counts_direct(ds, grid, 3, 5)
+        )
 
 
 def test_exact_prior_ties_need_no_fallback(monkeypatch):
@@ -246,6 +392,20 @@ def test_exact_prior_ties_need_no_fallback(monkeypatch):
     assert oracles.cv_error_counts_direct(ds, grid, 3, 0) == [12, 12]
 
 
+def test_prior_ties_that_differ_between_grouped_folds(monkeypatch):
+    """Classes of 4, 5 and 6 over 2 folds: which priors tie differs from fold
+    to fold, and all vanish, so both folds are scored in one group."""
+    rng = np.random.default_rng(3)
+    labels = ["a"] * 4 + ["b"] * 5 + ["c"] * 6
+    ds = Dataset.from_arrays(rng.normal(size=(15, 15)), labels)
+    monkeypatch.setattr(tuning, "predict", None)
+    big = float(np.abs(fit_statistics(ds).t_stats).max()) * 10
+    grid = [ThresholdRule("hard", big), ThresholdRule("hard", big * 2)]
+    assert [pt.cv_error_count for pt in cross_validate(ds, grid, 2, 0).points] == (
+        oracles.cv_error_counts_direct(ds, grid, 2, 0)
+    )
+
+
 @pytest.mark.parametrize("offset", [0.0, 1e6])
 @pytest.mark.parametrize("kind", KINDS)
 def test_midpoint_rows_match_predict(kind, offset):
@@ -253,12 +413,10 @@ def test_midpoint_rows_match_predict(kind, offset):
     rng = np.random.default_rng(11)
     labels = ["a"] * 5 + ["b"] * 5 + ["c"] * 4
     ds = Dataset.from_arrays(rng.normal(size=(12, len(labels))) + offset, labels)
-    stats = fit_statistics(ds)
-    grid = threshold_grid(stats, kind, 8)
-    models = [shrink(stats, rule) for rule in grid]
-    X = np.array([(mdl.shrunken_centroids[:, 0] + mdl.shrunken_centroids[:, 1]) / 2
-                  for mdl in models])
-    fold = tuning._HeldOutFold(stats, None, None, kind)
-    got = fold.predict_grid(X, grid, np.array([rule.param for rule in grid]))
-    for g, mdl in enumerate(models):
-        assert got[:, g].tolist() == predict(mdl, X).tolist()
+    for fits in (leave_one_out_fits(ds, 1), leave_one_out_fits(ds, 3)):
+        grid = threshold_grid(fits[0], kind, 8)
+        blocks = [midpoints(stats, grid, ((0, 1),)) for stats in fits]
+        got = group_predict([(stats, X) for stats, (_, X) in zip(fits, blocks)], grid)
+        for got_f, (models, X) in zip(got, blocks):
+            for g, mdl in enumerate(models):
+                assert got_f[:, g].tolist() == predict(mdl, X).tolist()

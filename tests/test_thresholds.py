@@ -18,7 +18,7 @@ from nsckit import (
     threshold_grid,
 )
 
-from nsckit.thresholds import magnitude_ranks
+from nsckit.thresholds import _stable_argsort, magnitude_order, magnitude_ranks
 
 import oracles
 from conftest import random_dataset, tied_matrix
@@ -128,6 +128,19 @@ def tied_matrices(draw):
 def test_magnitude_ranks_equal_direct_oracle(matrices, data):
     D = data.draw(matrices)
     assert magnitude_ranks(D).tolist() == oracles.magnitude_ranks_direct(D.tolist())
+    ranks = magnitude_ranks(D).ravel()
+    assert ranks[magnitude_order(D)].tolist() == list(range(D.size))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]), st.floats(allow_nan=False)),
+    max_size=60,
+))
+def test_one_path_sort_is_stable_argsort(values):
+    """Heavy ties, 0.0 against -0.0, infinities and sizes 0 and 1."""
+    a = np.array(values, dtype=float)
+    assert _stable_argsort(a).tolist() == np.argsort(a, kind="stable").tolist()
 
 
 def test_shrinkage_dominance_all_rules(rng):

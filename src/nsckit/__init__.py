@@ -66,55 +66,3 @@ from .bench import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Aggregate",
-    "CentroidStats",
-    "CvCurve",
-    "CvPoint",
-    "Dataset",
-    "DeepSearchError",
-    "DeepSearchTrace",
-    "DegenerateDesignError",
-    "DegenerateVarianceError",
-    "ParseError",
-    "PerformanceMatrix",
-    "RunRecord",
-    "ShrunkenModel",
-    "SrdResult",
-    "SynthSpec",
-    "ThresholdRule",
-    "ValidationError",
-    "aggregate",
-    "apply_rule",
-    "cross_validate",
-    "deep_search",
-    "discriminant_scores",
-    "exact_null_distribution",
-    "fit_statistics",
-    "fold_count",
-    "generate_synthetic",
-    "golden_standard",
-    "hard",
-    "load_matrix",
-    "load_model",
-    "max_srd",
-    "normal_approx_null",
-    "order",
-    "parse_rule",
-    "predict",
-    "predict_labels",
-    "rank_vector",
-    "reference_thresholds",
-    "run_experiment",
-    "save_matrix",
-    "save_model",
-    "select_smallest",
-    "shrink",
-    "soft",
-    "srd",
-    "srd_loo",
-    "srd_report",
-    "stratified_folds",
-    "threshold_grid",
-]

@@ -38,10 +38,12 @@ def tune(
 ) -> DeepSearchTrace:
     """Tune the ``kind`` threshold on ``ds`` over at most ``folds`` folds.
 
-    ``full`` is the caller's fit of all of ``ds`` with ``fit_kw``; the m-point
-    grid is built from it, and the deep search reuses it.  With ``deep`` this
-    is ``deep_search``'s trace.  Without, the grid's smallest-error point is
-    recorded as a single iteration with no runner-up and stop reason ``"grid-only"``.
+    ``full`` is the caller's fit of all of ``ds`` with ``fit_kw``,
+    ``fit_statistics``'s options by name, which every fold fit takes too; the
+    m-point grid is built from it, and the deep search reuses it.  With
+    ``deep`` this is ``deep_search``'s trace.  Without, the grid's
+    smallest-error point is recorded as a single iteration with no runner-up
+    and stop reason ``"grid-only"``.
     """
     F = fold_count(ds, folds)
     if deep:
@@ -122,12 +124,11 @@ def run_experiment(
     m: int = 30,
     folds: int = 10,
     big_gap: int = 2000,
-    prior_mode: str = "empirical",
-    s0: str | float = "median",
-    mk_mode: str = "paper",
+    **fit_kw,
 ) -> list[RunRecord]:
     """Tune, fit, and score ``runs`` times with seeds base_seed + run index.
 
+    Every fit takes ``fit_statistics``'s options ``fit_kw`` by name.
     When both sets name their features, test features are matched to the
     training features by name, as ``nsckit predict`` matches a model's.
     """
@@ -145,7 +146,6 @@ def run_experiment(
     if names is not None and test.feature_names not in (None, names):
         X_test = X_test[:, column_order(test.feature_names, names)]
     kind, deep = METHODS[method]
-    fit_kw = dict(prior_mode=prior_mode, s0=s0, mk_mode=mk_mode)
     full_stats = fit_statistics(train, **fit_kw)
     # test labels mapped through the training class order
     train_index = {cls: k for k, cls in enumerate(train.classes)}

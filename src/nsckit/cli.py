@@ -74,8 +74,8 @@ class Options:
             self._config.get(key),
         )
         value = next((v for v in sources if v is not None), None)
-        if not isinstance(value, str):  # unset, or a store_true flag
-            return default if value is None else value
+        if value is None:
+            return default
         try:
             return cast(value)
         except ValueError as exc:
@@ -101,12 +101,23 @@ def _load_dataset(opts: Options) -> Dataset:
     )
 
 
-def _fit_kw(opts: Options) -> dict:
-    return dict(
-        prior_mode=opts.get("priors", "empirical"),
-        s0=opts.get("s0", "median", lambda v: v if v == "median" else float(v)),
-        mk_mode=opts.get("mk", "paper"),
-    )
+# Options passed to the library only when set, so that its defaults apply:
+# option key -> (keyword argument, cast).
+_PASSED = {
+    "priors": ("prior_mode", str),
+    "s0": ("s0", lambda v: v if v == "median" else float(v)),
+    "mk": ("mk_mode", str),
+    "m": ("m", int),
+    "folds": ("folds", int),
+    "big-gap": ("big_gap", int),
+}
+_FIT = ("priors", "s0", "mk")
+
+
+def _given(opts: Options, *keys: str) -> dict:
+    """Keyword arguments for the options among ``keys`` that are set."""
+    kw = {_PASSED[key][0]: opts.get(key, None, _PASSED[key][1]) for key in keys}
+    return {name: value for name, value in kw.items() if value is not None}
 
 
 def _emit(rows, out_path=None):
@@ -121,7 +132,7 @@ def _cmd_train(opts: Options) -> int:
     out = opts.require("out")
     ds = _load_dataset(opts)
     rule = parse_rule(opts.get("rule", "soft:0.0"))
-    model = shrink(fit_statistics(ds, **_fit_kw(opts)), rule)
+    model = shrink(fit_statistics(ds, **_given(opts, *_FIT)), rule)
     save_model(model, out)
     print(f"model written to {out} ({model.survivors.size} surviving features)")
     return 0
@@ -138,24 +149,17 @@ def _cmd_predict(opts: Options) -> int:
     return 0
 
 
-def _tuning_kw(opts: Options, deep: bool) -> dict:
-    """The seed, m and folds of cv, tune and bench, and big-gap where deep search may run."""
-    kw = dict(seed=opts.get("seed", 0, int), m=opts.get("m", 30, int),
-              folds=opts.get("folds", 10, int))
-    if deep:
-        kw["big_gap"] = opts.get("big-gap", 2000, int)
-    return kw
-
-
-def _tune(opts: Options, deep: bool):
-    """The trace of ``bench.tune`` on --data, as cv and tune run it."""
+def _tune(opts: Options, deep: bool, *keys: str):
+    """The trace of ``bench.tune`` on --data, as cv and tune run it; ``keys``
+    names the tuning options read besides --m and --folds."""
     kind = opts.require("method")
     if kind not in KINDS:
         raise ValidationError("--method must be soft, hard, or order")
-    fit_kw, tuning_kw = _fit_kw(opts), _tuning_kw(opts, deep)
+    fit_kw, tuning_kw = _given(opts, *_FIT), _given(opts, "m", "folds", *keys)
+    seed = opts.get("seed", 0, int)
     ds = _load_dataset(opts)
     full = fit_statistics(ds, **fit_kw)
-    return bench_mod.tune(ds, full, kind, deep, **tuning_kw, **fit_kw)
+    return bench_mod.tune(ds, full, kind, deep, seed, **tuning_kw, **fit_kw)
 
 
 def _cmd_cv(opts: Options) -> int:
@@ -190,7 +194,7 @@ def _trace_rows(trace) -> list[list]:
 
 
 def _cmd_tune(opts: Options) -> int:
-    trace = _tune(opts, opts.flag("deep-search", True))
+    trace = _tune(opts, opts.flag("deep-search", True), "big-gap")
     trace_path = opts.get("trace")
     if trace_path:
         _emit(_trace_rows(trace), trace_path)
@@ -202,15 +206,11 @@ def _cmd_bench(opts: Options) -> int:
     runs = opts.get("runs", 100, int)
     if runs < 2:
         raise ValidationError(f"--runs must be at least 2 to aggregate, got {runs}")
-    fit_kw, tuning_kw = _fit_kw(opts), _tuning_kw(opts, True)
-    load_kw = dict(
-        orientation=opts.get("samples-in", "rows"),
-        label_col=opts.get("label-col", "label"),
-    )
+    fit_kw, tuning_kw = _given(opts, *_FIT), _given(opts, "m", "folds", "big-gap")
+    seed, label_col = opts.get("seed", 0, int), opts.get("label-col", "label")
     paths = [opts.require("train"), opts.require("test")]
     method = opts.require("method")
-    train, test = (load_matrix(path, **load_kw) for path in paths)
-    seed = tuning_kw.pop("seed")
+    train, test = (load_matrix(path, label_col=label_col) for path in paths)
     records = bench_mod.run_experiment(
         train, test, method, runs=runs, base_seed=seed, **tuning_kw, **fit_kw
     )
@@ -301,21 +301,20 @@ def _build_parser() -> argparse.ArgumentParser:
         for flag in ("--config", *flags):
             sp.add_argument(flag)
         for flag in switches:
-            sp.add_argument(flag, action="store_true", default=None)
-        return sp
+            sp.add_argument(flag, nargs="?", const="on")
 
     # every value is kept as text and typed and checked by Options and the
-    # code it reaches, so a flag, its SC_ variable and its config key agree
+    # code it reaches, so a flag, its SC_ variable and its config key agree;
+    # a switch given bare means on
     data_flags = ("--data", "--samples-in", "--label-col", "--labels")
     fit_flags = ("--priors", "--s0", "--mk")
     tune_flags = ("--method", "--m", "--folds", "--seed")
     add("train", *data_flags, *fit_flags, "--rule", "--out")
     add("predict", "--model", "--data", "--samples-in", "--out")
     add("cv", *data_flags, *fit_flags, *tune_flags, "--out")
-    add("tune", *data_flags, *fit_flags, *tune_flags, "--big-gap", "--trace").add_argument(
-        "--deep-search", nargs="?", const="on"
-    )
-    add("bench", "--train", "--test", "--samples-in", "--label-col",
+    add("tune", *data_flags, *fit_flags, *tune_flags, "--big-gap", "--trace",
+        switches=("--deep-search",))
+    add("bench", "--train", "--test", "--label-col",
         *fit_flags, *tune_flags, "--big-gap", "--runs", "--out")
     add("srd", "--input", "--gold", "--out", "--dist-out", "--loo-out",
         switches=("--lower-is-better", "--higher-is-better", "--loo"))

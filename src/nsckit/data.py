@@ -276,22 +276,19 @@ def _read_label_file(labels_path, n: int) -> list[str]:
     return labels
 
 
-def save_matrix(ds: Dataset, path, label_col: str = "label", delimiter: str = ",") -> None:
-    """Write a Dataset as rows-are-samples delimited text with a label column.
+def save_matrix(ds: Dataset, path) -> None:
+    """Write a Dataset as rows-are-samples comma-separated text whose first
+    column, ``label``, holds the labels.
 
     Values are written in shortest round-trip decimal form, so a subsequent
-    ``load_matrix`` recovers them bit-exactly.
+    ``load_matrix(path, label_col="label")`` recovers them bit-exactly.
     """
     names = ds.feature_names or tuple(f"f{i}" for i in range(ds.p))
-    if label_col in names:
-        raise ValidationError(f"label column name {label_col!r} collides with a feature")
-    out = [delimiter.join((label_col, *names))]
+    if "label" in names:
+        raise ValidationError("label column name 'label' collides with a feature")
+    out = [",".join(("label", *names))]
     for j in range(ds.n):
-        out.append(
-            delimiter.join(
-                (ds.labels[j], *(repr(float(v)) for v in ds.values[:, j]))
-            )
-        )
+        out.append(",".join((ds.labels[j], *(repr(float(v)) for v in ds.values[:, j]))))
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
 
 

@@ -261,27 +261,18 @@ class _FoldFits:
         return CvCurve(points, self.seed)
 
 
-def cross_validate(
-    ds: Dataset,
-    grid,
-    F: int,
-    seed: int,
-    *,
-    prior_mode: str = "empirical",
-    s0: str | float = "median",
-    mk_mode: str = "paper",
-) -> CvCurve:
+def cross_validate(ds: Dataset, grid, F: int, seed: int, **fit_kw) -> CvCurve:
     """Accumulate per-rule misclassification counts over F stratified folds.
 
-    Survivor counts are taken from a fit on the full training set.
-    Deterministic given (ds, grid, F, seed).
+    Every fit takes ``fit_statistics``'s options ``fit_kw`` by name.  Survivor
+    counts are taken from a fit on the full training set.  Deterministic
+    given (ds, grid, F, seed, fit_kw).
     """
     grid = list(grid)
     if not grid:
         raise ValidationError("grid must be nonempty")
     if len({rule.kind for rule in grid}) != 1:
         raise ValidationError("a CV curve must hold rules of a single kind")
-    fit_kw = dict(prior_mode=prior_mode, s0=s0, mk_mode=mk_mode)
     return _FoldFits(ds, grid[0].kind, F, seed, fit_kw).curve(grid)
 
 
@@ -374,10 +365,8 @@ def deep_search(
     big_gap: int = 2000,
     max_iterations: int = 50,
     *,
-    prior_mode: str = "empirical",
-    s0: str | float = "median",
-    mk_mode: str = "paper",
     full: CentroidStats | None = None,
+    **fit_kw,
 ) -> DeepSearchTrace:
     """Iterative grid-refinement search for the thresholding parameter.
 
@@ -387,12 +376,12 @@ def deep_search(
     cross-validation over the same fold fits, made once per call.  Stops
     when no interval qualifies, the refined grid is empty or cannot improve,
     or the survivor span is exhausted.  Raises ``DeepSearchError`` past ``max_iterations``.
+    Every fit takes ``fit_statistics``'s options ``fit_kw`` by name.
     ``full``, when given, is the caller's fit of all of ``ds`` with the same
     fit options, used in place of a refit.
     """
     if F is None:
         F = fold_count(ds)
-    fit_kw = dict(prior_mode=prior_mode, s0=s0, mk_mode=mk_mode)
     fits = _FoldFits(ds, kind, F, seed, fit_kw, full)
     grid = threshold_grid(fits.full, kind, m)
     iterations: list[DeepSearchIteration] = []

@@ -161,6 +161,17 @@ class TestTune:
             trace = tune(train, full, kind, deep, 6, folds=4)
             assert rec.chosen_rule == trace.final_rule
 
+    def test_run_experiment_passes_the_fit_options_through(self, pair):
+        train, test = pair
+        fit_kw = dict(prior_mode="uniform", s0=0.5, mk_mode="classic")
+        full = fit_statistics(train, **fit_kw)
+        for method, (kind, deep) in METHODS.items():
+            [rec] = run_experiment(train, test, method, runs=1, base_seed=6, folds=4, **fit_kw)
+            rule = tune(train, full, kind, deep, 6, folds=4, **fit_kw).final_rule
+            model = shrink(full, rule)
+            err_pct = 100.0 * int((predict(model, test.values.T) != test.y).sum()) / test.n
+            assert rec == RunRecord(method, 6, rule, err_pct, model.survivors.size)
+
 
 class TestRunExperiment:
 

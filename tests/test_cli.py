@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsckit import Dataset, ThresholdRule, fit_statistics, save_model, shrink
+from nsckit import (
+    Dataset, SynthSpec, ThresholdRule, bench, fit_statistics, generate_synthetic, load_matrix,
+    save_matrix, save_model, shrink,
+)
 from nsckit.cli import main
 
 import table3
@@ -147,6 +150,24 @@ class TestCvAndTune:
         chosen = [row for row in rows if row[4] == "1"]
         assert len(chosen) == 1 and all(row[5:] == ["0", "0"] for row in rows)
         assert out == f"selected rule: {kind}:{chosen[0][1]}\n"
+
+
+    def test_library_defaults_apply(self, tmp_path, capsys):
+        # unequal classes, so that the prior mode matters as well
+        path = tmp_path / "train.csv"
+        save_matrix(generate_synthetic(SynthSpec(40, 2, 6, 1.5, (12, 18), 1.0, 3))[0], path)
+        ds = load_matrix(path, label_col="label")
+        full = fit_statistics(ds)
+        args = ("--data", str(path), "--label-col", "label", "--method", "hard")
+        cv = tmp_path / "cv.tsv"
+        assert run(capsys, "cv", *args, "--out", str(cv))[0] == 0
+        curve = bench.tune(ds, full, "hard", False, 0).iterations[0].curve
+        assert cv.read_text().splitlines()[1:] == [
+            f"{pt.rule.param}\t{pt.cv_error_count}\t{pt.survivor_count}" for pt in curve.points
+        ]
+        code, out, _ = run(capsys, "tune", *args)
+        assert code == 0
+        assert out == f"selected rule: {bench.tune(ds, full, 'hard', True, 0).final_rule}\n"
 
 
 class TestBench:
@@ -306,15 +327,20 @@ class TestBooleanOptions:
         _, lower, _ = self.srd(capsys, table_csv)
         _, higher, _ = self.srd(capsys, table_csv, "--higher-is-better")
         assert lower != higher
-        for value, want in (("0", lower), ("off", lower), ("1", higher), ("Yes", higher)):
+        for value, want in (("0", lower), ("off", lower), ("1", higher), ("Yes", higher),
+                            ("on", higher)):
             monkeypatch.setenv("SC_HIGHER_IS_BETTER", value)
             code, out, _ = self.srd(capsys, table_csv)
             assert code == 0 and out == want
+            monkeypatch.delenv("SC_HIGHER_IS_BETTER")
+            # the same value on the command line
+            assert self.srd(capsys, table_csv, "--higher-is-better", value)[:2] == (0, want)
 
     def test_lower_is_better_sets_the_direction(self, capsys, table_csv, monkeypatch):
         _, lower, _ = self.srd(capsys, table_csv)
         _, higher, _ = self.srd(capsys, table_csv, "--higher-is-better")
         assert self.srd(capsys, table_csv, "--lower-is-better")[1] == lower
+        assert self.srd(capsys, table_csv, "--lower-is-better", "off")[:2] == (0, higher)
         monkeypatch.setenv("SC_LOWER_IS_BETTER", "false")
         assert self.srd(capsys, table_csv)[1] == higher
 
@@ -332,10 +358,15 @@ class TestBooleanOptions:
         monkeypatch.setenv("SC_LOO", "0")
         assert self.srd(capsys, table_csv, *args)[0] == 0 and not loo.exists()
         monkeypatch.delenv("SC_LOO")
+        for value in ("0", "off"):
+            assert self.srd(capsys, table_csv, *args, "--loo", value)[0] == 0
+            assert not loo.exists()
         cfg = tmp_path / "nsckit.cfg"
         cfg.write_text("loo=on\n")
         assert self.srd(capsys, table_csv, *args, "--config", str(cfg))[0] == 0
         assert loo.exists()
+        loo.unlink()
+        assert self.srd(capsys, table_csv, *args, "--loo")[0] == 0 and loo.exists()
 
     def test_bad_boolean_value_is_one(self, capsys, table_csv, monkeypatch):
         monkeypatch.setenv("SC_LOO", "maybe")
@@ -381,6 +412,27 @@ class TestExitCodes:
                 "--method", "soft", "--m", "4", "--folds", "3")
         assert run(capsys, *args)[0] == 0
         assert run(capsys, *args, "--big-gap", "5")[0] == 1
+
+    def test_big_gap_is_checked_with_or_without_deep_search(self, synth_dir, capsys,
+                                                            monkeypatch):
+        train = str(synth_dir / "train.csv")
+        tune = ("tune", "--data", train, "--label-col", "label", "--method", "soft",
+                "--m", "4", "--folds", "3")
+        bench = ("bench", "--train", train, "--test", str(synth_dir / "test.csv"),
+                 "--method", "sth", "--runs", "2", "--m", "4", "--folds", "3")
+        for argv in ((*tune, "--deep-search", "off"), tune, bench):
+            code, _, err = run(capsys, *argv, "--big-gap", "abc")
+            assert code == 1 and one_error_line(err) and "--big-gap" in err
+        # cv never reads it
+        monkeypatch.setenv("SC_BIG_GAP", "abc")
+        assert run(capsys, "cv", *tune[1:])[0] == 0
+
+    def test_bench_reads_rows_are_samples_files_only(self, synth_dir, capsys):
+        code, _, err = run(
+            capsys, "bench", "--train", str(synth_dir / "train.csv"),
+            "--test", str(synth_dir / "test.csv"), "--method", "sth", "--samples-in", "cols",
+        )
+        assert code == 1 and "unrecognized arguments: --samples-in" in err
 
 
 class TestPredictInput:

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, column_order, fold_count
+from .data import DEFAULT_FOLDS, Dataset, column_order, fold_count
 from .errors import ValidationError
 from .model import CentroidStats, fit_statistics, predict, shrink
 from .thresholds import ThresholdRule, threshold_grid
 from .tuning import (
-    DeepSearchIteration, DeepSearchTrace, cross_validate, deep_search, select_smallest,
+    DEFAULT_BIG_GAP, DEFAULT_M, DeepSearchIteration, DeepSearchTrace, cross_validate, deep_search,
+    select_smallest,
 )
 
 METHODS = {
@@ -32,9 +33,13 @@ METHODS = {
 }
 
 
+# the options of ``tune`` that are not ``fit_statistics``'s
+_TUNING_OPTIONS = ("m", "folds", "big_gap")
+
+
 def tune(
     ds: Dataset, full: CentroidStats, kind: str, deep: bool, seed: int, *,
-    m: int = 30, folds: int = 10, big_gap: int = 2000, **fit_kw,
+    m: int = DEFAULT_M, folds: int = DEFAULT_FOLDS, big_gap: int = DEFAULT_BIG_GAP, **fit_kw,
 ) -> DeepSearchTrace:
     """Tune the ``kind`` threshold on ``ds`` over at most ``folds`` folds.
 
@@ -120,15 +125,12 @@ def run_experiment(
     method: str,
     runs: int = 100,
     base_seed: int = 0,
-    *,
-    m: int = 30,
-    folds: int = 10,
-    big_gap: int = 2000,
-    **fit_kw,
+    **options,
 ) -> list[RunRecord]:
     """Tune, fit, and score ``runs`` times with seeds base_seed + run index.
 
-    Every fit takes ``fit_statistics``'s options ``fit_kw`` by name.
+    ``options`` are ``tune``'s tuning options and ``fit_statistics``'s
+    options, by name; every fit takes the latter, and ``tune`` takes both.
     When both sets name their features, test features are matched to the
     training features by name, as ``nsckit predict`` matches a model's.
     """
@@ -146,16 +148,16 @@ def run_experiment(
     if names is not None and test.feature_names not in (None, names):
         X_test = X_test[:, column_order(test.feature_names, names)]
     kind, deep = METHODS[method]
-    full_stats = fit_statistics(train, **fit_kw)
+    full_stats = fit_statistics(
+        train, **{k: v for k, v in options.items() if k not in _TUNING_OPTIONS}
+    )
     # test labels mapped through the training class order
     train_index = {cls: k for k, cls in enumerate(train.classes)}
     y_test = np.array([train_index[lab] for lab in test.labels])
     records = []
     for r in range(runs):
         seed = base_seed + r
-        rule = tune(
-            train, full_stats, kind, deep, seed, m=m, folds=folds, big_gap=big_gap, **fit_kw
-        ).final_rule
+        rule = tune(train, full_stats, kind, deep, seed, **options).final_rule
         model = shrink(full_stats, rule)
         pred = predict(model, X_test)
         err_pct = 100.0 * float((pred != y_test).sum()) / test.n

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import chain
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -157,28 +158,58 @@ def read_text(path) -> str:
     return text.removeprefix("\ufeff")
 
 
-def _parse_block(rows, delim: str, width: int, key_col: int | None):
-    """Keys and values of ``rows`` by numpy's C reader, or None to walk them.
+# Every character but \n and \r on which str.splitlines breaks a line (a text
+# file's lines end at those two already), and U+001F, which numpy's reader
+# takes as whitespace and float does not.
+_LINE_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_WALKED = _LINE_BREAKS + "\x1f"
 
-    None when a row has the wrong width, a cell is one the reader refuses,
-    or a value is not finite: the walk then gives the error or, for a cell
-    only ``float`` reads, the value.  The reader takes U+001F as whitespace,
-    which ``float`` does not, so a row holding one is walked too.
+
+def _header(line: str, key_col: int | str | None):
+    """Delimiter, value-column names, width and key index of a header line."""
+    delim = "\t" if "\t" in line else ","
+    header = [h.strip() for h in line.split(delim)]
+    width = len(header)
+    if isinstance(key_col, str):
+        if key_col not in header:
+            raise ValidationError(f"label column {key_col!r} not in header")
+        key_col = header.index(key_col)
+    if key_col is not None:
+        key_col = range(width)[key_col]  # a negative index counts from the end
+        del header[key_col]
+    return delim, header, width, key_col
+
+
+def _parse_block(rows, delim: str, width: int, key_col: int | None):
+    """Keys and values of the nonblank data rows ``rows`` by numpy's C
+    reader, or None to walk the table.
+
+    ``rows`` is read once, row by row, so a file's rows are never all held
+    as text.  None when a row has the wrong width or holds a character of
+    ``_WALKED``, a cell is one the reader refuses, a value is not finite or
+    the rows are not UTF-8: the walk then gives the error or, for a cell
+    only ``float`` reads, the value.
     """
-    if not all(ln.count(delim) == width - 1 and "\x1f" not in ln for ln in rows):
-        return None
+    keys = None if key_col is None else []
+
+    def checked():
+        for ln in rows:
+            if ln.count(delim) != width - 1 or any(c in ln for c in _WALKED):
+                raise ValueError("row for the walk")
+            if keys is not None:
+                keys.append(ln.split(delim, key_col + 1)[key_col].strip())
+            yield ln
+
     try:
         values = np.loadtxt(
-            rows, delimiter=delim, comments=None, dtype=float, ndmin=2,
+            checked(), delimiter=delim, comments=None, dtype=float, ndmin=2,
             usecols=[c for c in range(width) if c != key_col],
         )
-    except ValueError:
+    except ValueError:  # a UnicodeDecodeError too
         return None
     if not np.isfinite(values).all():
         return None
-    if key_col is None:
-        return None, values
-    return [ln.split(delim, key_col + 1)[key_col].strip() for ln in rows], values
+    return keys, values
 
 
 def read_table(path, key_col: int | str | None = None):
@@ -191,30 +222,36 @@ def read_table(path, key_col: int | str | None = None):
     and the rows x columns float array.  Names are stripped of outer
     whitespace.
 
-    When every row has the header's width, numpy's C reader parses the
-    numeric cells in one call.  A table it refuses, or that holds a
-    non-finite value, is walked cell by cell instead: the walk reports the
-    first bad cell, and accepts the cells that ``float`` reads but the C
+    A well-formed table is streamed: its rows go one at a time to numpy's C
+    reader, which parses the numeric cells in one call.  A table the C
+    reader refuses, or that holds a non-finite value, a line break other
+    than \\n and \\r or bytes that are not UTF-8, is read whole and walked
+    cell by cell instead, with the same result or error: the walk reports
+    the first bad cell, and accepts the cells that ``float`` reads but the C
     reader does not (``1_000``, non-ASCII digits).
     """
+    try:
+        with open(path, encoding="utf-8-sig") as f:
+            lines = (ln for ln in f if not ln.isspace())  # a line read holds its \n
+            head, first = next(lines, None), next(lines, None)
+            if first is not None and not any(c in head for c in _LINE_BREAKS):
+                delim, header, width, key_col_at = _header(head, key_col)
+                parsed = _parse_block(chain([first], lines), delim, width, key_col_at)
+                if parsed is not None:
+                    return header, *parsed
+    except UnicodeDecodeError:
+        pass
+    return _walk_table(path, key_col)
+
+
+def _walk_table(path, key_col):
+    """``read_table`` of the whole text, cell by cell."""
     lines = [ln for ln in read_text(path).splitlines() if ln.strip() != ""]
     if not lines:
         raise ParseError(f"{path}: empty file")
     if len(lines) == 1:
         raise ParseError(f"{path}: no data rows")
-    delim = "\t" if "\t" in lines[0] else ","
-    header = [h.strip() for h in lines[0].split(delim)]
-    width = len(header)
-    if isinstance(key_col, str):
-        if key_col not in header:
-            raise ValidationError(f"label column {key_col!r} not in header")
-        key_col = header.index(key_col)
-    if key_col is not None:
-        key_col = range(width)[key_col]  # a negative index counts from the end
-        del header[key_col]
-    parsed = _parse_block(lines[1:], delim, width, key_col)
-    if parsed is not None:
-        return header, *parsed
+    delim, header, width, key_col = _header(lines[0], key_col)
     keys = None if key_col is None else []
     values = np.empty((len(lines) - 1, len(header)))
     for r in range(1, len(lines)):
@@ -281,18 +318,31 @@ def save_matrix(ds: Dataset, path) -> None:
     column, ``label``, holds the labels.
 
     Values are written in shortest round-trip decimal form, so a subsequent
-    ``load_matrix(path, label_col="label")`` recovers them bit-exactly.
+    ``load_matrix(path, label_col="label")`` recovers them bit-exactly, and
+    so are the names and labels: a feature named ``label``, and a name or
+    label that holds a comma, a TAB or a line break (any on which
+    ``str.splitlines`` breaks) or that starts or ends with whitespace, is
+    refused before the file is opened.  The file is written row by row.
     """
     names = ds.feature_names or tuple(f"f{i}" for i in range(ds.p))
     if "label" in names:
         raise ValidationError("label column name 'label' collides with a feature")
-    out = [",".join(("label", *names))]
-    for j in range(ds.n):
-        out.append(",".join((ds.labels[j], *(repr(float(v)) for v in ds.values[:, j]))))
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    for name in (*ds.classes, *names):
+        if name != name.strip() or any(c in name for c in ",\t\n\r" + _LINE_BREAKS):
+            raise ValidationError(
+                f"name {name!r} would not read back: it holds a comma, a TAB or a "
+                "line break, or outer whitespace"
+            )
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(",".join(("label", *names)) + "\n")
+        for j in range(ds.n):
+            f.write(",".join((ds.labels[j], *map(repr, ds.values[:, j].tolist()))) + "\n")
 
 
-def fold_count(ds: Dataset, requested: int = 10) -> int:
+DEFAULT_FOLDS = 10  # the fold count of a tuning run that asks for none
+
+
+def fold_count(ds: Dataset, requested: int = DEFAULT_FOLDS) -> int:
     """Requested fold count, capped at the smallest class size."""
     if requested < 1:
         raise ValidationError("requested fold count must be positive")

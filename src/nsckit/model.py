@@ -167,10 +167,9 @@ def discriminant_scores(model: ShrunkenModel, X) -> np.ndarray:
     shared = ((X[:, rest] - stats.overall_centroid[rest]) ** 2 / w[rest]).sum(axis=1)
     K = stats.n_classes
     scores = np.empty((X.shape[0], K))
+    X_surv, w_surv = X[:, surv], w[surv]
     for k in range(K):
-        quad = (
-            (X[:, surv] - model.shrunken_centroids[surv, k]) ** 2 / w[surv]
-        ).sum(axis=1)
+        quad = ((X_surv - model.shrunken_centroids[surv, k]) ** 2 / w_surv).sum(axis=1)
         scores[:, k] = quad + shared - 2.0 * math.log(stats.priors[k])
     return scores[0] if single else scores
 

@@ -26,6 +26,7 @@ make is re-scored with ``predict``, so the predictions equal those of
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,6 +45,11 @@ from .thresholds import (  # noqa: F401
     retention_keys,
     threshold_grid,
 )
+
+# The defaults of a tuning run's grid size m and deep-search gap big_gap.
+DEFAULT_M = 30
+DEFAULT_BIG_GAP = 2000
+
 
 def _prefix_sums(a: np.ndarray) -> np.ndarray:
     """[..., c]: the sum of the first c entries along the last axis of a."""
@@ -210,51 +216,63 @@ def _predict_group(
     return pred
 
 
-class _FoldFits:
-    """The full-data fit and the F fold fits of one fold plan.
+def _group_errors(folds: list[_HeldOutFold], counts: list[np.ndarray], grid, params) -> np.ndarray:
+    """Misclassified held-out samples of the folds under each rule, G."""
+    pred = _predict_group(folds, np.stack(counts), grid, params)
+    return (pred != np.concatenate([fold.y for fold in folds])[:, None]).sum(axis=0)
 
-    Built once per ``cross_validate`` or ``deep_search`` call and scored
-    against every grid of that call.
+
+class _FoldFits:
+    """The full-data fit and the fold plan of one ``cross_validate`` or
+    ``deep_search`` call.  ``curve`` scores a grid against the folds of
+    ``fitted`` as they come, or against a list of them kept for every grid.
     """
 
     def __init__(
         self, ds: Dataset, kind: str, F: int, seed: int, fit_kw: dict,
         full: CentroidStats | None = None,
     ):
-        folds = stratified_folds(ds, F, seed)
-        self.seed = seed
+        self.ds, self.kind, self.seed, self.fit_kw = ds, kind, seed, fit_kw
+        self.plan = stratified_folds(ds, F, seed)
         self.full = fit_statistics(ds, **fit_kw) if full is None else full
         self.full_survival = RowSurvival(self.full.t_stats, kind)
+
+    def fitted(self) -> Iterator[_HeldOutFold]:
+        """The folds of the plan in turn, each fitted when it is asked for."""
+        ds = self.ds
         # Training sets are gathered from a sample-major copy, where each
         # sample is contiguous; the subsets, and so the fits, are the same.
         src = replace(ds, values=np.asfortranarray(ds.values))
-        train = [np.setdiff1d(np.arange(ds.n), idx, assume_unique=True) for idx in folds]
-        fits = [fit_statistics(src.subset(idx), **fit_kw) for idx in train]
-        del src
-        self.folds = [_HeldOutFold(st, ds.values, i, ds.y[i], kind) for st, i in zip(fits, folds)]
+        for idx in self.plan:
+            rest = np.setdiff1d(np.arange(ds.n), idx, assume_unique=True)
+            # no name holds the training subset or the fit between folds
+            yield _HeldOutFold(
+                fit_statistics(src.subset(rest), **self.fit_kw), ds.values, idx, ds.y[idx],
+                self.kind,
+            )
 
-    def curve(self, grid: list[ThresholdRule]) -> CvCurve:
-        """CV error counts over the folds, survivor counts from the full fit.
+    def curve(self, grid: list[ThresholdRule], folds: Iterable[_HeldOutFold]) -> CvCurve:
+        """CV error counts over ``folds``, survivor counts from the full fit.
 
         Folds are scored in groups of consecutive folds, none with more
         products than one fold's full prefix: a first grid fold by fold, a
-        refined grid, of short prefixes, in one call.
+        refined grid, of short prefixes, in one call.  A group is scored
+        once the next fold would overfill it, and then dropped.
         """
         params = np.array([rule.param for rule in grid])
         survivors = self.full_survival.counts(params)
-        counts = np.stack([fold.kept(params) for fold in self.folds])
-        sizes, tops = np.array([len(fold.z) for fold in self.folds]), counts.max(axis=(1, 2))
-        budget = sizes.max() * self.full.p
+        budget = max(len(idx) for idx in self.plan) * self.full.p
         errors = np.zeros(len(grid), dtype=int)
-        start = 0
-        for stop in range(1, len(self.folds) + 1):
-            more = slice(start, stop + 1)
-            if stop < len(self.folds) and sizes[more].sum() * tops[more].max() <= budget:
-                continue
-            group = self.folds[start:stop]
-            pred = _predict_group(group, counts[start:stop], grid, params)
-            errors += (pred != np.concatenate([fold.y for fold in group])[:, None]).sum(axis=0)
-            start = stop
+        group, counts = [], []
+        for fold in folds:
+            kept = fold.kept(params)
+            size = sum(len(f.z) for f in group) + len(fold.z)
+            if group and size * max(kept.max(), *(c.max() for c in counts)) > budget:
+                errors += _group_errors(group, counts, grid, params)
+                group, counts = [], []
+            group.append(fold)
+            counts.append(kept)
+        errors += _group_errors(group, counts, grid, params)
         points = tuple(
             CvPoint(rule, int(errors[g]), int(survivors[g])) for g, rule in enumerate(grid)
         )
@@ -265,15 +283,18 @@ def cross_validate(ds: Dataset, grid, F: int, seed: int, **fit_kw) -> CvCurve:
     """Accumulate per-rule misclassification counts over F stratified folds.
 
     Every fit takes ``fit_statistics``'s options ``fit_kw`` by name.  Survivor
-    counts are taken from a fit on the full training set.  Deterministic
-    given (ds, grid, F, seed, fit_kw).
+    counts are taken from a fit on the full training set.  Each fold is
+    fitted as the scoring reaches it, so at most one group of folds and the
+    next fold are alive at a time.  Deterministic given (ds, grid, F, seed,
+    fit_kw).
     """
     grid = list(grid)
     if not grid:
         raise ValidationError("grid must be nonempty")
     if len({rule.kind for rule in grid}) != 1:
         raise ValidationError("a CV curve must hold rules of a single kind")
-    return _FoldFits(ds, grid[0].kind, F, seed, fit_kw).curve(grid)
+    fits = _FoldFits(ds, grid[0].kind, F, seed, fit_kw)
+    return fits.curve(grid, fits.fitted())
 
 
 def _preference(curve: CvCurve):
@@ -359,10 +380,10 @@ def _refine_grid(
 def deep_search(
     ds: Dataset,
     kind: str,
-    m: int = 30,
+    m: int = DEFAULT_M,
     F: int | None = None,
     seed: int = 0,
-    big_gap: int = 2000,
+    big_gap: int = DEFAULT_BIG_GAP,
     max_iterations: int = 50,
     *,
     full: CentroidStats | None = None,
@@ -383,13 +404,14 @@ def deep_search(
     if F is None:
         F = fold_count(ds)
     fits = _FoldFits(ds, kind, F, seed, fit_kw, full)
+    folds = list(fits.fitted())
     grid = threshold_grid(fits.full, kind, m)
     iterations: list[DeepSearchIteration] = []
     current: CvPoint | None = None
     anchor_error: int | None = None
     stop_reason = ""
     for _ in range(max_iterations):
-        curve = fits.curve(grid)
+        curve = fits.curve(grid, folds)
         tau = select_smallest(curve)
         if current is not None and curve.points[tau].cv_error_count > current.cv_error_count:
             # refined grid is strictly worse than the incumbent; keep it

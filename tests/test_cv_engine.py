@@ -107,10 +107,11 @@ def test_grouped_folds_equal_direct_oracle(ds, kind, seed, data):
     # two folds of a class of 3 can leave one sample per class, too few to fit
     F = data.draw(st.integers(2 if smallest > 3 else 3, min(5, smallest)))
     fits = tuning._FoldFits(ds, kind, F, seed, {})
+    folds = list(fits.fitted())
     if kind == "order":
         params = st.integers(0, ds.p * ds.n_classes)
     else:
-        levels = sorted({0.0, *np.abs([f.stats.t_stats for f in fits.folds]).ravel().tolist()})
+        levels = sorted({0.0, *np.abs([f.stats.t_stats for f in folds]).ravel().tolist()})
         params = st.one_of(st.sampled_from(levels), st.floats(0.0, 2 * levels[-1] + 1))
     grids = [threshold_grid(fits.full, kind, 6)] + [
         [ThresholdRule(kind, v) for v in data.draw(st.lists(params, min_size=1, max_size=6))]
@@ -126,10 +127,10 @@ def test_grouped_folds_equal_direct_oracle(ds, kind, seed, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tuning, "_predict_group", recording)
         for grid in grids:
-            assert [pt.cv_error_count for pt in fits.curve(grid).points] == (
+            assert [pt.cv_error_count for pt in fits.curve(grid, folds).points] == (
                 oracles.cv_error_counts_direct(ds, grid, F, seed)
             )
-    budget = max(len(f.z) for f in fits.folds) * ds.n_classes * ds.p
+    budget = max(len(f.z) for f in folds) * ds.n_classes * ds.p
     assert max(values) <= budget
 
 
@@ -152,6 +153,48 @@ def test_refined_grids_score_every_fold_in_one_call(monkeypatch):
     assert groups == [1] * 10 + [10] * (len(groups) - 10)
 
 
+def test_cross_validate_holds_one_group_and_the_next_fold(monkeypatch):
+    """Each fold is fitted as the scoring reaches it and each group dropped
+    once scored, so no more folds are alive than one group and one more."""
+    train, _ = generate_synthetic(SynthSpec(
+        p=300, n_classes=3, informative=20, shift=0.8, n_per_class=(24,) * 3,
+        noise_sd=1.0, seed=2003,
+    ))
+    live, most, groups = [0], [0], []
+
+    class Counted(tuning._HeldOutFold):
+        def __init__(self, *args):
+            super().__init__(*args)
+            live[0] += 1
+            most[0] = max(most[0], live[0])
+
+        def __del__(self):
+            live[0] -= 1
+
+    scorer = tuning._predict_group
+
+    def grouping(folds, *args):
+        groups.append(len(folds))
+        return scorer(folds, *args)
+
+    monkeypatch.setattr(tuning, "_HeldOutFold", Counted)
+    monkeypatch.setattr(tuning, "_predict_group", grouping)
+    top = np.abs(fit_statistics(train).t_stats).max()
+    # a first grid goes fold by fold, a grid of short prefixes in one call
+    for grid, want in [
+        (threshold_grid(fit_statistics(train), "hard", 30), [1] * 10),
+        ([ThresholdRule("hard", v * top) for v in (0.9, 0.95)], [10]),
+    ]:
+        groups.clear()
+        most[0] = 0
+        curve = cross_validate(train, grid, 10, 0)
+        assert [pt.cv_error_count for pt in curve.points] == (
+            oracles.cv_error_counts_direct(train, grid, 10, 0)
+        )
+        assert groups == want
+        assert most[0] <= max(groups) + 1 and live[0] == 0
+
+
 @pytest.mark.parametrize("layout", ["C", "F"])
 def test_fold_fits_equal_subset_fits(layout, rng):
     """Fold fits are bit for bit those of the subsets, whatever the layout of the values."""
@@ -159,7 +202,7 @@ def test_fold_fits_equal_subset_fits(layout, rng):
     ds = Dataset.from_arrays(np.asarray(ds.values, order=layout) * 1e3 + 7.0, ds.labels)
     assert ds.values.flags[f"{layout}_CONTIGUOUS"]
     fits = tuning._FoldFits(ds, "soft", 2, 1, {})
-    for fold, test_idx in zip(fits.folds, stratified_folds(ds, 2, 1)):
+    for fold, test_idx in zip(fits.fitted(), stratified_folds(ds, 2, 1)):
         want = fit_statistics(ds.subset(np.setdiff1d(np.arange(ds.n), test_idx)))
         for field in dataclasses.fields(want):
             got = getattr(fold.stats, field.name)

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nsckit import (
@@ -13,7 +15,7 @@ from nsckit import (
     stratified_folds,
 )
 
-from nsckit.data import _parse_block, read_table, read_text
+from nsckit.data import _parse_block, _walk_table, read_table, read_text
 
 import oracles
 from conftest import random_dataset
@@ -275,6 +277,143 @@ def test_save_load_round_trip_bit_exact(tmp_path, rng):
     assert np.array_equal(back.values, ds.values)
     assert back.labels == ds.labels
     assert back.feature_names == ("f0", "f1", "f2", "f3", "f4", "f5", "f6")
+
+
+@pytest.mark.parametrize("names,labels", [
+    (["f,1", "f2"], ["A", "B"]),
+    (["f1", "f2"], ["a,b", "c"]),
+    (["f\n1", "f2"], ["A", "B"]),
+    (["f1", "f2"], ["A", "b\r\nc"]),
+    (["f1", "f2"], [" y", "z"]),
+    ([" f", "f2"], ["A", "B"]),
+    (["f1 ", "f2"], ["A", "B"]),
+    (["f\t1", "f2"], ["A", "B"]),
+    (["f1", "f2"], ["A", "B\u2028C"]),
+    (["f1", "f2"], ["A", "B\x0cC"]),
+])
+def test_save_matrix_refuses_names_that_do_not_read_back(tmp_path, names, labels):
+    ds = Dataset.from_arrays(np.ones((2, 2)), labels, names)
+    out = tmp_path / "ds.csv"
+    with pytest.raises(ValidationError, match="would not read back"):
+        save_matrix(ds, out)
+    assert not out.exists()
+
+
+# Values a CSV must carry bit for bit: signed zeros, subnormals and the ends
+# of the float range.
+edge_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(names=st.lists(st.text(max_size=4), min_size=1, max_size=3, unique=True),
+       labels=st.lists(st.text(max_size=3), min_size=2, max_size=4), data=st.data())
+def test_save_matrix_refuses_or_round_trips_bit_for_bit(table_dir, names, labels, data):
+    if len(set(labels)) < 2:
+        labels = [*labels, labels[0] + "x"]
+    values = np.array(data.draw(st.lists(
+        st.lists(edge_values, min_size=len(labels), max_size=len(labels)),
+        min_size=len(names), max_size=len(names))))
+    ds = Dataset.from_arrays(values, labels, names)
+    out = table_dir / "round-trip.csv"
+    out.unlink(missing_ok=True)
+    try:
+        save_matrix(ds, out)
+    except ValidationError:
+        assert not out.exists()
+        return
+    back = load_matrix(out, label_col="label")
+    assert back.feature_names == ds.feature_names and back.labels == ds.labels
+    assert np.array_equal(bits(back.values), bits(ds.values))
+
+
+# Any text a cell may hold, numbers of either reader most often: numbers
+# only float takes, non-finite and bad cells.
+cell_text = st.one_of(*[number_text] * 8, st.sampled_from(
+    ["1_000", "inf", "-inf", "nan", "1e500", "x", "", " 2.5 ", "\x1f3", "4\x0c"]))
+# Every character on which str.splitlines breaks a line, U+001F and NUL.
+odd_chars = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+             "\u2029", "\x1f", "\x00"]
+
+
+def rarely(draw, weight=4):
+    """True about once in ``weight + 1`` draws; shrinks to False."""
+    return draw(st.sampled_from([False] * weight + [True]))
+
+
+@st.composite
+def raw_tables(draw):
+    """Bytes of a table, well-formed or not, and a key column to ask for."""
+    delim = draw(st.sampled_from([",", "\t"]))
+    width = draw(st.integers(1, 4))
+    rows = [[" label "] + [f"h{c}" for c in range(1, width)]]
+    for _ in range(draw(st.integers(1, 4))):
+        w = draw(st.sampled_from([width] * 8 + [width - 1, width + 1]))
+        rows.append(draw(st.lists(cell_text, min_size=w, max_size=w)))
+    lines = [delim.join(r) for r in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  ", "\t"])))
+    if rarely(draw, 2):
+        i = draw(st.integers(0, len(lines) - 1))
+        at = draw(st.integers(0, len(lines[i])))
+        lines[i] = lines[i][:at] + draw(st.sampled_from(odd_chars)) + lines[i][at:]
+    if rarely(draw, 9):
+        lines = lines[: draw(st.integers(0, 1))]  # no rows, or not even a header
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    raw = (eol.join(lines) + draw(st.sampled_from(["", eol, eol * 2]))).encode("utf-8")
+    if draw(st.booleans()):
+        raw = b"\xef\xbb\xbf" + raw
+    if rarely(draw, 9):
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + b"\xff" + raw[at:]
+    key = draw(st.sampled_from([None, 0, "label", 1, -1, "h1", width, "absent"]))
+    return raw, key
+
+
+def outcome(read, path, key):
+    try:
+        names, keys, values = read(path, key)
+    except Exception as exc:  # the error is part of the outcome
+        return type(exc), str(exc)
+    return names, keys, values.shape, values.flags.c_contiguous, bits(values).tolist()
+
+
+@settings(max_examples=400, deadline=None)
+@given(table=raw_tables())
+# a line break inside the header, and inside a row, that a text file does not break at
+@example(table=(b"case,A\xe2\x80\xa8B\n1,2\n", None))
+@example(table=(b"case,A,B\nr1,1\x0c,2\n", 0))
+def test_streamed_reader_equals_the_walk(table_dir, table):
+    """Whatever the table, read_table gives the result or the error of the
+    whole-text walk."""
+    raw, key = table
+    f = table_dir / "raw.txt"
+    f.write_bytes(raw)
+    assert outcome(read_table, f, key) == outcome(_walk_table, f, key)
+
+
+def test_save_and_read_hold_about_one_row(tmp_path):
+    """save_matrix holds one row's text at a time, and read_table on a
+    well-formed file little more than the array it returns."""
+    rng = np.random.default_rng(7)
+    names = [f"g{i}" for i in range(1000)]
+    ds = Dataset.from_arrays(rng.normal(size=(1000, 100)), ["a", "b"] * 50, names)
+    out = tmp_path / "wide.csv"
+    tracemalloc.start()
+    try:
+        save_matrix(ds, out)
+        saving = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        _, _, values = read_table(out, "label")
+        reading = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    row = max(len(ln) for ln in out.read_text().splitlines())
+    assert saving < 8 * row
+    assert reading < 2 * values.nbytes
 
 
 @pytest.mark.parametrize(

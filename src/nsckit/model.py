@@ -164,7 +164,12 @@ def discriminant_scores(model: ShrunkenModel, X) -> np.ndarray:
     w = (stats.pooled_sd + stats.s0) ** 2
     surv = model.survivors
     rest = np.setdiff1d(np.arange(stats.p), surv, assume_unique=True)
-    shared = ((X[:, rest] - stats.overall_centroid[rest]) ** 2 / w[rest]).sum(axis=1)
+    # built in place on the one gathered block, which may be nearly all of X
+    dev = X[:, rest]
+    dev -= stats.overall_centroid[rest]
+    dev *= dev
+    dev /= w[rest]
+    shared = dev.sum(axis=1)
     K = stats.n_classes
     scores = np.empty((X.shape[0], K))
     X_surv, w_surv = X[:, surv], w[surv]

@@ -13,14 +13,14 @@ overall) / (s + s0) and sorts each class column of its statistics in the
 order the rules keep them, so every rule keeps a prefix of every column.
 With shrunken statistics d', class k scores |z|^2 - 2 m_k z.d'_k + m_k^2
 |d'_k|^2 - 2 log prior_k, and the common |z|^2 is dropped.  A grid is scored
-against a group of folds at once: the cross terms of all their samples come
-from one pass of segment sums of z m_k d between the folds' kept counts, the
-squared terms from prefix sums of d^2 and |d|.  A row whose best and
-second-best scores are closer than the rounding error either form could
-make is re-scored with ``predict``, so the predictions equal those of
-``predict(shrink(stats, rule), X)`` exactly.  That error scales with
-(|z| + |overall / sd| + max_k R_k)^2, where R_k is m_k times the norm of
-|d| + delta over the entries class k keeps.
+against a group of folds in one call: each fold's cross terms are segment
+sums of z m_k d between its own kept counts, its squared terms prefix sums
+of d^2 and |d|, and then the scores of all the group's samples are compared
+at once.  A row whose best and second-best scores are closer than the
+rounding error either form could make is re-scored with ``predict``, so the
+predictions equal those of ``predict(shrink(stats, rule), X)`` exactly.
+That error scales with (|z| + |overall / sd| + max_k R_k)^2, where R_k is
+m_k times the norm of |d| + delta over the entries class k keeps.
 """
 
 from __future__ import annotations
@@ -139,47 +139,52 @@ class _HeldOutFold:
         return np.stack([kept_counts(keys, self.kind, params) for keys in self.keys], axis=1)
 
 
+def _kept_sums(zs: np.ndarray, weights: np.ndarray, cuts: np.ndarray, at: np.ndarray):
+    """[r, g, k]: zs[r, k] . weights[k] over the first cuts[at[g, k]] entries."""
+    segments = np.add.reduceat(zs * weights, cuts[:-1], axis=2)
+    return _prefix_sums(segments)[:, np.arange(len(weights)), at]
+
+
 def _predict_group(
-    folds: list[_HeldOutFold], counts: np.ndarray, grid: list[ThresholdRule], params: np.ndarray
+    folds: list[_HeldOutFold], grid: list[ThresholdRule], params: np.ndarray
 ) -> np.ndarray:
     """Predicted class of every held-out sample of the folds under every rule,
-    n x G with the folds' samples in turn; ``counts[i]`` is ``folds[i].kept(params)``."""
+    n x G with the folds' samples in turn."""
     K, p = folds[0].order.shape
     cls = np.arange(K)
     sizes = [len(fold.z) for fold in folds]
     of = np.repeat(np.arange(len(folds)), sizes)  # the fold of every row
     rows = [slice(a - n, a) for a, n in zip(np.cumsum(sizes), sizes)]
-    # Every kept prefix of every fold ends at a cut: the products of all
-    # folds are summed between cuts and accumulated, so cross[r, g, k] =
-    # z_r.(m_k d'_k) with the statistics of row r's fold, where d' = d -
-    # delta sgn d on the kept entries for soft and d otherwise.
-    cuts = np.unique(np.append(counts, 0))
-    at = np.searchsorted(cuts, counts)[of]
-    orders = [fold.order[:, : cuts[-1]] for fold in folds]
-    d = np.stack([np.take(f.stats.t_stats, o * K + cls[:, None]) for f, o in zip(folds, orders)])
-    zs = np.empty((len(of), K, cuts[-1]))
-    for fold, o, r in zip(folds, orders, rows):
-        np.take(fold.z, o, axis=1, out=zs[r], mode="clip")  # in range; unbuffered
-    m = np.stack([fold.stats.m for fold in folds])
-    each = np.arange(len(folds))[:, None, None]
-
-    def prefix_at_counts(weights):
-        products = np.empty_like(zs)
-        for w, r in zip(weights, rows):
-            np.multiply(zs[r], w, out=products[r])
-        segments = np.add.reduceat(products, cuts[:-1], axis=2)
-        return _prefix_sums(segments)[np.arange(len(of))[:, None, None], cls, at]
-
-    cross, sq = prefix_at_counts(m[:, :, None] * d), _prefix_sums(d**2)[each, cls, counts]
+    counts = np.stack([fold.kept(params) for fold in folds])
+    soft = folds[0].kind == "soft"
+    # Every kept prefix of a fold ends at one of its cuts: its products are
+    # summed between cuts and accumulated, one fold's at a time, so cross[r,
+    # g, k] = z_r.(m_k d'_k) with the statistics of row r's fold, where d' =
+    # d - delta sgn d on the kept entries for soft and d otherwise.
+    cross, signs, sq, abs_sums = [], [], [], []
+    for fold, kept in zip(folds, counts):
+        cuts = np.unique(np.append(kept, 0))
+        at = np.searchsorted(cuts, kept)
+        # the indices are in range, and wrap is numpy's fastest take for them
+        o = fold.order[:, : cuts[-1]]
+        zs = np.take(fold.z, o, axis=1, mode="wrap")
+        d = np.take(fold.stats.t_stats, o * K + cls[:, None], mode="wrap")
+        m = fold.stats.m[:, None]
+        cross.append(_kept_sums(zs, m * d, cuts, at))
+        sq.append(_prefix_sums(d**2)[cls, kept])
+        if soft:
+            signs.append(_kept_sums(zs, m * np.sign(d), cuts, at))
+            abs_sums.append(_prefix_sums(np.abs(d))[cls, kept])
+    cross, sq = np.concatenate(cross), np.stack(sq)
     reach = sq
-    if folds[0].kind == "soft":
+    if soft:
         delta = params[:, None]
-        cross -= delta * prefix_at_counts(m[:, :, None] * np.sign(d))
+        cross -= delta * np.concatenate(signs)
         # |d'|^2 = Q - 2 delta A + delta^2 c with Q = sum d^2, A = sum |d|
-        a = 2.0 * delta * _prefix_sums(np.abs(d))[each, cls, counts]
+        a = 2.0 * delta * np.stack(abs_sums)
         c = delta**2 * counts
         sq, reach = sq - a + c, sq + a + c
-    m_sq = m[:, None] ** 2
+    m_sq = np.stack([fold.stats.m for fold in folds])[:, None] ** 2
     prior_terms = np.stack([fold.prior_terms for fold in folds])
     scores = prior_terms[of, None] - 2.0 * cross + (m_sq * sq)[of]
     # Classes whose shrunken statistics all vanish and whose priors match
@@ -196,12 +201,12 @@ def _predict_group(
     # delta^2 c), delta = 0 for hard and order: R_k >= |m_k d'_k| and, by
     # Cauchy-Schwarz, the kept sum |z| m_k (|d| + delta) <= |z| R_k.  Each of
     # a row's at most p kept products meets one addition per entry of its
-    # segment and one per cut after it, at most p in all whatever cuts the
-    # other rows add, so this form's score is within gamma_(p+12) (size^2 +
-    # const) of the exact score, where size = |z| + |overall / sd| + max_k
-    # R_k.  As size bounds |z - m d'| and |overall / sd| + |m d'|, the direct
-    # form's is within gamma_(2p+24) size^2 + gamma_4 const.  The bound covers
-    # two classes in both forms; a larger gap orders the direct scores alike.
+    # segment and one per cut after it, at most p in all, so this form's
+    # score is within gamma_(p+12) (size^2 + const) of the exact score,
+    # where size = |z| + |overall / sd| + max_k R_k.  As size bounds |z - m
+    # d'| and |overall / sd| + |m d'|, the direct form's is within
+    # gamma_(2p+24) size^2 + gamma_4 const.  The bound covers two classes in
+    # both forms; a larger gap orders the direct scores alike.
     size = np.concatenate([fold.norms for fold in folds])[:, None]
     size = size + np.sqrt(m_sq * reach).max(axis=2)[of]
     const = np.abs(prior_terms).max(axis=1)[of, None]
@@ -216,16 +221,16 @@ def _predict_group(
     return pred
 
 
-def _group_errors(folds: list[_HeldOutFold], counts: list[np.ndarray], grid, params) -> np.ndarray:
+def _group_errors(folds: list[_HeldOutFold], grid, params) -> np.ndarray:
     """Misclassified held-out samples of the folds under each rule, G."""
-    pred = _predict_group(folds, np.stack(counts), grid, params)
+    pred = _predict_group(folds, grid, params)
     return (pred != np.concatenate([fold.y for fold in folds])[:, None]).sum(axis=0)
 
 
 class _FoldFits:
     """The full-data fit and the fold plan of one ``cross_validate`` or
-    ``deep_search`` call.  ``curve`` scores a grid against the folds of
-    ``fitted`` as they come, or against a list of them kept for every grid.
+    ``deep_search`` call.  ``curve`` scores a grid against groups of the
+    folds of ``fitted``: each alone as it comes, or all of them as one group.
     """
 
     def __init__(
@@ -251,28 +256,14 @@ class _FoldFits:
                 self.kind,
             )
 
-    def curve(self, grid: list[ThresholdRule], folds: Iterable[_HeldOutFold]) -> CvCurve:
-        """CV error counts over ``folds``, survivor counts from the full fit.
-
-        Folds are scored in groups of consecutive folds, none with more
-        products than one fold's full prefix: a first grid fold by fold, a
-        refined grid, of short prefixes, in one call.  A group is scored
-        once the next fold would overfill it, and then dropped.
+    def curve(self, grid: list[ThresholdRule], groups: Iterable[list[_HeldOutFold]]) -> CvCurve:
+        """CV error counts over the folds of ``groups``, each group scored in
+        one call, and survivor counts from the full fit.  No name holds a
+        scored group, so folds fitted as they are asked for live one at a time.
         """
         params = np.array([rule.param for rule in grid])
         survivors = self.full_survival.counts(params)
-        budget = max(len(idx) for idx in self.plan) * self.full.p
-        errors = np.zeros(len(grid), dtype=int)
-        group, counts = [], []
-        for fold in folds:
-            kept = fold.kept(params)
-            size = sum(len(f.z) for f in group) + len(fold.z)
-            if group and size * max(kept.max(), *(c.max() for c in counts)) > budget:
-                errors += _group_errors(group, counts, grid, params)
-                group, counts = [], []
-            group.append(fold)
-            counts.append(kept)
-        errors += _group_errors(group, counts, grid, params)
+        errors = sum(map(lambda group: _group_errors(group, grid, params), groups))
         points = tuple(
             CvPoint(rule, int(errors[g]), int(survivors[g])) for g, rule in enumerate(grid)
         )
@@ -284,9 +275,8 @@ def cross_validate(ds: Dataset, grid, F: int, seed: int, **fit_kw) -> CvCurve:
 
     Every fit takes ``fit_statistics``'s options ``fit_kw`` by name.  Survivor
     counts are taken from a fit on the full training set.  Each fold is
-    fitted as the scoring reaches it, so at most one group of folds and the
-    next fold are alive at a time.  Deterministic given (ds, grid, F, seed,
-    fit_kw).
+    fitted as the scoring reaches it and scored alone, so one fold is alive
+    at a time.  Deterministic given (ds, grid, F, seed, fit_kw).
     """
     grid = list(grid)
     if not grid:
@@ -294,7 +284,7 @@ def cross_validate(ds: Dataset, grid, F: int, seed: int, **fit_kw) -> CvCurve:
     if len({rule.kind for rule in grid}) != 1:
         raise ValidationError("a CV curve must hold rules of a single kind")
     fits = _FoldFits(ds, grid[0].kind, F, seed, fit_kw)
-    return fits.curve(grid, fits.fitted())
+    return fits.curve(grid, map(lambda fold: [fold], fits.fitted()))
 
 
 def _preference(curve: CvCurve):
@@ -411,7 +401,7 @@ def deep_search(
     anchor_error: int | None = None
     stop_reason = ""
     for _ in range(max_iterations):
-        curve = fits.curve(grid, folds)
+        curve = fits.curve(grid, [folds])
         tau = select_smallest(curve)
         if current is not None and curve.points[tau].cv_error_count > current.cv_error_count:
             # refined grid is strictly worse than the incumbent; keep it

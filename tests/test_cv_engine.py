@@ -1,6 +1,7 @@
 """The fold-batched CV engine against the direct per-rule oracle."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,10 +100,8 @@ def test_every_deep_search_curve_equals_direct_oracle(ds, kind, seed, fit_kw):
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(ds=datasets(), kind=st.sampled_from(KINDS), seed=st.integers(0, 1000), data=st.data())
 def test_grouped_folds_equal_direct_oracle(ds, kind, seed, data):
-    """Grids of full-length and short prefixes over 2 to 5 folds, scored in groups.
-
-    No group may hold more products than one fold's full-length prefix.
-    """
+    """Grids of full-length and short prefixes over 2 to 5 folds, each grid
+    scored against all the folds in one call."""
     smallest = int(ds.class_sizes.min())
     # two folds of a class of 3 can leave one sample per class, too few to fit
     F = data.draw(st.integers(2 if smallest > 3 else 3, min(5, smallest)))
@@ -117,25 +116,25 @@ def test_grouped_folds_equal_direct_oracle(ds, kind, seed, data):
         [ThresholdRule(kind, v) for v in data.draw(st.lists(params, min_size=1, max_size=6))]
         for _ in range(3)
     ]
-    values = []
+    groups = []
     scorer = tuning._predict_group
 
-    def recording(folds, counts, *args):
-        values.append(sum(len(f.z) for f in folds) * ds.n_classes * max(c.max() for c in counts))
-        return scorer(folds, counts, *args)
+    def recording(folds, *args):
+        groups.append(len(folds))
+        return scorer(folds, *args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tuning, "_predict_group", recording)
         for grid in grids:
-            assert [pt.cv_error_count for pt in fits.curve(grid, folds).points] == (
+            assert [pt.cv_error_count for pt in fits.curve(grid, [folds]).points] == (
                 oracles.cv_error_counts_direct(ds, grid, F, seed)
             )
-    budget = max(len(f.z) for f in folds) * ds.n_classes * ds.p
-    assert max(values) <= budget
+    assert groups == [F] * len(grids)
 
 
-def test_refined_grids_score_every_fold_in_one_call(monkeypatch):
-    """Sized like narrow-deep: a first grid goes fold by fold, a refined grid in one call."""
+def test_deep_search_scores_every_grid_in_one_call(monkeypatch):
+    """Sized like narrow-deep: the first grid and every refined grid are
+    scored against all ten folds in one call."""
     train, _ = generate_synthetic(SynthSpec(
         p=300, n_classes=3, informative=20, shift=0.8, n_per_class=(24,) * 3,
         noise_sd=1.0, seed=2003,
@@ -149,13 +148,13 @@ def test_refined_grids_score_every_fold_in_one_call(monkeypatch):
 
     monkeypatch.setattr(tuning, "_predict_group", grouping)
     deep_search(train, "hard", F=10, seed=0)
-    assert len(groups) > 10
-    assert groups == [1] * 10 + [10] * (len(groups) - 10)
+    assert len(groups) > 1
+    assert groups == [10] * len(groups)
 
 
-def test_cross_validate_holds_one_group_and_the_next_fold(monkeypatch):
-    """Each fold is fitted as the scoring reaches it and each group dropped
-    once scored, so no more folds are alive than one group and one more."""
+def test_cross_validate_holds_one_fold_at_a_time(monkeypatch):
+    """Each fold is fitted as the scoring reaches it, scored alone and
+    dropped, so one fold is alive at a time, whatever the grid."""
     train, _ = generate_synthetic(SynthSpec(
         p=300, n_classes=3, informative=20, shift=0.8, n_per_class=(24,) * 3,
         noise_sd=1.0, seed=2003,
@@ -180,10 +179,10 @@ def test_cross_validate_holds_one_group_and_the_next_fold(monkeypatch):
     monkeypatch.setattr(tuning, "_HeldOutFold", Counted)
     monkeypatch.setattr(tuning, "_predict_group", grouping)
     top = np.abs(fit_statistics(train).t_stats).max()
-    # a first grid goes fold by fold, a grid of short prefixes in one call
-    for grid, want in [
-        (threshold_grid(fit_statistics(train), "hard", 30), [1] * 10),
-        ([ThresholdRule("hard", v * top) for v in (0.9, 0.95)], [10]),
+    # a first grid, of full-length prefixes, and a grid of short prefixes
+    for grid in [
+        threshold_grid(fit_statistics(train), "hard", 30),
+        [ThresholdRule("hard", v * top) for v in (0.9, 0.95)],
     ]:
         groups.clear()
         most[0] = 0
@@ -191,8 +190,31 @@ def test_cross_validate_holds_one_group_and_the_next_fold(monkeypatch):
         assert [pt.cv_error_count for pt in curve.points] == (
             oracles.cv_error_counts_direct(train, grid, 10, 0)
         )
-        assert groups == want
-        assert most[0] <= max(groups) + 1 and live[0] == 0
+        assert groups == [1] * 10
+        assert most[0] == 1 and live[0] == 0
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_scoring_holds_one_fold_of_products_at_a_time(kind):
+    """Ten folds at p = 2000 scored in one call under a first grid, whose
+    kept prefixes span every feature: the scorer holds one fold's gathered
+    z and its products, each n_f x K x p, not those of all ten folds."""
+    train, _ = generate_synthetic(SynthSpec(
+        p=2000, n_classes=3, informative=20, shift=0.8, n_per_class=(24,) * 3,
+        noise_sd=1.0, seed=2003,
+    ))
+    fits = tuning._FoldFits(train, kind, 10, 0, {})
+    folds = list(fits.fitted())
+    grid = threshold_grid(fits.full, kind, 30)
+    params = np.array([rule.param for rule in grid])
+    tracemalloc.start()
+    try:
+        tuning._predict_group(folds, grid, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    one_fold = max(len(fold.z) for fold in folds) * train.n_classes * train.p * 8
+    assert peak < 3 * one_fold
 
 
 @pytest.mark.parametrize("layout", ["C", "F"])
@@ -304,8 +326,7 @@ def group_predict(fits, grid):
     params = np.array([rule.param for rule in grid])
     folds = [tuning._HeldOutFold(stats, X.T, np.arange(len(X)), None, grid[0].kind)
              for stats, X in fits]
-    counts = np.stack([fold.kept(params) for fold in folds])
-    pred = tuning._predict_group(folds, counts, grid, params)
+    pred = tuning._predict_group(folds, grid, params)
     return np.split(pred, np.cumsum([len(X) for _, X in fits])[:-1])
 
 
@@ -385,11 +406,10 @@ def test_narrow_deep_sized_set_needs_no_fallback(kind, monkeypatch):
 
 
 def test_offset_near_ties_fall_back_to_predict(monkeypatch):
-    """With a 1e6 offset some rows are re-scored by predict, and still match.
-
-    From the fifth grid point on, the kept prefixes are short enough that
-    the three folds are scored as one group.
-    """
+    """With a 1e6 offset some rows are re-scored by predict, and still match,
+    whether each fold is scored alone, as ``cross_validate`` does, or the
+    three folds as one group, as ``deep_search`` does, on the full grid and
+    on its short prefixes from the fifth point on."""
     rng = np.random.default_rng(7)
     labels = ["a"] * 6 + ["b"] * 5 + ["c"] * 7
     values = rng.normal(size=(20, len(labels))) + 1e6
@@ -409,16 +429,22 @@ def test_offset_near_ties_fall_back_to_predict(monkeypatch):
 
     monkeypatch.setattr(tuning, "predict", counting_predict)
     monkeypatch.setattr(tuning, "_predict_group", grouping)
-    for start, sizes in ((0, [1, 1, 1]), (4, [3])):
-        rescored.clear()
-        groups.clear()
+    fits = tuning._FoldFits(ds, "soft", 3, 5, {})
+    folds = list(fits.fitted())
+    for start in (0, 4):
         grid = threshold_grid(fit_statistics(ds), "soft", 10)[start:]
-        curve = cross_validate(ds, grid, 3, 5)
-        assert groups == sizes
-        assert sum(rescored) > 0
-        assert [pt.cv_error_count for pt in curve.points] == (
-            oracles.cv_error_counts_direct(ds, grid, 3, 5)
-        )
+        for score, sizes in (
+            (lambda: cross_validate(ds, grid, 3, 5), [1, 1, 1]),
+            (lambda: fits.curve(grid, [folds]), [3]),
+        ):
+            rescored.clear()
+            groups.clear()
+            curve = score()
+            assert groups == sizes
+            assert sum(rescored) > 0
+            assert [pt.cv_error_count for pt in curve.points] == (
+                oracles.cv_error_counts_direct(ds, grid, 3, 5)
+            )
 
 
 def test_exact_prior_ties_need_no_fallback(monkeypatch):
@@ -437,16 +463,19 @@ def test_exact_prior_ties_need_no_fallback(monkeypatch):
 
 def test_prior_ties_that_differ_between_grouped_folds(monkeypatch):
     """Classes of 4, 5 and 6 over 2 folds: which priors tie differs from fold
-    to fold, and all vanish, so both folds are scored in one group."""
+    to fold, and all vanish, whether each fold is scored alone or both are
+    scored in one group."""
     rng = np.random.default_rng(3)
     labels = ["a"] * 4 + ["b"] * 5 + ["c"] * 6
     ds = Dataset.from_arrays(rng.normal(size=(15, 15)), labels)
     monkeypatch.setattr(tuning, "predict", None)
     big = float(np.abs(fit_statistics(ds).t_stats).max()) * 10
     grid = [ThresholdRule("hard", big), ThresholdRule("hard", big * 2)]
-    assert [pt.cv_error_count for pt in cross_validate(ds, grid, 2, 0).points] == (
-        oracles.cv_error_counts_direct(ds, grid, 2, 0)
-    )
+    want = oracles.cv_error_counts_direct(ds, grid, 2, 0)
+    assert [pt.cv_error_count for pt in cross_validate(ds, grid, 2, 0).points] == want
+    fits = tuning._FoldFits(ds, "hard", 2, 0, {})
+    group = list(fits.fitted())
+    assert [pt.cv_error_count for pt in fits.curve(grid, [group]).points] == want
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e6])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +153,23 @@ def test_scores_survivor_sum_equals_full_sum(rng):
             ]
         )
         assert np.max(np.abs(got - full) / (1.0 + np.abs(full))) < 1e-10
+
+
+def test_predict_holds_about_one_block():
+    """Under a rule that keeps about ten of 5000 features, the rest of the
+    block is gathered once and its shared term built in place."""
+    rng = np.random.default_rng(5)
+    ds = Dataset.from_arrays(rng.normal(size=(5000, 15)), ["a", "b", "c"] * 5)
+    model = shrink(fit_statistics(ds), ThresholdRule("order", 10))
+    X = rng.normal(size=(100, 5000))
+    tracemalloc.start()
+    try:
+        predict(model, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < len(model.survivors) <= 10
+    assert peak < 1.5 * X.nbytes
 
 
 def test_score_minimal_at_own_centroid(rng):

@@ -14,13 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DEFAULT_FOLDS, Dataset, column_order, fold_count
+from .data import Dataset, column_order, fold_count
 from .errors import ValidationError
 from .model import CentroidStats, fit_statistics, predict, shrink
 from .thresholds import ThresholdRule, threshold_grid
 from .tuning import (
-    DEFAULT_BIG_GAP, DEFAULT_M, DeepSearchIteration, DeepSearchTrace, cross_validate, deep_search,
-    select_smallest,
+    DEFAULT_BIG_GAP, DEFAULT_FOLDS, DEFAULT_M, DeepSearchIteration, DeepSearchTrace,
+    cross_validate, deep_search, select_smallest,
 )
 
 METHODS = {
@@ -48,8 +48,10 @@ def tune(
     m-point grid is built from it, and the deep search reuses it.  With
     ``deep`` this is ``deep_search``'s trace.  Without, the grid's
     smallest-error point is recorded as a single iteration with no runner-up
-    and stop reason ``"grid-only"``.
+    and stop reason ``"grid-only"``.  ``big_gap`` is checked either way.
     """
+    if big_gap < 0:
+        raise ValidationError(f"big_gap must be non-negative, got {big_gap}")
     F = fold_count(ds, folds)
     if deep:
         return deep_search(ds, kind, m=m, F=F, seed=seed, big_gap=big_gap, full=full, **fit_kw)
@@ -97,6 +99,8 @@ class SynthSpec:
             raise ValidationError("noise_sd must be positive")
         if not np.isfinite(self.shift):
             raise ValidationError("shift must be finite")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
 
 
 def _draw(spec: SynthSpec, rng: np.random.Generator) -> Dataset:

@@ -87,18 +87,9 @@ class Options:
             raise ValidationError(f"--{key} is required")
         return value
 
-    def flag(self, key: str, default: bool | None = False) -> bool | None:
+    def flag(self, key: str, default: bool = False) -> bool:
         """A boolean option: 1/0, true/false, yes/no or on/off, in any case."""
         return self.get(key, default, _flag_value)
-
-
-def _load_dataset(opts: Options) -> Dataset:
-    return load_matrix(
-        opts.require("data"),
-        orientation=opts.get("samples-in", "rows"),
-        label_col=opts.get("label-col"),
-        labels_path=opts.get("labels"),
-    )
 
 
 # Options passed to the library only when set, so that its defaults apply:
@@ -110,6 +101,10 @@ _PASSED = {
     "m": ("m", int),
     "folds": ("folds", int),
     "big-gap": ("big_gap", int),
+    "samples-in": ("orientation", str),
+    "label-col": ("label_col", str),
+    "labels": ("labels_path", str),
+    "gold": ("strategy", str),
 }
 _FIT = ("priors", "s0", "mk")
 
@@ -118,6 +113,10 @@ def _given(opts: Options, *keys: str) -> dict:
     """Keyword arguments for the options among ``keys`` that are set."""
     kw = {_PASSED[key][0]: opts.get(key, None, _PASSED[key][1]) for key in keys}
     return {name: value for name, value in kw.items() if value is not None}
+
+
+def _load_dataset(opts: Options) -> Dataset:
+    return load_matrix(opts.require("data"), **_given(opts, "samples-in", "label-col", "labels"))
 
 
 def _emit(rows, out_path=None):
@@ -141,7 +140,7 @@ def _cmd_train(opts: Options) -> int:
 def _cmd_predict(opts: Options) -> int:
     model_path, data = opts.require("model"), opts.require("data")
     model = load_model(model_path)
-    names, _, values = read_samples(data, opts.get("samples-in", "rows"))
+    names, _, values = read_samples(data, **_given(opts, "samples-in"))
     X = values.T
     if model.stats.feature_names is not None:
         X = X[:, column_order(names, model.stats.feature_names)]
@@ -229,19 +228,13 @@ def _cmd_bench(opts: Options) -> int:
 
 
 def _cmd_srd(opts: Options) -> int:
-    higher = opts.flag("higher-is-better", None)
-    lower = opts.flag("lower-is-better", None)
-    if higher is not None and higher == lower:
-        raise ValidationError("--higher-is-better and --lower-is-better contradict each other")
-    loo = opts.flag("loo")
+    lower_is_better, loo = not opts.flag("higher-is-better"), opts.flag("loo")
     methods, cases, values = read_table(opts.require("input"), 0)
-    M = PerformanceMatrix(
-        values, tuple(cases), tuple(methods), lower if lower is not None else not higher
-    )
-    strategy = opts.get("gold", "min")
-    result = compute_srd(M, strategy)
+    M = PerformanceMatrix(values, tuple(cases), tuple(methods), lower_is_better)
+    gold = _given(opts, "gold")
+    result = compute_srd(M, **gold)
     # leave-one-out before any output, so that too few rows write nothing
-    loo_values = srd_loo(M, strategy) if loo else None
+    loo_values = srd_loo(M, **gold) if loo else None
     rows, dist_rows = srd_report(result)
     _emit(rows, opts.get("out"))
     _emit(dist_rows, opts.get("dist-out"))
@@ -317,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("bench", "--train", "--test", "--label-col",
         *fit_flags, *tune_flags, "--big-gap", "--runs", "--out")
     add("srd", "--input", "--gold", "--out", "--dist-out", "--loo-out",
-        switches=("--lower-is-better", "--higher-is-better", "--loo"))
+        switches=("--higher-is-better", "--loo"))
     add("synth", "--p", "--q", "--k", "--shift", "--n-per-class", "--noise-sd",
         "--seed", "--out")
     return parser

@@ -339,10 +339,7 @@ def save_matrix(ds: Dataset, path) -> None:
             f.write(",".join((ds.labels[j], *map(repr, ds.values[:, j].tolist()))) + "\n")
 
 
-DEFAULT_FOLDS = 10  # the fold count of a tuning run that asks for none
-
-
-def fold_count(ds: Dataset, requested: int = DEFAULT_FOLDS) -> int:
+def fold_count(ds: Dataset, requested: int) -> int:
     """Requested fold count, capped at the smallest class size."""
     if requested < 1:
         raise ValidationError("requested fold count must be positive")
@@ -355,12 +352,14 @@ def stratified_folds(ds: Dataset, F: int, seed: int) -> tuple[np.ndarray, ...]:
 
     Per-fold counts of every class differ by at most one, so with F at most
     the smallest class size every class keeps a sample outside every fold.
-    The result is a deterministic function of (ds, F, seed).
+    The result is a deterministic function of (ds, F, seed), with seed >= 0.
     """
     if not 2 <= F <= int(ds.class_sizes.min()):
         raise ValidationError(
             f"fold count {F} must be in [2, min class size {int(ds.class_sizes.min())}]"
         )
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     assign = np.empty(ds.n, dtype=int)
     for k in range(ds.n_classes):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, read_text
+from .data import _LINE_BREAKS, Dataset, read_text
 from .errors import (
     DegenerateDesignError,
     DegenerateVarianceError,
@@ -195,19 +195,20 @@ _MODEL_VERSION = "1"
 
 
 def _fmt_vector(v: np.ndarray) -> str:
-    return " ".join(repr(float(x)) for x in np.asarray(v).ravel())
+    return " ".join(map(repr, np.asarray(v).ravel().tolist()))
 
 
 def save_model(model: ShrunkenModel, path) -> None:
     """Write a model as versioned plain text with full-precision decimals.
 
     Only the fitted statistics and the rule are stored; the shrunken parts
-    are rebuilt on load by reapplying the rule, which is exact.
+    are rebuilt on load by reapplying the rule, which is exact.  A name with
+    a comma or a line break would not read back, and is refused up front.
     """
     stats = model.stats
     for name in (*stats.classes, *(stats.feature_names or ())):
-        if "," in name:
-            raise ValidationError(f"class or feature name {name!r} may not contain a comma")
+        if any(c in name for c in ",\n\r" + _LINE_BREAKS):
+            raise ValidationError(f"name {name!r} holds a comma or a line break")
     lines = [
         f"{_MODEL_MAGIC} {_MODEL_VERSION}",
         f"p={stats.p}",

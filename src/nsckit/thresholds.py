@@ -184,7 +184,7 @@ class RowSurvival:
         return kept_counts(self._keys, self.kind, params)
 
 
-def threshold_grid(stats, kind: str, m: int = 30) -> list[ThresholdRule]:
+def threshold_grid(stats, kind: str, m: int) -> list[ThresholdRule]:
     """Build the initial tuning grid, in increasing-shrinkage order.
 
     Soft/hard: m values evenly spaced on [0, max|d|].  Order: m distinct

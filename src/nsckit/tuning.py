@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, fold_count, stratified_folds
+from .data import Dataset, stratified_folds
 from .errors import DeepSearchError, ValidationError
 from .model import CentroidStats, fit_statistics, predict, shrink
 # apply_rule stays bound here: benchmarks/bench_workloads.py instruments it by
@@ -46,7 +46,8 @@ from .thresholds import (  # noqa: F401
     threshold_grid,
 )
 
-# The defaults of a tuning run's grid size m and deep-search gap big_gap.
+# The defaults of a tuning run's fold count, grid size m and deep-search gap big_gap.
+DEFAULT_FOLDS = 10
 DEFAULT_M = 30
 DEFAULT_BIG_GAP = 2000
 
@@ -72,7 +73,6 @@ class CvCurve:
     """CV results along a grid, in increasing-shrinkage order."""
 
     points: tuple[CvPoint, ...]
-    fold_plan_seed: int
 
 
 @dataclass(frozen=True)
@@ -237,7 +237,7 @@ class _FoldFits:
         self, ds: Dataset, kind: str, F: int, seed: int, fit_kw: dict,
         full: CentroidStats | None = None,
     ):
-        self.ds, self.kind, self.seed, self.fit_kw = ds, kind, seed, fit_kw
+        self.ds, self.kind, self.fit_kw = ds, kind, fit_kw
         self.plan = stratified_folds(ds, F, seed)
         self.full = fit_statistics(ds, **fit_kw) if full is None else full
         self.full_survival = RowSurvival(self.full.t_stats, kind)
@@ -267,7 +267,7 @@ class _FoldFits:
         points = tuple(
             CvPoint(rule, int(errors[g]), int(survivors[g])) for g, rule in enumerate(grid)
         )
-        return CvCurve(points, self.seed)
+        return CvCurve(points)
 
 
 def cross_validate(ds: Dataset, grid, F: int, seed: int, **fit_kw) -> CvCurve:
@@ -370,8 +370,8 @@ def _refine_grid(
 def deep_search(
     ds: Dataset,
     kind: str,
+    F: int,
     m: int = DEFAULT_M,
-    F: int | None = None,
     seed: int = 0,
     big_gap: int = DEFAULT_BIG_GAP,
     max_iterations: int = 50,
@@ -384,15 +384,15 @@ def deep_search(
     Starts from the standard m-point grid, picks the smallest-error point
     (possibly jumping to a drastically smaller runner-up model), then
     repeatedly re-splits the qualifying neighboring interval and re-runs
-    cross-validation over the same fold fits, made once per call.  Stops
+    cross-validation over the same F fold fits, made once per call.  Stops
     when no interval qualifies, the refined grid is empty or cannot improve,
     or the survivor span is exhausted.  Raises ``DeepSearchError`` past ``max_iterations``.
     Every fit takes ``fit_statistics``'s options ``fit_kw`` by name.
     ``full``, when given, is the caller's fit of all of ``ds`` with the same
-    fit options, used in place of a refit.
+    fit options, used in place of a refit.  ``big_gap`` must be non-negative.
     """
-    if F is None:
-        F = fold_count(ds)
+    if big_gap < 0:
+        raise ValidationError(f"big_gap must be non-negative, got {big_gap}")
     fits = _FoldFits(ds, kind, F, seed, fit_kw, full)
     folds = list(fits.fitted())
     grid = threshold_grid(fits.full, kind, m)

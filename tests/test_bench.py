@@ -50,6 +50,8 @@ class TestSynthSpec:
             spec(n_per_class=(12, 1))
         with pytest.raises(ValidationError):
             spec(noise_sd=0.0)
+        with pytest.raises(ValidationError, match="seed"):
+            spec(seed=-1)
 
 
 class TestGenerateSynthetic:
@@ -130,6 +132,14 @@ class TestTune:
             train, kind, m=8, F=fold_count(train, 50), seed=4, big_gap=5, s0=0.5
         )
         assert tune(train, full, kind, True, 4, m=8, folds=50, big_gap=5, s0=0.5) == want
+
+    @pytest.mark.parametrize("deep", [False, True])
+    def test_big_gap_must_be_non_negative(self, pair, deep):
+        train, _ = pair
+        full = fit_statistics(train)
+        tune(train, full, "soft", deep, 0, m=8, folds=4, big_gap=0)
+        with pytest.raises(ValidationError, match="big_gap"):
+            tune(train, full, "soft", deep, 0, m=8, folds=4, big_gap=-1)
 
     @pytest.mark.parametrize("kind", ["soft", "hard", "order"])
     def test_deep_search_with_the_callers_fit_is_unchanged(self, pair, kind):

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nsckit import (
@@ -336,20 +336,19 @@ class TestBooleanOptions:
             # the same value on the command line
             assert self.srd(capsys, table_csv, "--higher-is-better", value)[:2] == (0, want)
 
-    def test_lower_is_better_sets_the_direction(self, capsys, table_csv, monkeypatch):
+    def test_higher_is_better_is_the_one_direction_switch(self, capsys, table_csv,
+                                                          tmp_path, monkeypatch):
         _, lower, _ = self.srd(capsys, table_csv)
         _, higher, _ = self.srd(capsys, table_csv, "--higher-is-better")
-        assert self.srd(capsys, table_csv, "--lower-is-better")[1] == lower
-        assert self.srd(capsys, table_csv, "--lower-is-better", "off")[:2] == (0, higher)
-        monkeypatch.setenv("SC_LOWER_IS_BETTER", "false")
-        assert self.srd(capsys, table_csv)[1] == higher
-
-    def test_both_directions_rejected(self, capsys, table_csv, monkeypatch):
-        code, _, err = self.srd(capsys, table_csv, "--lower-is-better", "--higher-is-better")
-        assert code == 1 and err.startswith("error:")
-        monkeypatch.setenv("SC_HIGHER_IS_BETTER", "1")
+        cfg = tmp_path / "nsckit.cfg"
+        for value, want in (("on", higher), ("off", lower)):
+            cfg.write_text(f"higher-is-better={value}\n")
+            assert self.srd(capsys, table_csv, "--config", str(cfg))[:2] == (0, want)
         code, _, err = self.srd(capsys, table_csv, "--lower-is-better")
-        assert code == 1 and err.startswith("error:")
+        assert code == 1 and "unrecognized arguments: --lower-is-better" in err
+        # an unknown SC_ variable is not read
+        monkeypatch.setenv("SC_LOWER_IS_BETTER", "false")
+        assert self.srd(capsys, table_csv)[:2] == (0, lower)
 
     def test_loo_from_env_and_config(self, capsys, table_csv, tmp_path, monkeypatch):
         loo = tmp_path / "loo.tsv"
@@ -423,6 +422,8 @@ class TestExitCodes:
         for argv in ((*tune, "--deep-search", "off"), tune, bench):
             code, _, err = run(capsys, *argv, "--big-gap", "abc")
             assert code == 1 and one_error_line(err) and "--big-gap" in err
+            code, _, err = run(capsys, *argv, "--big-gap", "-1")
+            assert code == 1 and one_error_line(err) and "big_gap" in err
         # cv never reads it
         monkeypatch.setenv("SC_BIG_GAP", "abc")
         assert run(capsys, "cv", *tune[1:])[0] == 0
@@ -546,6 +547,30 @@ class TestOneLineErrors:
         code, _, err = run(capsys, *args, "--m", "4")
         assert code == 1 and err == "error: unknown orientation 'foo'\n"
 
+    @pytest.mark.parametrize("source", ["flag", "env", "config"])
+    @pytest.mark.parametrize("command", ["cv", "tune", "bench", "synth"])
+    def test_negative_seed(self, capsys, synth_dir, tmp_path, monkeypatch, command, source):
+        train, test = str(synth_dir / "train.csv"), str(synth_dir / "test.csv")
+        tuning = ("--m", "4", "--folds", "3")
+        argv = {
+            "cv": ("cv", "--data", train, "--label-col", "label", "--method", "soft", *tuning),
+            "tune": ("tune", "--data", train, "--label-col", "label", "--method", "soft",
+                     *tuning),
+            "bench": ("bench", "--train", train, "--test", test, "--method", "sth",
+                      "--runs", "2", *tuning),
+            "synth": ("synth", "--p", "10", "--q", "2", "--out", str(tmp_path / "s")),
+        }[command]
+        if source == "flag":
+            argv += ("--seed", "-1")
+        elif source == "env":
+            monkeypatch.setenv("SC_SEED", "-1")
+        else:
+            cfg = tmp_path / "nsckit.cfg"
+            cfg.write_text("seed=-1\n")
+            argv += ("--config", str(cfg))
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and one_error_line(err) and "seed" in err
+
     def test_overflow(self, capsys, tmp_path):
         data = tmp_path / "huge.csv"
         data.write_text("label,f0\na,1e308\na,-1e308\nb,1\nb,2\n")
@@ -641,10 +666,11 @@ def fuzz_inputs(tmp_path_factory):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    target=st.sampled_from(["predict", "train", "srd", "config", "model"]),
+    target=st.sampled_from(["predict", "train", "srd", "config", "cv-config", "model"]),
     blob=fuzz_bytes,
     edits=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 9), cells), max_size=3),
 )
+@example(target="cv-config", blob=b"seed=-1", edits=[])
 def test_cli_fuzz_fails_with_one_error_line(fuzz_inputs, target, blob, edits):
     root, train, bare, model = fuzz_inputs
     fuzz = root / "fuzz.bin"
@@ -665,6 +691,9 @@ def test_cli_fuzz_fails_with_one_error_line(fuzz_inputs, target, blob, edits):
         "srd": ["srd", "--input", str(fuzz)],
         "config": ["train", "--data", str(train), "--label-col", "label",
                    "--out", out, "--config", str(fuzz)],
+        # cv reads the tuning options train never reads: seed, folds and m
+        "cv-config": ["cv", "--data", str(train), "--label-col", "label", "--method", "soft",
+                      "--out", out, "--config", str(fuzz)],
         "model": ["predict", "--model", str(fuzz), "--data", str(bare)],
     }[target]
     err = io.StringIO()

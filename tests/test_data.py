@@ -449,6 +449,8 @@ def test_stratified_folds_range_check(rng):
         stratified_folds(ds, 4, seed=0)
     with pytest.raises(ValidationError):
         stratified_folds(ds, 1, seed=0)
+    with pytest.raises(ValidationError, match="seed"):
+        stratified_folds(ds, 2, seed=-1)
 
 
 @pytest.mark.parametrize("sizes", [(2, 2), (2, 5, 8), (3, 3, 3), (4, 7), (5, 8, 6, 7)])

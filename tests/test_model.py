@@ -282,6 +282,36 @@ def test_model_serialization_round_trip(tmp_path, rng):
     assert back.stats.feature_names == st.feature_names == ds.feature_names
 
 
+@pytest.mark.parametrize("brk", list(",\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"))
+@pytest.mark.parametrize("where", ["class", "feature"])
+def test_names_that_would_not_read_back_are_refused(tmp_path, rng, brk, where):
+    ds = random_dataset(rng, p=3, n_classes=2)
+    names = ["a", "b", "c"]
+    labels = list(ds.labels)
+    if where == "feature":
+        names[1] = f"f{brk}2"
+    else:
+        labels = [f"x{brk}{lab}" if lab == labels[0] else lab for lab in labels]
+    ds = Dataset.from_arrays(ds.values, labels, names)
+    path = tmp_path / "model.txt"
+    with pytest.raises(ValidationError, match="comma or a line break"):
+        save_model(shrink(fit_statistics(ds), ThresholdRule("soft", 0.0)), path)
+    assert not path.exists()
+
+
+def test_tabs_spaces_and_equals_signs_in_names_round_trip(tmp_path, rng):
+    ds = random_dataset(rng, p=4, n_classes=2)
+    names = ["a\tb", " lead", "trail ", "x=y z"]
+    labels = ["class one" if k == 0 else "\tk=2 " for k in ds.y]
+    ds = Dataset.from_arrays(ds.values, labels, names)
+    model = shrink(fit_statistics(ds), ThresholdRule("soft", 0.0))
+    path = tmp_path / "model.txt"
+    save_model(model, path)
+    back = load_model(path)
+    assert back.stats.feature_names == tuple(names)
+    assert back.classes == model.classes == ("class one", "\tk=2 ")
+
+
 @pytest.mark.parametrize("field,value,message", [
     ("p=", "-1", "must be positive"),
     ("s0=", "nan", "non-finite number in s0"),

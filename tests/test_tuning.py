@@ -38,8 +38,7 @@ def make_curve(errors, survivors, kind="soft"):
         tuple(
             CvPoint(ThresholdRule(kind, t), e, g)
             for t, e, g in zip(params, errors, survivors)
-        ),
-        fold_plan_seed=0,
+        )
     )
 
 
@@ -229,3 +228,8 @@ class TestDeepSearch:
         ds = separable_dataset(seed=2)
         with pytest.raises(DeepSearchError):
             deep_search(ds, "soft", m=8, F=4, seed=0, max_iterations=0)
+
+    def test_negative_big_gap_rejected(self):
+        ds = separable_dataset(seed=2)
+        with pytest.raises(ValidationError, match="big_gap"):
+            deep_search(ds, "soft", m=8, F=4, seed=0, big_gap=-1)

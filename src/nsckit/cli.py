@@ -92,6 +92,13 @@ class Options:
         return self.get(key, default, _flag_value)
 
 
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError("must be non-negative")
+    return value
+
+
 # Options passed to the library only when set, so that its defaults apply:
 # option key -> (keyword argument, cast).
 _PASSED = {
@@ -100,7 +107,9 @@ _PASSED = {
     "mk": ("mk_mode", str),
     "m": ("m", int),
     "folds": ("folds", int),
-    "big-gap": ("big_gap", int),
+    "big-gap": ("big_gap", _non_negative),
+    "runs": ("runs", int),
+    "seed": ("base_seed", _non_negative),
     "samples-in": ("orientation", str),
     "label-col": ("label_col", str),
     "labels": ("labels_path", str),
@@ -155,7 +164,7 @@ def _tune(opts: Options, deep: bool, *keys: str):
     if kind not in KINDS:
         raise ValidationError("--method must be soft, hard, or order")
     fit_kw, tuning_kw = _given(opts, *_FIT), _given(opts, "m", "folds", *keys)
-    seed = opts.get("seed", 0, int)
+    seed = opts.get("seed", 0, _non_negative)
     ds = _load_dataset(opts)
     full = fit_statistics(ds, **fit_kw)
     return bench_mod.tune(ds, full, kind, deep, seed, **tuning_kw, **fit_kw)
@@ -202,17 +211,16 @@ def _cmd_tune(opts: Options) -> int:
 
 
 def _cmd_bench(opts: Options) -> int:
-    runs = opts.get("runs", 100, int)
-    if runs < 2:
+    runs_kw = _given(opts, "runs", "seed")
+    runs = runs_kw.get("runs")
+    if runs is not None and runs < 2:
         raise ValidationError(f"--runs must be at least 2 to aggregate, got {runs}")
     fit_kw, tuning_kw = _given(opts, *_FIT), _given(opts, "m", "folds", "big-gap")
-    seed, label_col = opts.get("seed", 0, int), opts.get("label-col", "label")
+    label_col = opts.get("label-col", "label")
     paths = [opts.require("train"), opts.require("test")]
     method = opts.require("method")
     train, test = (load_matrix(path, label_col=label_col) for path in paths)
-    records = bench_mod.run_experiment(
-        train, test, method, runs=runs, base_seed=seed, **tuning_kw, **fit_kw
-    )
+    records = bench_mod.run_experiment(train, test, method, **runs_kw, **tuning_kw, **fit_kw)
     rows = [["method", "seed", "chosen_rule", "test_error_pct", "survivor_count"]]
     rows += [[rec.method, rec.seed, rec.chosen_rule, repr(rec.test_error_pct),
               rec.survivor_count] for rec in records]
@@ -260,7 +268,7 @@ def _cmd_synth(opts: Options) -> int:
         shift=opts.get("shift", 1.0, float),
         n_per_class=sizes,
         noise_sd=opts.get("noise-sd", 1.0, float),
-        seed=opts.get("seed", 0, int),
+        seed=opts.get("seed", 0, _non_negative),
     )
     train, test = bench_mod.generate_synthetic(spec)
     out_dir = Path(opts.get("out", "."))

@@ -5,11 +5,13 @@ ranks of a golden-standard column (by default the per-case best value).
 The sum of absolute rank differences is judged against the null
 distribution of the displacement statistic sum |pi(i) - i| over uniform
 random permutations: exact (dynamic programming) for up to 13 cases,
-normal approximation with exact first two moments beyond.
+normal approximation with exact first two moments beyond.  Each case
+count's null is built once per process and every caller gets its own copy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -137,14 +139,21 @@ def exact_null_counts(r: int) -> dict[int, int]:
 
 
 def exact_null_distribution(r: int) -> dict[int, float]:
-    """Exact null probabilities of the SRD value for r <= 13 cases."""
+    """Exact null probabilities of the SRD value for r <= 13 cases, a new
+    dict on every call from the one built for r."""
     if not 2 <= r <= EXACT_LIMIT:
         raise ValidationError(
             f"exact distribution supports 2 <= r <= {EXACT_LIMIT}, got {r}; "
             "use normal_approx_null beyond"
         )
+    return dict(_exact_probabilities(r))
+
+
+@functools.cache
+def _exact_probabilities(r: int) -> tuple[tuple[int, float], ...]:
+    """The exact null of r cases as (value, probability) pairs, built once."""
     total = math.factorial(r)
-    return {v: c / total for v, c in exact_null_counts(r).items()}
+    return tuple((v, c / total) for v, c in exact_null_counts(r).items())
 
 
 def _displacement_moments(r: int) -> tuple[float, float]:
@@ -165,14 +174,21 @@ def normal_approx_null(r: int) -> NormalDist:
     """Normal approximation of the SRD null for r > 13 cases.
 
     A ``NormalDist`` with the exact first two moments of the displacement
-    statistic, computed by direct summation over value assignments.
+    statistic, computed by direct summation over value assignments once
+    per r.
     """
     if r < EXACT_LIMIT + 1:
         raise ValidationError(
             f"normal approximation is for r >= {EXACT_LIMIT + 1}, got {r}"
         )
+    return NormalDist(*_normal_moments(r))
+
+
+@functools.cache
+def _normal_moments(r: int) -> tuple[float, float]:
+    """Mean and standard deviation of the normal null of r cases, built once."""
     mean, var = _displacement_moments(r)
-    return NormalDist(mean, math.sqrt(var))
+    return mean, math.sqrt(var)
 
 
 def _discrete_percentile(dist: dict[int, float], q: float) -> float:

@@ -492,3 +492,30 @@ def test_midpoint_rows_match_predict(kind, offset):
         for got_f, (models, X) in zip(got, blocks):
             for g, mdl in enumerate(models):
                 assert got_f[:, g].tolist() == predict(mdl, X).tolist()
+
+
+@st.composite
+def score_arrays(draw):
+    """n x G x K scores drawn from a few levels, so classes tie, with some
+    entries set to inf as vanished twins are; one class of each sample and
+    rule stays finite, as the first of the twins does."""
+    n, G, K = draw(st.integers(1, 6)), draw(st.integers(1, 5)), draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.integers(1, 6))
+    scores = rng.integers(0, levels, size=(n, G, K)) * draw(st.floats(0.1, 1e6))
+    if draw(st.booleans()):
+        scores = rng.normal(size=(n, G, K))
+    masked = rng.random((n, G, K)) < draw(st.floats(0.0, 0.9))
+    masked[np.arange(n)[:, None], np.arange(G), rng.integers(0, K, size=(n, G))] = False
+    scores[masked] = np.inf
+    return scores
+
+
+@given(scores=score_arrays())
+def test_best_two_equals_argmin_and_partition(scores):
+    """The class-slice passes pick the first smallest class and its gap to
+    the second smallest, as argmin and a partition along the class axis do."""
+    pred, gap = tuning._best_two(scores)
+    two = np.partition(scores, 1, axis=2)
+    assert pred.tolist() == scores.argmin(axis=2).tolist()
+    np.testing.assert_array_equal(gap, two[:, :, 1] - two[:, :, 0])

@@ -191,6 +191,59 @@ class TestNullCalls:
         assert calls == {"exact_null_distribution": 2, "normal_approx_null": 3}
 
 
+class TestNullCache:
+    """Each r's null is built once per process; every caller gets its own copy."""
+
+    @staticmethod
+    def matrix(rng, r):
+        return PerformanceMatrix(
+            rng.normal(size=(r, 3)), tuple(f"r{i}" for i in range(r)), ("a", "b", "c")
+        )
+
+    def test_one_build_per_r(self, monkeypatch, rng):
+        srd_module._exact_probabilities.cache_clear()
+        srd_module._normal_moments.cache_clear()
+        builds = Counter()
+        for name in ("exact_null_counts", "_displacement_moments"):
+            real = getattr(srd_module, name)
+
+            def counted(r, real=real, name=name):
+                builds[name, r] += 1
+                return real(r)
+
+            monkeypatch.setattr(srd_module, name, counted)
+        for r in (13, 5, 40, 13, 20, 40, 5, 13, 40):
+            srd(self.matrix(rng, r), "min")
+        assert builds == {
+            ("exact_null_counts", 5): 1, ("exact_null_counts", 13): 1,
+            ("_displacement_moments", 20): 1, ("_displacement_moments", 40): 1,
+        }
+
+    def test_mutating_a_copy_leaves_later_calls_unchanged(self, rng):
+        want = exact_null_distribution(13)
+        got = exact_null_distribution(13)
+        got[0] = 1.0
+        del got[2]
+        assert exact_null_distribution(13) == want
+        M = self.matrix(rng, 13)
+        first, second = srd(M), srd(M)
+        assert first.null_distribution is not second.null_distribution
+        first.null_distribution.clear()
+        assert srd(M).null_distribution == second.null_distribution == want
+
+    def test_cached_values_equal_a_fresh_build(self):
+        for r in range(2, 14):
+            total = math.factorial(r)
+            fresh = [(v, c / total) for v, c in exact_null_counts(r).items()]
+            for _ in range(2):
+                assert list(exact_null_distribution(r).items()) == fresh
+        for r in range(14, 41):
+            mean, var = srd_module._displacement_moments(r)
+            for _ in range(2):
+                null = normal_approx_null(r)
+                assert (null.mean, null.stdev) == (mean, math.sqrt(var))
+
+
 class TestSrdTable3:
     def test_gold_ranks_and_diffs(self):
         result = srd(table3.matrix(), "min")

@@ -63,8 +63,11 @@ class SrdResult:
     mode: str  # "exact" | "normal"
 
 
-def golden_standard(M: PerformanceMatrix, strategy: str = "min") -> np.ndarray:
-    """Per-row ideal value: row minimum, maximum, or mean."""
+def golden_standard(M: PerformanceMatrix, strategy: str | None = None) -> np.ndarray:
+    """Per-row ideal value: row minimum, maximum, or mean; by default the
+    best value of each row, its minimum when lower is better."""
+    if strategy is None:
+        strategy = "min" if M.lower_is_better else "max"
     if strategy == "min":
         return M.values.min(axis=1)
     if strategy == "max":
@@ -101,38 +104,29 @@ def exact_null_counts(r: int) -> dict[int, int]:
     index a, the number of open arcs of each kind.  Each boundary between
     consecutive positions adds the 2a crossing arcs to the displacement sum.
 
-    Counts are machine integers (int64) through r = 20 and Python ints (an
-    object array) beyond, returned as Python ints either way.  The recurrence
-    only adds and multiplies, so int64 gets every count right modulo 2**64,
-    even where a state that can no longer close wraps; every final count is
-    at most r!, and 20! < 2**63 < 21!, so through r = 20 it comes out exact.
+    Counts are exact Python integers (an object array).
     """
     if r < 1:
         raise ValidationError(f"need r >= 1, got {r}")
-    dtype = np.int64 if r <= 20 else object
     # Only a <= min(b, r - b) after position b can still close, so r // 2 + 1
     # rows suffice.  A state past that bound never returns to a = 0, so what
     # it loses off the array, above row r // 2 or past max_srd(r), is moot.
-    arcs = np.arange(r // 2 + 1)
+    arcs = range(r // 2 + 1)
     width = max_srd(r) + 1
-    stay = np.array([1 + 2 * a for a in arcs.tolist()], dtype=dtype)[:, None]
-    close = np.array([a * a for a in arcs[1:].tolist()], dtype=dtype)[:, None]
-    # row a moves 2a along the cost axis at every boundary: flat indices of
-    # every cell that stays on the array and of the cell it moves to
-    rows, cols = np.nonzero(arcs[:, None] * 2 + np.arange(width) < width)
-    src = rows * width + cols
-    dst = src + 2 * rows
-    counts = np.zeros((arcs.size, width), dtype=dtype)
-    nxt = np.empty_like(counts)
+    stay = np.array([1 + 2 * a for a in arcs], dtype=object)[:, None]
+    close = np.array([a * a for a in arcs[1:]], dtype=object)[:, None]
+    counts = np.zeros((len(arcs), width), dtype=object)
     counts[0, 0] = 1
     for b in range(1, r + 1):
         # a stays: matched pair, or one closes an open arc and one opens (1 + 2a);
         # a - 1: both close one of a open arcs (a * a); a + 1: both stay open
-        np.multiply(counts, stay, out=nxt)
+        nxt = counts * stay
         nxt[:-1] += counts[1:] * close
         nxt[1:] += counts[:-1]
-        counts.fill(0)
-        counts.ravel()[dst] = nxt.ravel()[src]
+        # row a moves 2a along the cost axis at every boundary
+        counts = np.zeros_like(nxt)
+        for a in arcs:
+            counts[a, 2 * a :] = nxt[a, : width - 2 * a]
     final = {v: c for v, c in enumerate(counts[0].tolist()) if c}
     assert sum(final.values()) == math.factorial(r)
     return final
@@ -200,7 +194,7 @@ def _discrete_percentile(dist: dict[int, float], q: float) -> float:
     return float(max(dist))
 
 
-def _rank_differences(M: PerformanceMatrix, strategy: str):
+def _rank_differences(M: PerformanceMatrix, strategy: str | None):
     """The (r, c + 1) ranks of the golden standard, then of every column;
     warns once per tied column at the caller of ``srd`` or ``srd_loo``."""
     gold = golden_standard(M, strategy)
@@ -220,7 +214,7 @@ def _rank_differences(M: PerformanceMatrix, strategy: str):
     return ranks
 
 
-def srd(M: PerformanceMatrix, strategy: str = "min") -> SrdResult:
+def srd(M: PerformanceMatrix, strategy: str | None = None) -> SrdResult:
     """SRD of every method column against the golden standard."""
     ranks = _rank_differences(M, strategy)
     r = M.values.shape[0]
@@ -242,7 +236,7 @@ def srd(M: PerformanceMatrix, strategy: str = "min") -> SrdResult:
     )
 
 
-def srd_loo(M: PerformanceMatrix, strategy: str = "min") -> dict[str, list[float]]:
+def srd_loo(M: PerformanceMatrix, strategy: str | None = None) -> dict[str, list[float]]:
     """Leave-one-row-out SRD spread: scaled SRDs with each case removed.
 
     Ranks break ties in row order and each case's golden value depends on

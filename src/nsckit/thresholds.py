@@ -78,21 +78,19 @@ def hard(d, delta: float):
     return out if out.ndim else float(out)
 
 
-def _stable_argsort(a) -> np.ndarray:
-    """``np.argsort(a, kind="stable")`` of a NaN-free array, by two plain sorts:
-    one groups equal values, the other orders the groups' runs by index."""
-    a = np.ravel(a)
+def magnitude_order(D) -> np.ndarray:
+    """Flat row-major indices of D's entries, largest |d| first; ties in
+    magnitude go to the smaller row index, then the smaller column index.
+
+    That is ``np.argsort(-|D|, kind="stable")``, by two plain sorts: one
+    groups equal magnitudes, the other orders the groups' runs by index.
+    """
+    a = -np.abs(np.ravel(np.asarray(D, dtype=float)))
     first = np.argsort(a)
     ordered = a[first]
     run = np.zeros(a.size, dtype=np.int64)
     np.cumsum(ordered[1:] != ordered[:-1], out=run[1:])
     return first[np.argsort(run * a.size + first)]
-
-
-def magnitude_order(D) -> np.ndarray:
-    """Flat row-major indices of D's entries, largest |d| first; ties in
-    magnitude go to the smaller row index, then the smaller column index."""
-    return _stable_argsort(-np.abs(np.asarray(D, dtype=float)))
 
 
 def magnitude_ranks(D) -> np.ndarray:
@@ -107,16 +105,6 @@ def magnitude_ranks(D) -> np.ndarray:
     return ranks.reshape(D.shape)
 
 
-def _check_keep(keeps, size: int) -> None:
-    for keep in np.ravel(keeps):
-        if keep != int(keep) or keep < 0:
-            raise ValidationError(
-                f"retained count must be a nonnegative integer, got {keep}"
-            )
-        if keep > size:
-            raise ValidationError(f"retained count {keep} exceeds statistic count {size}")
-
-
 def order(D, keep: int) -> np.ndarray:
     """Keep the ``keep`` largest-|d| entries of the whole matrix, zero the rest.
 
@@ -125,7 +113,10 @@ def order(D, keep: int) -> np.ndarray:
     the output has exactly min(keep, #nonzero) nonzero entries.
     """
     D = np.asarray(D, dtype=float)
-    _check_keep(keep, D.size)
+    if keep != int(keep) or keep < 0:
+        raise ValidationError(f"retained count must be a nonnegative integer, got {keep}")
+    if keep > D.size:
+        raise ValidationError(f"retained count {keep} exceeds statistic count {D.size}")
     return np.where(retention_keys(D, "order") < keep, D, 0.0)
 
 
@@ -158,30 +149,6 @@ def kept_counts(sorted_keys, kind: str, params) -> np.ndarray:
     """How many of the ascending ``sorted_keys`` the rule with each parameter keeps."""
     params = np.asarray(params)
     return np.searchsorted(sorted_keys, params if kind == "order" else -params, side="left")
-
-
-class RowSurvival:
-    """Which rows of a p x K matrix keep a nonzero entry under rules of one kind.
-
-    A rule keeps a row exactly when it keeps the row's smallest
-    :func:`retention_keys` key: its largest |d| exceeds the threshold for
-    soft and hard, one of its nonzero entries ranks below the retained count
-    for order.  So the survivors of any rule are a prefix of ``rows`` and
-    ``counts`` gives their number in closed form.
-    """
-
-    def __init__(self, D, kind: str):
-        key = retention_keys(D, kind).min(axis=1)
-        self.kind = kind
-        self.size = np.size(D)
-        self.rows = _stable_argsort(key)
-        self._keys = key[self.rows]
-
-    def counts(self, params) -> np.ndarray:
-        """Survivor count of the rule with each parameter."""
-        if self.kind == "order":
-            _check_keep(params, self.size)
-        return kept_counts(self._keys, self.kind, params)
 
 
 def threshold_grid(stats, kind: str, m: int) -> list[ThresholdRule]:

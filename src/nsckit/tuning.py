@@ -37,7 +37,6 @@ from .model import CentroidStats, fit_statistics, predict, shrink
 # apply_rule stays bound here: benchmarks/bench_workloads.py instruments it by
 # name in every module that imports it.
 from .thresholds import (  # noqa: F401
-    RowSurvival,
     ThresholdRule,
     apply_rule,
     kept_counts,
@@ -50,6 +49,8 @@ from .thresholds import (  # noqa: F401
 DEFAULT_FOLDS = 10
 DEFAULT_M = 30
 DEFAULT_BIG_GAP = 2000
+# The deep search raises DeepSearchError past this many grid passes.
+MAX_ITERATIONS = 50
 
 
 def _prefix_sums(a: np.ndarray) -> np.ndarray:
@@ -255,7 +256,8 @@ class _FoldFits:
         self.ds, self.kind, self.fit_kw = ds, kind, fit_kw
         self.plan = stratified_folds(ds, F, seed)
         self.full = fit_statistics(ds, **fit_kw) if full is None else full
-        self.full_survival = RowSurvival(self.full.t_stats, kind)
+        # a rule keeps a row exactly when it keeps the row's smallest key
+        self.row_keys = np.sort(retention_keys(self.full.t_stats, kind).min(axis=1))
 
     def fitted(self) -> Iterator[_HeldOutFold]:
         """The folds of the plan in turn, each fitted when it is asked for."""
@@ -277,7 +279,7 @@ class _FoldFits:
         scored group, so folds fitted as they are asked for live one at a time.
         """
         params = np.array([rule.param for rule in grid])
-        survivors = self.full_survival.counts(params)
+        survivors = kept_counts(self.row_keys, self.kind, params)
         errors = sum(map(lambda group: _group_errors(group, grid, params), groups))
         points = tuple(
             CvPoint(rule, int(errors[g]), int(survivors[g])) for g, rule in enumerate(grid)
@@ -291,13 +293,18 @@ def cross_validate(ds: Dataset, grid, F: int, seed: int, **fit_kw) -> CvCurve:
     Every fit takes ``fit_statistics``'s options ``fit_kw`` by name.  Survivor
     counts are taken from a fit on the full training set.  Each fold is
     fitted as the scoring reaches it and scored alone, so one fold is alive
-    at a time.  Deterministic given (ds, grid, F, seed, fit_kw).
+    at a time.  An order rule that keeps more than the p*K statistics is
+    refused before any fit.  Deterministic given (ds, grid, F, seed, fit_kw).
     """
     grid = list(grid)
     if not grid:
         raise ValidationError("grid must be nonempty")
     if len({rule.kind for rule in grid}) != 1:
         raise ValidationError("a CV curve must hold rules of a single kind")
+    size = ds.p * ds.n_classes
+    for rule in grid:
+        if rule.kind == "order" and rule.param > size:
+            raise ValidationError(f"retained count {rule.param} exceeds statistic count {size}")
     fits = _FoldFits(ds, grid[0].kind, F, seed, fit_kw)
     return fits.curve(grid, map(lambda fold: [fold], fits.fitted()))
 
@@ -321,19 +328,15 @@ def _runner_up(curve: CvCurve, tau: int) -> int | None:
 
 
 def _switch_to_runner_up(
-    tau_point: CvPoint,
-    nu_point: CvPoint,
-    big_gap: int,
-    anchor_error: int,
-    error_gap: int = 1,
+    tau_point: CvPoint, nu_point: CvPoint, big_gap: int, anchor_error: int
 ) -> bool:
     """Whether the runner-up replaces the smallest-error point.
 
-    Requires the runner-up's error within ``error_gap`` of the anchor (the
-    smallest error seen so far) and a drastic survivor reduction: either
-    less than half the survivors, or a reduction above ``big_gap``.
+    Requires the runner-up's error within one of the anchor (the smallest
+    error seen so far) and a drastic survivor reduction: either less than
+    half the survivors, or a reduction above ``big_gap``.
     """
-    if nu_point.cv_error_count - anchor_error > error_gap:
+    if nu_point.cv_error_count - anchor_error > 1:
         return False
     return (
         2 * nu_point.survivor_count < tau_point.survivor_count
@@ -389,7 +392,6 @@ def deep_search(
     m: int = DEFAULT_M,
     seed: int = 0,
     big_gap: int = DEFAULT_BIG_GAP,
-    max_iterations: int = 50,
     *,
     full: CentroidStats | None = None,
     **fit_kw,
@@ -401,7 +403,7 @@ def deep_search(
     repeatedly re-splits the qualifying neighboring interval and re-runs
     cross-validation over the same F fold fits, made once per call.  Stops
     when no interval qualifies, the refined grid is empty or cannot improve,
-    or the survivor span is exhausted.  Raises ``DeepSearchError`` past ``max_iterations``.
+    or the survivor span is exhausted.  Raises ``DeepSearchError`` past ``MAX_ITERATIONS``.
     Every fit takes ``fit_statistics``'s options ``fit_kw`` by name.
     ``full``, when given, is the caller's fit of all of ``ds`` with the same
     fit options, used in place of a refit.  ``big_gap`` must be non-negative.
@@ -415,7 +417,7 @@ def deep_search(
     current: CvPoint | None = None
     anchor_error: int | None = None
     stop_reason = ""
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         curve = fits.curve(grid, [folds])
         tau = select_smallest(curve)
         if current is not None and curve.points[tau].cv_error_count > current.cv_error_count:
@@ -453,8 +455,6 @@ def deep_search(
             break
         grid = next_grid
     else:
-        raise DeepSearchError(
-            f"deep search exceeded the iteration cap of {max_iterations}"
-        )
+        raise DeepSearchError(f"deep search exceeded the iteration cap of {MAX_ITERATIONS}")
     assert current is not None
     return DeepSearchTrace(tuple(iterations), current.rule, stop_reason)

@@ -257,6 +257,18 @@ class TestSrd:
         assert lines[0] == "method\tloo_min\tloo_mean\tloo_max"
         assert len(lines) == 4
 
+    def test_higher_is_better_takes_the_row_maximum_as_gold(self, tmp_path, capsys):
+        # no column has a tie, so the direction acts through the golden standard
+        path = tmp_path / "tie-free.csv"
+        path.write_text(
+            "case,A,B,C\nr1,1,12,23\nr2,2,14,21\nr3,3,11,25\nr4,4,15,22\nr5,5,13,24\n"
+        )
+        lower, higher, gold_max = (
+            run(capsys, "srd", "--input", str(path), *flags)[1]
+            for flags in ((), ("--higher-is-better",), ("--higher-is-better", "--gold", "max"))
+        )
+        assert higher == gold_max != lower
+
     def test_tie_warnings_are_one_line_each(self, tmp_path, capsys):
         path = tmp_path / "tied.csv"
         path.write_text("case,A,B\nr1,1,1\nr2,1,2\nr3,2,3\nr4,3,3\n")

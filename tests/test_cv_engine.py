@@ -24,7 +24,7 @@ from nsckit import (
     stratified_folds,
     threshold_grid,
 )
-from nsckit.thresholds import RowSurvival, kept_counts, retention_keys
+from nsckit.thresholds import kept_counts, retention_keys
 
 import oracles
 from conftest import random_dataset, tied_matrix
@@ -285,14 +285,11 @@ def test_closed_forms_match_apply_rule(D, kind, data):
             assert count == kept.sum()
             if 0 < count < len(D):
                 assert keys[kept, k].max() < keys[~kept, k].min()
-    survival = RowSurvival(D, kind)
-    assert survival.counts(params).tolist() == [
+    # a rule keeps a row exactly when it keeps the row's smallest key
+    row_keys = np.sort(keys.min(axis=1))
+    assert kept_counts(row_keys, kind, params).tolist() == [
         int(np.any(apply_rule(D, rule) != 0.0, axis=1).sum()) for rule in rules
     ]
-    # the survivors of every rule are a prefix of survival.rows
-    for rule, count in zip(rules, survival.counts(params)):
-        kept = np.flatnonzero(np.any(apply_rule(D, rule) != 0.0, axis=1))
-        assert sorted(survival.rows[:count].tolist()) == kept.tolist()
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -53,6 +53,12 @@ class TestGoldenStandard:
         M = PerformanceMatrix(np.array([[2.0, 4.0], [0.0, 1.0]]), ("a", "b"), ("x", "y"))
         np.testing.assert_array_equal(golden_standard(M, "mean"), [3.0, 0.5])
 
+    def test_default_is_the_best_value_in_the_ranking_direction(self):
+        values = np.array([[1.33, 0.0, 2.7], [5.0, 6.0, 7.0]])
+        for lower, want in ((True, [0.0, 5.0]), (False, [2.7, 7.0])):
+            M = PerformanceMatrix(values, ("a", "b"), ("x", "y", "z"), lower)
+            np.testing.assert_array_equal(golden_standard(M), want)
+
     def test_unknown_strategy(self):
         M = PerformanceMatrix(np.ones((2, 1)), ("a", "b"), ("x",))
         with pytest.raises(ValidationError):
@@ -100,7 +106,7 @@ class TestExactNull:
         brute = oracles.srd_null_by_enumeration(r)
         assert exact_null_counts(r) == oracles.srd_null_counts_direct(r) == brute
 
-    # int64 counts through r = 20, Python ints beyond: 20! < 2**63 < 21!
+    # counts past 2**63 from r = 21 on: 20! < 2**63 < 21!
     @pytest.mark.parametrize("r", range(9, 23))
     def test_matches_recurrence_oracle_across_the_dtype_switch(self, r):
         counts = exact_null_counts(r)
@@ -120,7 +126,7 @@ class TestExactNull:
         with pytest.raises(ValidationError):
             exact_null_distribution(14)
 
-    # 25! > 21! > 2**63 > 20!: r = 20 runs on int64, r = 21 and 25 on Python ints
+    # 25! > 21! > 2**63 > 20!: the counts of r = 21 and 25 pass 2**63
     @pytest.mark.parametrize("r", [*range(2, 14), 20, 21, 25])
     def test_exact_moments_match_closed_forms(self, r):
         # Diaconis & Graham (1977): mean (r^2 - 1)/3, variance (r+1)(2r^2+7)/45
@@ -437,3 +443,27 @@ def test_ranks_and_srd_equal_the_rank_formula(M, strategy):
         for name, col in zip(names, columns)
         if len(set(col.tolist())) < r
     ]
+
+
+@st.composite
+def tie_free_matrices(draw):
+    """Distinct values in every column, so no rank depends on row order."""
+    r = draw(st.integers(2, 20))
+    c = draw(st.integers(1, 6))
+    columns = [
+        draw(st.lists(st.integers(-1000, 1000), min_size=r, max_size=r, unique=True))
+        for _ in range(c)
+    ]
+    return np.array(columns, dtype=float).T
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=tie_free_matrices())
+def test_higher_is_better_equals_negated_lower_is_better(values):
+    rows = tuple(f"case{i}" for i in range(len(values)))
+    cols = tuple(f"m{j}" for j in range(values.shape[1]))
+    higher = PerformanceMatrix(values, rows, cols, lower_is_better=False)
+    negated = PerformanceMatrix(-values, rows, cols)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the golden standard may tie
+        assert srd(higher).srd_raw == srd(negated).srd_raw

@@ -1,8 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
+import nsckit.tuning as tuning
 from nsckit import (
     CvCurve,
     CvPoint,
@@ -21,7 +20,6 @@ from nsckit import (
 from nsckit.tuning import (
     _candidate_interval,
     _refine_grid,
-    _runner_up,
     _switch_to_runner_up,
 )
 
@@ -96,6 +94,21 @@ class TestCrossValidate:
         with pytest.raises(ValidationError):
             cross_validate(ds, [], F=3, seed=0)
 
+    def test_order_count_past_statistic_count_rejected_before_any_fit(self, monkeypatch):
+        ds = generate_synthetic(
+            SynthSpec(p=10, n_classes=2, informative=4, shift=4.0,
+                      n_per_class=(10, 10), noise_sd=0.5, seed=0)
+        )[0]
+        # p * K = 20 statistics: keeping all of them is a valid rule
+        cross_validate(ds, [ThresholdRule("order", 20)], F=4, seed=0)
+        fits = []
+        monkeypatch.setattr(tuning, "fit_statistics", lambda *a, **kw: fits.append(a))
+        grid = [ThresholdRule("order", 100), ThresholdRule("order", 10)]
+        with pytest.raises(ValidationError) as err:
+            cross_validate(ds, grid, F=4, seed=0)
+        assert str(err.value) == "retained count 100 exceeds statistic count 20"
+        assert fits == []
+
     def test_mixed_rule_kinds_rejected(self):
         ds = separable_dataset()
         grid = [ThresholdRule("soft", 0.0), ThresholdRule("hard", 0.0)]
@@ -125,24 +138,6 @@ class TestSwitchDecision:
         tau = CvPoint(ThresholdRule("soft", 1.0), 4, 100)
         nu = CvPoint(ThresholdRule("soft", 6.0), 5, 60)
         assert not _switch_to_runner_up(tau, nu, big_gap=2000, anchor_error=4)
-
-    def test_never_switches_with_tightened_gap_and_infinite_big_gap(self, rng):
-        # with the error gap tightened to 0 and the big-gap branch disabled,
-        # the runner-up can never qualify: select_smallest already prefers
-        # the smaller model among equal-error points
-        for _ in range(200):
-            errors = rng.integers(0, 10, size=8)
-            survivors = np.sort(rng.integers(0, 3000, size=8))[::-1]
-            curve = make_curve(list(errors), list(survivors))
-            tau = select_smallest(curve)
-            nu = _runner_up(curve, tau)
-            assert not _switch_to_runner_up(
-                curve.points[tau],
-                curve.points[nu],
-                big_gap=math.inf,
-                anchor_error=curve.points[tau].cv_error_count,
-                error_gap=0,
-            )
 
 
 class TestCandidateInterval:
@@ -224,10 +219,11 @@ class TestDeepSearch:
             )
             assert final_err <= initial_best + 1
 
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
         ds = separable_dataset(seed=2)
+        monkeypatch.setattr(tuning, "MAX_ITERATIONS", 0)
         with pytest.raises(DeepSearchError):
-            deep_search(ds, "soft", m=8, F=4, seed=0, max_iterations=0)
+            deep_search(ds, "soft", m=8, F=4, seed=0)
 
     def test_negative_big_gap_rejected(self):
         ds = separable_dataset(seed=2)

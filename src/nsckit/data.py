@@ -8,6 +8,7 @@ sortable. Datasets are immutable after construction.
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 from itertools import chain
 from dataclasses import dataclass
@@ -222,13 +223,18 @@ def read_table(path, key_col: int | str | None = None):
     and the rows x columns float array.  Names are stripped of outer
     whitespace.
 
-    A well-formed table is streamed: its rows go one at a time to numpy's C
-    reader, which parses the numeric cells in one call.  A table the C
-    reader refuses, or that holds a non-finite value, a line break other
-    than \\n and \\r or bytes that are not UTF-8, is read whole and walked
-    cell by cell instead, with the same result or error: the walk reports
-    the first bad cell, and accepts the cells that ``float`` reads but the C
-    reader does not (``1_000``, non-ASCII digits).
+    A well-formed table goes to numpy's C reader, which parses the numeric
+    cells in one call.  A file of at least ``2 * _RANGE_BYTES`` bytes, on a
+    system with fork and at least two usable CPUs, is cut below its header
+    into one range of whole lines per usable CPU (each at least
+    ``_RANGE_BYTES``), and a forked child parses each range into its part
+    of the result; any other table is streamed here, one row at a time.  A
+    table the C reader refuses, in any range, or that holds a non-finite
+    value, a line break other than \\n and \\r or bytes that are not UTF-8,
+    is read whole and walked cell by cell instead, with the same result or
+    error: the walk reports the first bad cell, and accepts the cells that
+    ``float`` reads but the C reader does not (``1_000``, non-ASCII digits).
+    The result and every error are the same whichever way a file is read.
     """
     try:
         with open(path, encoding="utf-8-sig") as f:
@@ -236,12 +242,35 @@ def read_table(path, key_col: int | str | None = None):
             head, first = next(lines, None), next(lines, None)
             if first is not None and not any(c in head for c in _LINE_BREAKS):
                 delim, header, width, key_col_at = _header(head, key_col)
-                parsed = _parse_block(chain([first], lines), delim, width, key_col_at)
+                fmt, rows = (delim, width, key_col_at), chain([first], lines)
+                if (parts := _range_count(path)) > 1:
+                    from .ranges import parse_rows  # compiled only where a file is split
+
+                    parsed = parse_rows(path, parts, head, rows, *fmt)
+                else:
+                    parsed = _parse_block(rows, *fmt)
                 if parsed is not None:
                     return header, *parsed
     except UnicodeDecodeError:
         pass
     return _walk_table(path, key_col)
+
+
+# The smallest range worth a forked child.  A split read pays about 10 ms
+# for its forks, the children's exits and the transfer of their rows.
+# Timed by read_table from a 110 MB process on a 2-core host (median of 41
+# interleaved reads of 72-row CSVs), split over serial time was 1.34 at
+# 1.0 MB, 1.10 at 2.0 MB, 0.91 at 3.0 MB and 0.61 at 31.6 MB (wide-grid's
+# training file): two ranges of 1.5 MB break even.
+_RANGE_BYTES = 1_500_000
+
+
+def _range_count(path) -> int:
+    """How many ranges to parse a file in: one per usable CPU, each of at
+    least ``_RANGE_BYTES``, where the system can fork."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(len(os.sched_getaffinity(0)), os.path.getsize(path) // _RANGE_BYTES)
 
 
 def _walk_table(path, key_col):

@@ -185,13 +185,20 @@ def _normal_moments(r: int) -> tuple[float, float]:
     return mean, math.sqrt(var)
 
 
-def _discrete_percentile(dist: dict[int, float], q: float) -> float:
-    cum = 0.0
-    for v in sorted(dist):
-        cum += dist[v]
-        if cum >= q:
-            return float(v)
-    return float(max(dist))
+@functools.cache
+def _exact_percentiles(r: int) -> tuple[tuple[str, float], ...]:
+    """Each of the ``PERCENTILES`` of the exact null of r cases, found once:
+    the smallest value whose cumulative probability reaches its level, or
+    the largest value."""
+    found = []
+    for name, q in PERCENTILES:
+        cum = 0.0
+        for v, prob in sorted(_exact_probabilities(r)):
+            cum += prob
+            if cum >= q:
+                break
+        found.append((name, float(v)))
+    return tuple(found)
 
 
 def _rank_differences(M: PerformanceMatrix, strategy: str | None):
@@ -220,7 +227,7 @@ def srd(M: PerformanceMatrix, strategy: str | None = None) -> SrdResult:
     r = M.values.shape[0]
     if r <= EXACT_LIMIT:
         dist = exact_null_distribution(r)
-        percentiles = {name: _discrete_percentile(dist, q) for name, q in PERCENTILES}
+        percentiles = dict(_exact_percentiles(r))
         mode = "exact"
     else:
         null = normal_approx_null(r)
@@ -242,19 +249,36 @@ def srd_loo(M: PerformanceMatrix, strategy: str | None = None) -> dict[str, list
     Ranks break ties in row order and each case's golden value depends on
     its own row only, so removing case d lowers by one every rank above d's,
     in every method column and in the golden standard.  The full matrix is
-    ranked once and every leave-one-out SRD is read off that rank shift; tie
-    warnings are the full matrix's, once per column.  Only the scaled SRDs
-    are computed; no null distribution is built.
+    ranked once and every leave-one-out SRD is read off that rank shift in
+    O(r c) time and memory; tie warnings are the full matrix's, once per
+    column.  Only the scaled SRDs are computed; no null distribution is
+    built.
+
+    With x_i = R_ic - R_i0 the rank difference of case i in column c, the
+    shift moves each other x_i by at most one, so removing case d leaves
+    sum |x_i| - |x_d| - sum_{R_ic > R_dc} sgn x_i + sum_{R_i0 > R_d0} sgn x_i
+    + #{i : x_i = 0, min(R_dc, R_d0) < R_ic <= max(R_dc, R_d0)}, each term
+    read off a cumulative sum in rank order.
     """
     r = M.values.shape[0]
     if r < 3:
         raise ValidationError("leave-one-out SRD needs at least 3 rows")
     ranks = _rank_differences(M, strategy)
-    # shifted[d, i, c]: rank of row i in column c once row d is removed
-    shifted = ranks - (ranks > ranks[:, None, :])
-    diffs = np.abs(shifted[:, :, 1:] - shifted[:, :, :1])
-    diffs[np.arange(r), np.arange(r)] = 0  # the removed row itself
-    scaled = 100.0 * diffs.sum(axis=1) / max_srd(r - 1)
+    gold, cols = ranks[:, :1], ranks[:, 1:]
+    x = cols - gold
+    at = np.arange(x.shape[1])
+
+    def through(rank, w):
+        """[k, c]: the sum of w[i, c] over the cases i of rank at most k."""
+        table = np.zeros((r + 1, x.shape[1]), dtype=int)
+        table[rank, at] = w
+        return table.cumsum(axis=0)
+
+    # both sums over sgn x_i are the same total less a prefix sum
+    by_col, by_gold, zeros = through(cols, np.sign(x)), through(gold, np.sign(x)), through(cols, x == 0)
+    raw = (np.abs(x).sum(axis=0) - np.abs(x) + by_col[cols, at] - by_gold[gold, at]
+           + zeros[np.maximum(cols, gold), at] - zeros[np.minimum(cols, gold), at])
+    scaled = 100.0 * raw / max_srd(r - 1)
     return dict(zip(M.col_names, scaled.T.tolist()))
 
 

@@ -1,3 +1,8 @@
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -15,7 +20,9 @@ from nsckit import (
     stratified_folds,
 )
 
-from nsckit.data import _parse_block, _walk_table, read_table, read_text
+from nsckit import data, ranges
+from nsckit.data import _header, _parse_block, _walk_table, read_table, read_text
+from nsckit.ranges import parse_range, parse_split, row_cuts
 
 import oracles
 from conftest import random_dataset
@@ -393,6 +400,175 @@ def test_streamed_reader_equals_the_walk(table_dir, table):
     f = table_dir / "raw.txt"
     f.write_bytes(raw)
     assert outcome(read_table, f, key) == outcome(_walk_table, f, key)
+
+
+needs_split = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="a file is split only with fork and two usable CPUs",
+)
+
+
+def assert_no_children():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@st.composite
+def split_tables(draw):
+    """Bytes of a table, its key column and byte offsets to cut it at: a
+    byte-order mark or none, LF, CRLF or lone CR line ends, blank lines
+    anywhere, non-ASCII names and keys, and any cell, bad ones included."""
+    delim = draw(st.sampled_from([",", "\t"]))
+    width = draw(st.integers(1, 4))
+    words = st.sampled_from(["c1", " \u00e9 ", "\u540d\u524d", "e\u0301", "\U0001f600"])
+    rows = [["label"] + draw(st.lists(words, min_size=width - 1, max_size=width - 1))]
+    for _ in range(draw(st.integers(1, 8))):
+        w = draw(st.sampled_from([width] * 12 + [width + 1]))
+        rows.append([draw(words)] + draw(st.lists(cell_text, min_size=w - 1, max_size=w - 1)))
+    lines = [delim.join(r) for r in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  ", "\t"])))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    raw = (eol.join(lines) + draw(st.sampled_from(["", eol, eol * 2]))).encode("utf-8")
+    if draw(st.booleans()):
+        raw = b"\xef\xbb\xbf" + raw
+    at = sorted(draw(st.lists(st.integers(0, len(raw)), max_size=4)))
+    return raw, draw(st.sampled_from([None, 0, "label", -1])), at
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=split_tables())
+@example(table=(b"\xef\xbb\xbflabel,a\r\n\r\nx,1\r\n\xc3\xa9,2\r\n\r\n", 0, [0, 12, 21, 24]))
+def test_ranges_cut_anywhere_join_to_the_stream(table_dir, table):
+    """The rows of the ranges between any cuts, each parsed in a forked
+    child and joined in order, are read_table's serial result, and a table
+    the stream refuses has a range that is refused."""
+    raw, key, at = table
+    f = table_dir / "split.txt"
+    f.write_bytes(raw)
+    with open(f, encoding="utf-8-sig") as text:
+        head, *lines = [ln for ln in text if not ln.isspace()]
+    delim, header, width, key_at = _header(head, key)
+    stream = _parse_block(lines, delim, width, key_at)
+    cuts = row_cuts(f, head, at)
+    # only a lone CR can end the header at another byte in binary
+    assert (cuts is None) == (b"\r" in raw.replace(b"\r\n", b""))
+    if cuts is None:
+        return
+    assert cuts == sorted(cuts) and cuts[-1] == len(raw)
+    parts = [parse_range(f, a, b, delim, width, key_at) for a, b in zip(cuts, cuts[1:])]
+    assert (stream is None) == (None in parts)
+    joined = parse_split(f, cuts, delim, width, key_at)
+    assert_no_children()
+    if stream is None:
+        assert joined is None
+        return
+    keys, values = joined
+    names, want_keys, want = read_table(f, key)
+    assert names == header and keys == want_keys == stream[0]
+    assert values.shape == want.shape and np.array_equal(bits(values), bits(want))
+
+
+@pytest.fixture(scope="module")
+def big_table(tmp_path_factory):
+    """A rows-are-samples CSV above the size that read_table splits, and a
+    copy with NA in the last cell of its last row."""
+    rng = np.random.default_rng(11)
+    values = rng.normal(size=(60, 1 + 2 * data._RANGE_BYTES // (60 * 18)))
+    lines = [",".join(["label", *(f"g{i}" for i in range(values.shape[1]))])]
+    lines += [",".join([f"c{j % 3}", *map(repr, row.tolist())]) for j, row in enumerate(values)]
+    good = tmp_path_factory.mktemp("big") / "big.csv"
+    good.write_text("\n".join(lines) + "\n")
+    assert good.stat().st_size >= 2 * data._RANGE_BYTES
+    bad = good.with_name("big-na.csv")
+    bad.write_text("\n".join(lines[:-1] + [lines[-1].rsplit(",", 1)[0] + ",NA"]) + "\n")
+    return good, bad
+
+
+def test_a_large_file_is_split_and_read_as_walked(big_table, monkeypatch):
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    tracemalloc.start()
+    try:
+        values = read_table(big_table[0], "label")[2]
+        reading = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_no_children()
+    monkeypatch.undo()
+    assert outcome(read_table, big_table[0], "label") == outcome(_walk_table, big_table[0], "label")
+    size = big_table[0].stat().st_size
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    assert len(forks) == (min(cpus, size // data._RANGE_BYTES) if cpus > 1 else 0)
+    # the children's rows land in the one result array: no second copy,
+    # and a few lines of text (the header, the first row, a read buffer)
+    assert reading < values.nbytes + 8 * size // len(values)
+
+
+def test_a_bad_cell_in_the_last_row_of_a_split_file_gives_the_walks_error(big_table):
+    with pytest.raises(ParseError) as exc:
+        read_table(big_table[1], "label")
+    assert_no_children()
+    with pytest.raises(ParseError) as walked:
+        _walk_table(big_table[1], "label")
+    assert str(exc.value) == str(walked.value)
+    assert str(exc.value).startswith("malformed numeric cell 'NA' at row 60, column ")
+
+
+def test_the_package_import_leaves_the_split_reader_unloaded():
+    # every command and workload pays for the import; only a split read
+    # pays for the split reader
+    code = "import sys, nsckit; print(sorted({'nsckit.ranges', 'multiprocessing'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
+
+
+@needs_split
+def test_children_blocked_on_a_full_pipe_are_ended(big_table, monkeypatch):
+    receive = ranges._receive
+
+    def fail_on_rows(fd, buf):
+        if len(buf) > 16:  # each child now waits to send rows that fill its pipe
+            raise RuntimeError("stop")
+        return receive(fd, buf)
+
+    def hung(*_):
+        raise TimeoutError("read_table is still waiting for its children")
+
+    monkeypatch.setattr(ranges, "_receive", fail_on_rows)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(RuntimeError, match="stop"):
+            read_table(big_table[0], "label")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert_no_children()
+
+
+@needs_split
+def test_children_leave_the_buffers_of_this_process_alone(big_table, tmp_path):
+    # a child that left through the interpreter's exit would flush the
+    # buffered text it inherited, and it would be written twice
+    with open(tmp_path / "out.txt", "w") as out:
+        out.write("pending")
+        read_table(big_table[0], "label")
+    assert (tmp_path / "out.txt").read_text() == "pending"
+    assert_no_children()
+
+
+@needs_split
+def test_no_process_to_spare_reads_the_stream(big_table, monkeypatch):
+    def no_fork():
+        raise OSError("no process to spare")
+
+    want = outcome(read_table, big_table[0], "label")
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert outcome(read_table, big_table[0], "label") == want
+    assert_no_children()
 
 
 def test_save_and_read_hold_about_one_row(tmp_path):

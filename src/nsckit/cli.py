@@ -182,10 +182,11 @@ def _trace_rows(trace) -> list[list]:
     rows = [
         [
             "iteration", "threshold", "cv_error_count", "survivor_count",
-            "chosen", "runner_up", "switch_taken",
+            "chosen", "runner_up", "switch_taken", "interval", "stop_reason",
         ]
     ]
     for it_num, it in enumerate(trace.iterations):
+        stop = trace.stop_reason if it_num == len(trace.iterations) - 1 else ""
         for i, pt in enumerate(it.curve.points):
             rows.append(
                 [
@@ -196,6 +197,8 @@ def _trace_rows(trace) -> list[list]:
                     int(i == it.chosen),
                     int(it.runner_up is not None and i == it.runner_up),
                     int(it.switched and i == it.runner_up),
+                    int(i in (it.interval or ())),
+                    stop,
                 ]
             )
     return rows

@@ -224,10 +224,10 @@ def read_table(path, key_col: int | str | None = None):
     whitespace.
 
     A well-formed table goes to numpy's C reader, which parses the numeric
-    cells in one call.  A file of at least ``2 * _RANGE_BYTES`` bytes, on a
+    cells in one call.  A file of at least ``2 * _SPLIT_BYTES`` bytes, on a
     system with fork and at least two usable CPUs, is cut below its header
     into one range of whole lines per usable CPU (each at least
-    ``_RANGE_BYTES``), and a forked child parses each range into its part
+    ``_SPLIT_BYTES``), and a forked child parses each range into its part
     of the result; any other table is streamed here, one row at a time.  A
     table the C reader refuses, in any range, or that holds a non-finite
     value, a line break other than \\n and \\r or bytes that are not UTF-8,
@@ -243,8 +243,8 @@ def read_table(path, key_col: int | str | None = None):
             if first is not None and not any(c in head for c in _LINE_BREAKS):
                 delim, header, width, key_col_at = _header(head, key_col)
                 fmt, rows = (delim, width, key_col_at), chain([first], lines)
-                if (parts := _range_count(path)) > 1:
-                    from .ranges import parse_rows  # compiled only where a file is split
+                if (parts := min(_cpus(), os.path.getsize(path) // _SPLIT_BYTES)) > 1:
+                    from .forked import parse_rows  # compiled only where a file is split
 
                     parsed = parse_rows(path, parts, head, rows, *fmt)
                 else:
@@ -256,21 +256,22 @@ def read_table(path, key_col: int | str | None = None):
     return _walk_table(path, key_col)
 
 
-# The smallest range worth a forked child.  A split read pays about 10 ms
-# for its forks, the children's exits and the transfer of their rows.
-# Timed by read_table from a 110 MB process on a 2-core host (median of 41
-# interleaved reads of 72-row CSVs), split over serial time was 1.34 at
-# 1.0 MB, 1.10 at 2.0 MB, 0.91 at 3.0 MB and 0.61 at 31.6 MB (wide-grid's
-# training file): two ranges of 1.5 MB break even.
-_RANGE_BYTES = 1_500_000
+# The least work worth a forked child: a range of a file, or a training
+# matrix whose CV folds are dealt out.  Split over serial time, from a 110 MB
+# process on a 2-core host: read_table (72-row CSVs, medians of 41 reads)
+# 1.34 at 1.0 MB, 1.10 at 2.0, 0.91 at 3.0 and 0.61 at 31.6, so two ranges
+# of 1.5 MB break even; cross_validate (10 folds in two shares, 30-point
+# grids, n = 72, K = 4, medians of 21 and 31 calls) 1.16-1.33 at 0.29 MB of
+# matrix, 0.86-1.29 at 0.58, 0.89-1.21 at 1.15, 0.74-0.75 at 1.50 and
+# 0.64-0.76 at 12.8, split and serial runs interleaved.
+_SPLIT_BYTES = 1_500_000
 
 
-def _range_count(path) -> int:
-    """How many ranges to parse a file in: one per usable CPU, each of at
-    least ``_RANGE_BYTES``, where the system can fork."""
+def _cpus() -> int:
+    """The usable CPUs where the system can fork, else 1."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    return min(len(os.sched_getaffinity(0)), os.path.getsize(path) // _RANGE_BYTES)
+    return len(os.sched_getaffinity(0))
 
 
 def _walk_table(path, key_col):

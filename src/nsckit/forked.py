@@ -1,0 +1,213 @@
+"""Work split over forked children: the rows of a large table, one range of
+whole lines each, and the folds of a cross-validation, one fixed share each.
+
+``data.read_table`` and ``tuning.cross_validate`` import this module only
+for work they split, so ``import nsckit`` does not compile it.  Each child,
+forked by ``_fork``, writes its part of the result to its own pipe, or
+nothing if its part is refused or fails, and leaves through ``os._exit``:
+it runs none of the exit handlers or stdio flushes of the process it was
+forked from.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import signal
+import warnings
+
+import numpy as np
+
+from .data import _parse_block, stratified_folds
+from .tuning import CvCurve, _fitted, _FoldFits, _group_errors
+
+
+@contextlib.contextmanager
+def _children():
+    """A list for ``_fork`` to add children to.  On leaving, every pipe is
+    closed and every child killed (it may be blocked on a full pipe, or
+    working for a result that will not be read) and waited for."""
+    children: list[tuple[int, int]] = []
+    try:
+        yield children
+    finally:
+        for pid, fd in children:
+            os.close(fd)
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _fork(children: list, send) -> int:
+    """Fork a child that calls ``send`` with the write end of a new pipe, as
+    a binary file, then exits; add it to ``children`` and return the read
+    end.  Raises OSError where there is no process or pipe to spare."""
+    r, w = os.pipe()
+    try:
+        with warnings.catch_warnings():  # Python 3.12+ warns on forking a threaded process
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid:
+        os.close(w)
+        children.append((pid, r))
+        return r
+    try:
+        os.close(r)
+        with open(w, "wb") as pipe:
+            send(pipe)
+    finally:
+        os._exit(0)
+
+
+def _receive(fd, buf) -> bool:
+    """Fill the writable bytes ``buf`` from the pipe ``fd``; False if it
+    ends first."""
+    view = memoryview(buf)
+    while view:
+        n = os.readv(fd, [view])
+        if n == 0:
+            return False
+        view = view[n:]
+    return True
+
+
+def split_curve(ds, grid, F: int, seed: int, fit_kw: dict, parts: int) -> CvCurve:
+    """``cross_validate``'s curve, with the F folds of its plan dealt into
+    ``parts`` fixed shares, plan[i::parts].  A forked child fits and scores
+    each share but the first and sends its G error counts, while the
+    full-data fit and the first share are done here.  A share whose child
+    sends nothing (it raised, warned or died), or that found no process or
+    pipe to spare, is redone here, with the errors and warnings of the
+    serial path.
+    """
+    kind, params = grid[0].kind, np.array([rule.param for rule in grid])
+    shares = [stratified_folds(ds, F, seed)[i::parts] for i in range(parts)]
+
+    def errors(share):
+        # no name holds a scored fold, so one is alive at a time
+        folds = _fitted(ds, kind, share, fit_kw)
+        return sum(map(lambda fold: _group_errors([fold], grid, params), folds))
+
+    def send(pipe, share):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            counts = errors(share)
+        if not caught:
+            pipe.write(np.asarray(counts, np.int64).tobytes())
+
+    with _children() as children:
+        pipes = []
+        for share in shares[1:]:
+            try:
+                pipes.append(_fork(children, lambda pipe, share=share: send(pipe, share)))
+            except OSError:
+                pipes.append(None)
+        fits = _FoldFits(ds, kind, F, seed, fit_kw)
+        total = errors(shares[0])
+        for fd, share in zip(pipes, shares[1:]):
+            counts = np.empty(len(grid), np.int64)
+            received = fd is not None and _receive(fd, counts.view(np.uint8))
+            total = total + (counts if received else errors(share))
+        return fits.curve(grid, (), total)
+
+
+def parse_rows(path, parts: int, head: str, rows, delim: str, width: int, key_col: int | None):
+    """``_parse_block`` of the rows below the header line ``head``, cut into
+    ``parts`` ranges of about equal size and joined in file order.
+
+    ``rows``, the same rows as text, is parsed here instead where the file
+    cannot be cut at line ends below ``head`` or there is no process or
+    pipe to spare.
+    """
+    size = os.path.getsize(path)
+    cuts = row_cuts(path, head, [size * k // parts for k in range(1, parts)])
+    if cuts is not None and len(cuts) > 2:
+        try:
+            return parse_split(path, cuts, delim, width, key_col)
+        except OSError:  # no process or pipe to spare
+            pass
+    return _parse_block(rows, delim, width, key_col)
+
+
+def row_cuts(path, head: str, at) -> list[int] | None:
+    """Where the rows below the header line ``head`` start, then the start
+    of the first line at or after each byte offset of ``at`` (ascending)
+    that lies below it, then the end of the file.
+
+    None unless the first nonblank line of the file, read in binary and
+    split at \\n, is ``head`` once its \\r\\n is read as \\n: the header
+    then ends at the same byte as in the text stream.  Each cut follows a
+    \\n, so no range splits a \\r\\n or a UTF-8 character, and the lines
+    of the ranges, read one after another, are the lines of the stream.
+    """
+    with open(path, "rb") as f:
+        for n, raw in enumerate(f):
+            try:
+                line = raw.decode("utf-8-sig" if n == 0 else "utf-8")
+            except UnicodeDecodeError:
+                return None
+            if not line.isspace():
+                break
+        else:
+            return None
+        if line.replace("\r\n", "\n") != head:
+            return None
+        cuts = [f.tell()]
+        for offset in (*at, f.seek(0, os.SEEK_END)):
+            if offset > cuts[-1]:
+                f.seek(offset - 1)
+                while (part := f.readline(1 << 16)) and not part.endswith(b"\n"):
+                    pass
+                cuts.append(f.tell())
+    return cuts
+
+
+def parse_range(path, start: int, end: int, delim: str, width: int, key_col: int | None):
+    """``_parse_block`` of the lines in bytes ``start`` to ``end`` of a file,
+    two offsets of ``row_cuts``."""
+    with open(path, "rb") as f:
+        f.seek(start)
+        text = io.TextIOWrapper(io.BytesIO(f.read(end - start)), encoding="utf-8")
+    with warnings.catch_warnings():  # numpy warns on a range of blank lines only
+        warnings.simplefilter("ignore")
+        return _parse_block((ln for ln in text if not ln.isspace()), delim, width, key_col)
+
+
+def parse_split(path, cuts, delim: str, width: int, key_col: int | None):
+    """``parse_range`` of each pair of consecutive ``cuts``, each in a
+    forked child, joined in file order, or None if a range is refused.
+
+    Each child sends its row and key byte counts, its rows and its keys, or
+    nothing if its range is refused.  All the counts are read first, so the
+    rows go straight from the pipes into the one result array.
+    """
+
+    def send(pipe, start, end):
+        parsed = parse_range(path, start, end, delim, width, key_col)
+        if parsed is not None:
+            keys, values = parsed
+            names = "\n".join(keys or ()).encode()  # a key holds no line break
+            pipe.write(np.array([len(values), len(names)], np.int64).tobytes())
+            pipe.write(values.reshape(-1).view(np.uint8))
+            pipe.write(names)
+
+    with _children() as children:
+        for start, end in zip(cuts, cuts[1:]):
+            _fork(children, lambda pipe, start=start, end=end: send(pipe, start, end))
+        heads = [np.zeros(2, np.int64) for _ in children]
+        if not all(_receive(fd, head.view(np.uint8)) for (_, fd), head in zip(children, heads)):
+            return None
+        rows = np.cumsum([0, *(int(head[0]) for head in heads)])
+        values = np.empty((rows[-1], width - (key_col is not None)))
+        keys = []
+        for (_, fd), head, a, b in zip(children, heads, rows, rows[1:]):
+            names = bytearray(int(head[1]))
+            if not (_receive(fd, values[a:b].reshape(-1).view(np.uint8)) and _receive(fd, names)):
+                return None
+            keys += names.decode().split("\n") if a < b else []
+        return (None if key_col is None else keys), values

@@ -6,7 +6,9 @@ preferring smaller models on ties.  ``deep_search`` repeatedly narrows the
 threshold interval around the selected point, optionally jumping to the
 runner-up when it buys a drastically smaller model at the cost of at most
 one extra misclassified sample.  Callers tune through ``bench.tune``, which
-caps the fold count and runs one or the other.
+caps the fold count and runs one or the other.  ``cross_validate`` deals the
+folds of a training matrix of at least ``data._SPLIT_BYTES`` to forked
+children, one share per usable CPU; ``deep_search`` runs in this process.
 
 Each fold is fitted once per call, keeps its held-out samples as z = (x -
 overall) / (s + s0) and sorts each class column of its statistics in the
@@ -31,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, stratified_folds
+from .data import _SPLIT_BYTES, Dataset, _cpus, stratified_folds
 from .errors import DeepSearchError, ValidationError
 from .model import CentroidStats, fit_statistics, predict, shrink
 # apply_rule stays bound here: benchmarks/bench_workloads.py instruments it by
@@ -243,6 +245,19 @@ def _group_errors(folds: list[_HeldOutFold], grid, params) -> np.ndarray:
     return (pred != np.concatenate([fold.y for fold in folds])[:, None]).sum(axis=0)
 
 
+def _fitted(ds: Dataset, kind: str, plan, fit_kw: dict) -> Iterator[_HeldOutFold]:
+    """The held-out folds ``plan`` in turn, each fitted when it is asked for."""
+    # Training sets are gathered from a sample-major copy, where each sample
+    # is contiguous; the subsets, and so the fits, are the same.
+    src = replace(ds, values=np.asfortranarray(ds.values))
+    for idx in plan:
+        rest = np.setdiff1d(np.arange(ds.n), idx, assume_unique=True)
+        # no name holds the training subset or the fit between folds
+        yield _HeldOutFold(
+            fit_statistics(src.subset(rest), **fit_kw), ds.values, idx, ds.y[idx], kind
+        )
+
+
 class _FoldFits:
     """The full-data fit and the fold plan of one ``cross_validate`` or
     ``deep_search`` call.  ``curve`` scores a grid against groups of the
@@ -261,26 +276,17 @@ class _FoldFits:
 
     def fitted(self) -> Iterator[_HeldOutFold]:
         """The folds of the plan in turn, each fitted when it is asked for."""
-        ds = self.ds
-        # Training sets are gathered from a sample-major copy, where each
-        # sample is contiguous; the subsets, and so the fits, are the same.
-        src = replace(ds, values=np.asfortranarray(ds.values))
-        for idx in self.plan:
-            rest = np.setdiff1d(np.arange(ds.n), idx, assume_unique=True)
-            # no name holds the training subset or the fit between folds
-            yield _HeldOutFold(
-                fit_statistics(src.subset(rest), **self.fit_kw), ds.values, idx, ds.y[idx],
-                self.kind,
-            )
+        return _fitted(self.ds, self.kind, self.plan, self.fit_kw)
 
-    def curve(self, grid: list[ThresholdRule], groups: Iterable[list[_HeldOutFold]]) -> CvCurve:
+    def curve(self, grid: list[ThresholdRule], groups: Iterable[list], counts=0) -> CvCurve:
         """CV error counts over the folds of ``groups``, each group scored in
-        one call, and survivor counts from the full fit.  No name holds a
-        scored group, so folds fitted as they are asked for live one at a time.
+        one call, plus ``counts``, and survivor counts from the full fit.  No
+        name holds a scored group, so folds fitted as they are asked for live
+        one at a time.
         """
         params = np.array([rule.param for rule in grid])
         survivors = kept_counts(self.row_keys, self.kind, params)
-        errors = sum(map(lambda group: _group_errors(group, grid, params), groups))
+        errors = counts + sum(map(lambda group: _group_errors(group, grid, params), groups))
         points = tuple(
             CvPoint(rule, int(errors[g]), int(survivors[g])) for g, rule in enumerate(grid)
         )
@@ -293,8 +299,11 @@ def cross_validate(ds: Dataset, grid, F: int, seed: int, **fit_kw) -> CvCurve:
     Every fit takes ``fit_statistics``'s options ``fit_kw`` by name.  Survivor
     counts are taken from a fit on the full training set.  Each fold is
     fitted as the scoring reaches it and scored alone, so one fold is alive
-    at a time.  An order rule that keeps more than the p*K statistics is
-    refused before any fit.  Deterministic given (ds, grid, F, seed, fit_kw).
+    at a time.  A training matrix of at least ``_SPLIT_BYTES`` has its folds
+    dealt into one fixed share per usable CPU (at most F), each but the
+    first done in a forked child (``forked.split_curve``).  An order rule
+    that keeps more than the p*K statistics is refused before any fit.
+    Deterministic given (ds, grid, F, seed, fit_kw), split or not.
     """
     grid = list(grid)
     if not grid:
@@ -305,6 +314,10 @@ def cross_validate(ds: Dataset, grid, F: int, seed: int, **fit_kw) -> CvCurve:
     for rule in grid:
         if rule.kind == "order" and rule.param > size:
             raise ValidationError(f"retained count {rule.param} exceeds statistic count {size}")
+    if ds.values.nbytes >= _SPLIT_BYTES and (parts := min(_cpus(), F)) > 1:
+        from .forked import split_curve  # compiled only where folds are split
+
+        return split_curve(ds, grid, F, seed, fit_kw, parts)
     fits = _FoldFits(ds, grid[0].kind, F, seed, fit_kw)
     return fits.curve(grid, map(lambda fold: [fold], fits.fitted()))
 

@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import sys
 from pathlib import Path
 
@@ -32,6 +34,13 @@ def tied_matrix(seed, p, K, zeros, levels):
     D = rng.integers(1, levels + 1, size=(p, K)) * rng.choice([-0.5, 0.5], size=(p, K))
     D[rng.random((p, K)) < zeros] = 0.0
     return D
+
+
+def assert_no_children():
+    """This process has no child left, running or unreaped."""
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture

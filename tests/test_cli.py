@@ -120,9 +120,27 @@ class TestCvAndTune:
         )
         assert code == 0 and out.startswith("selected rule: soft:")
         lines = trace.read_text().splitlines()
-        assert lines[0].startswith("iteration\tthreshold")
+        assert lines[0].split("\t") == [
+            "iteration", "threshold", "cv_error_count", "survivor_count", "chosen",
+            "runner_up", "switch_taken", "interval", "stop_reason",
+        ]
         chosen_flags = [ln.split("\t")[4] for ln in lines[1:]]
         assert "1" in chosen_flags
+        # the first seven columns keep their places; interval flags the two
+        # grid points each iteration refines between, and stop_reason is on
+        # the rows of the last iteration only
+        ds = load_matrix(synth_dir / "train.csv", label_col="label")
+        want = bench.tune(ds, fit_statistics(ds), "soft", True, 1, m=10, folds=5)
+        last = len(want.iterations) - 1
+        assert [ln.split("\t") for ln in lines[1:]] == [
+            [str(v) for v in (
+                n, pt.rule.param, pt.cv_error_count, pt.survivor_count, int(i == it.chosen),
+                int(i == it.runner_up), int(it.switched and i == it.runner_up),
+                int(i in (it.interval or ())), want.stop_reason if n == last else "",
+            )]
+            for n, it in enumerate(want.iterations) for i, pt in enumerate(it.curve.points)
+        ]
+        assert len(want.iterations) > 1 and want.stop_reason
 
     def test_tune_grid_only(self, synth_dir, capsys):
         code, out, _ = run(
@@ -146,9 +164,10 @@ class TestCvAndTune:
         assert [row[1:4] for row in rows] == [
             ln.split("\t") for ln in cv.read_text().splitlines()[1:]
         ]
-        # one chosen row, no runner-up or switch, and it is the printed rule
+        # one chosen row, no runner-up, switch or interval, and it is the
+        # printed rule; the one grid stops as grid-only
         chosen = [row for row in rows if row[4] == "1"]
-        assert len(chosen) == 1 and all(row[5:] == ["0", "0"] for row in rows)
+        assert len(chosen) == 1 and all(row[5:] == ["0", "0", "0", "grid-only"] for row in rows)
         assert out == f"selected rule: {kind}:{chosen[0][1]}\n"
 
 

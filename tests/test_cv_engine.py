@@ -1,7 +1,9 @@
 """The fold-batched CV engine against the direct per-rule oracle."""
 
 import dataclasses
+import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,12 +26,27 @@ from nsckit import (
     stratified_folds,
     threshold_grid,
 )
+from nsckit.errors import DegenerateVarianceError
 from nsckit.thresholds import kept_counts, retention_keys
 
 import oracles
-from conftest import random_dataset, tied_matrix
+from conftest import assert_no_children, random_dataset, tied_matrix
 
 KINDS = ("soft", "hard", "order")
+
+CAN_FORK = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+needs_fork = pytest.mark.skipif(not CAN_FORK, reason="folds are split only with fork")
+
+
+def split_folds(monkeypatch, cpus: int) -> list:
+    """Deal the folds of any training matrix into one share per CPU of
+    ``cpus`` usable ones (at most F); the list returned grows by one at
+    each fork."""
+    monkeypatch.setattr(tuning, "_SPLIT_BYTES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
 
 
 @st.composite
@@ -154,7 +171,9 @@ def test_deep_search_scores_every_grid_in_one_call(monkeypatch):
 
 def test_cross_validate_holds_one_fold_at_a_time(monkeypatch):
     """Each fold is fitted as the scoring reaches it, scored alone and
-    dropped, so one fold is alive at a time, whatever the grid."""
+    dropped, so one fold is alive at a time, whatever the grid.  With the
+    folds dealt into two shares, where the system can fork, this process
+    fits and scores the five of its own share, still one at a time."""
     train, _ = generate_synthetic(SynthSpec(
         p=300, n_classes=3, informative=20, shift=0.8, n_per_class=(24,) * 3,
         noise_sd=1.0, seed=2003,
@@ -179,19 +198,179 @@ def test_cross_validate_holds_one_fold_at_a_time(monkeypatch):
     monkeypatch.setattr(tuning, "_HeldOutFold", Counted)
     monkeypatch.setattr(tuning, "_predict_group", grouping)
     top = np.abs(fit_statistics(train).t_stats).max()
-    # a first grid, of full-length prefixes, and a grid of short prefixes
-    for grid in [
-        threshold_grid(fit_statistics(train), "hard", 30),
-        [ThresholdRule("hard", v * top) for v in (0.9, 0.95)],
-    ]:
-        groups.clear()
-        most[0] = 0
-        curve = cross_validate(train, grid, 10, 0)
+    for parts in (1, 2) if CAN_FORK else (1,):
+        with pytest.MonkeyPatch.context() as mp:
+            forks = split_folds(mp, parts) if parts > 1 else []
+            # a first grid, of full-length prefixes, and a grid of short prefixes
+            for grid in [
+                threshold_grid(fit_statistics(train), "hard", 30),
+                [ThresholdRule("hard", v * top) for v in (0.9, 0.95)],
+            ]:
+                groups.clear()
+                most[0] = 0
+                curve = cross_validate(train, grid, 10, 0)
+                assert [pt.cv_error_count for pt in curve.points] == (
+                    oracles.cv_error_counts_direct(train, grid, 10, 0)
+                )
+                assert groups == [1] * (10 // parts)
+                assert most[0] == 1 and live[0] == 0
+        assert len(forks) == 2 * (parts - 1)
+        assert_no_children()
+
+
+@needs_fork
+def test_a_matrix_above_the_split_size_is_split_and_scored_as_directly(monkeypatch):
+    train, _ = generate_synthetic(SynthSpec(
+        p=5000, n_classes=4, informative=40, shift=0.8, n_per_class=(10,) * 4,
+        noise_sd=1.0, seed=7,
+    ))
+    assert train.values.nbytes >= tuning._SPLIT_BYTES
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    full = fit_statistics(train)
+    for kind in KINDS:
+        grid = threshold_grid(full, kind, 6)
+        curve = cross_validate(train, grid, 10, 3)
         assert [pt.cv_error_count for pt in curve.points] == (
-            oracles.cv_error_counts_direct(train, grid, 10, 0)
+            oracles.cv_error_counts_direct(train, grid, 10, 3)
         )
-        assert groups == [1] * 10
-        assert most[0] == 1 and live[0] == 0
+        assert_no_children()
+    assert len(forks) == 3 * (min(len(os.sched_getaffinity(0)), 10) - 1)
+
+
+def uneven(seed: int) -> Dataset:
+    """Classes of 10, 13 and 11, so most fold plans hold folds of two sizes."""
+    return generate_synthetic(SynthSpec(
+        p=60, n_classes=3, informative=6, shift=1.0, n_per_class=(10, 13, 11),
+        noise_sd=1.0, seed=seed,
+    ))[0]
+
+
+@needs_fork
+@pytest.mark.parametrize("F,cpus", [(2, 2), (3, 2), (4, 3), (7, 3), (10, 4), (5, 16)])
+@pytest.mark.parametrize("kind", KINDS)
+def test_split_folds_equal_direct_oracle(monkeypatch, kind, F, cpus):
+    ds = uneven(F)
+    fit_kw = {"s0": 0.25, "prior_mode": "uniform"} if F % 2 else {}
+    grid = threshold_grid(fit_statistics(ds, **fit_kw), kind, 8)
+    forks = split_folds(monkeypatch, cpus)
+    curve = cross_validate(ds, grid, F, F, **fit_kw)
+    assert len(forks) == min(cpus, F) - 1
+    assert_no_children()
+    assert [pt.cv_error_count for pt in curve.points] == (
+        oracles.cv_error_counts_direct(ds, grid, F, F, **fit_kw)
+    )
+    monkeypatch.undo()
+    assert cross_validate(ds, grid, F, F, **fit_kw) == curve
+
+
+@needs_fork
+@pytest.mark.parametrize("refusal", ["one CPU", "no fork"])
+def test_no_cpu_or_process_to_spare_scores_every_fold_here(monkeypatch, refusal):
+    ds = uneven(1)
+    grid = threshold_grid(fit_statistics(ds), "hard", 8)
+    want = cross_validate(ds, grid, 5, 0)
+    forks = split_folds(monkeypatch, 1 if refusal == "one CPU" else 3)
+    if refusal == "no fork":
+        def no_fork():
+            forks.append(1)
+            raise OSError("no process to spare")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+    groups, scorer = [], tuning._predict_group
+    monkeypatch.setattr(tuning, "_predict_group",
+                        lambda folds, *args: groups.append(len(folds)) or scorer(folds, *args))
+    assert cross_validate(ds, grid, 5, 0) == want
+    assert len(forks) == (0 if refusal == "one CPU" else 2) and groups == [1] * 5
+    assert_no_children()
+
+
+@needs_fork
+@pytest.mark.parametrize("failure", ["raises", "warns", "dies"])
+def test_a_share_whose_child_fails_is_redone_here(monkeypatch, failure):
+    """Every child's share is redone in this process, with the counts of the
+    serial path and none of the children's warnings."""
+    ds = uneven(2)
+    grid = threshold_grid(fit_statistics(ds), "soft", 8)
+    parent, scorer, groups = os.getpid(), tuning._predict_group, []
+
+    def failing(folds, *args):
+        if os.getpid() != parent:
+            if failure == "raises":
+                raise RuntimeError("a child's fold")
+            if failure == "warns":
+                warnings.warn("a child's fold")
+            if failure == "dies":
+                os.kill(os.getpid(), 9)
+        groups.append(len(folds))
+        return scorer(folds, *args)
+
+    split_folds(monkeypatch, 3)
+    monkeypatch.setattr(tuning, "_predict_group", failing)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curve = cross_validate(ds, grid, 6, 4)
+    assert groups == [1] * 6
+    assert_no_children()
+    assert [pt.cv_error_count for pt in curve.points] == (
+        oracles.cv_error_counts_direct(ds, grid, 6, 4)
+    )
+
+
+@needs_fork
+def test_a_fold_that_fails_in_a_child_gives_the_serial_error(monkeypatch):
+    """With s0 = 0, a feature constant in the training set of fold 1 alone
+    fails that fold's fit, and fold 1 falls in the child's share."""
+    ds = uneven(3)
+    plan = stratified_folds(ds, 4, 0)
+    values = ds.values.copy()
+    values[0] = 1.0
+    values[0, plan[1]] = np.arange(len(plan[1])) + 2.0
+    ds = Dataset.from_arrays(values, ds.labels)
+    grid = threshold_grid(fit_statistics(ds, s0=0.0), "hard", 8)
+    with pytest.raises(DegenerateVarianceError) as serial:
+        cross_validate(ds, grid, 4, 0, s0=0.0)
+    forks = split_folds(monkeypatch, 2)
+    with pytest.raises(DegenerateVarianceError) as split:
+        cross_validate(ds, grid, 4, 0, s0=0.0)
+    assert len(forks) == 1 and str(split.value) == str(serial.value)
+    assert_no_children()
+
+
+@needs_fork
+def test_a_parent_that_raises_mid_share_leaves_no_child(monkeypatch):
+    ds = uneven(4)
+    grid = threshold_grid(fit_statistics(ds), "order", 8)
+    parent, scorer, calls = os.getpid(), tuning._predict_group, []
+
+    def stopping(folds, *args):
+        if os.getpid() == parent:
+            calls.append(1)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+        return scorer(folds, *args)
+
+    forks = split_folds(monkeypatch, 4)
+    monkeypatch.setattr(tuning, "_predict_group", stopping)
+    with pytest.raises(KeyboardInterrupt):
+        cross_validate(ds, grid, 8, 0)
+    assert len(forks) == 3 and len(calls) == 2
+    assert_no_children()
+
+
+@needs_fork
+def test_children_leave_the_buffers_of_this_process_alone(monkeypatch, tmp_path):
+    # a child that left through the interpreter's exit would flush the
+    # buffered text it inherited, and it would be written twice
+    ds = uneven(5)
+    grid = threshold_grid(fit_statistics(ds), "soft", 8)
+    forks = split_folds(monkeypatch, 2)
+    with open(tmp_path / "out.txt", "w") as out:
+        out.write("pending")
+        cross_validate(ds, grid, 5, 0)
+    assert (tmp_path / "out.txt").read_text() == "pending"
+    assert len(forks) == 1
+    assert_no_children()
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -1,4 +1,3 @@
-import multiprocessing
 import os
 import signal
 import subprocess
@@ -20,12 +19,12 @@ from nsckit import (
     stratified_folds,
 )
 
-from nsckit import data, ranges
+from nsckit import data, forked
 from nsckit.data import _header, _parse_block, _walk_table, read_table, read_text
-from nsckit.ranges import parse_range, parse_split, row_cuts
+from nsckit.forked import parse_range, parse_split, row_cuts
 
 import oracles
-from conftest import random_dataset
+from conftest import assert_no_children, random_dataset
 
 
 def test_direct_construction_two_classes():
@@ -408,12 +407,6 @@ needs_split = pytest.mark.skipif(
 )
 
 
-def assert_no_children():
-    assert multiprocessing.active_children() == []
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @st.composite
 def split_tables(draw):
     """Bytes of a table, its key column and byte offsets to cut it at: a
@@ -475,12 +468,12 @@ def big_table(tmp_path_factory):
     """A rows-are-samples CSV above the size that read_table splits, and a
     copy with NA in the last cell of its last row."""
     rng = np.random.default_rng(11)
-    values = rng.normal(size=(60, 1 + 2 * data._RANGE_BYTES // (60 * 18)))
+    values = rng.normal(size=(60, 1 + 2 * data._SPLIT_BYTES // (60 * 18)))
     lines = [",".join(["label", *(f"g{i}" for i in range(values.shape[1]))])]
     lines += [",".join([f"c{j % 3}", *map(repr, row.tolist())]) for j, row in enumerate(values)]
     good = tmp_path_factory.mktemp("big") / "big.csv"
     good.write_text("\n".join(lines) + "\n")
-    assert good.stat().st_size >= 2 * data._RANGE_BYTES
+    assert good.stat().st_size >= 2 * data._SPLIT_BYTES
     bad = good.with_name("big-na.csv")
     bad.write_text("\n".join(lines[:-1] + [lines[-1].rsplit(",", 1)[0] + ",NA"]) + "\n")
     return good, bad
@@ -501,7 +494,7 @@ def test_a_large_file_is_split_and_read_as_walked(big_table, monkeypatch):
     assert outcome(read_table, big_table[0], "label") == outcome(_walk_table, big_table[0], "label")
     size = big_table[0].stat().st_size
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    assert len(forks) == (min(cpus, size // data._RANGE_BYTES) if cpus > 1 else 0)
+    assert len(forks) == (min(cpus, size // data._SPLIT_BYTES) if cpus > 1 else 0)
     # the children's rows land in the one result array: no second copy,
     # and a few lines of text (the header, the first row, a read buffer)
     assert reading < values.nbytes + 8 * size // len(values)
@@ -520,14 +513,14 @@ def test_a_bad_cell_in_the_last_row_of_a_split_file_gives_the_walks_error(big_ta
 def test_the_package_import_leaves_the_split_reader_unloaded():
     # every command and workload pays for the import; only a split read
     # pays for the split reader
-    code = "import sys, nsckit; print(sorted({'nsckit.ranges', 'multiprocessing'} & set(sys.modules)))"
+    code = "import sys, nsckit; print(sorted({'nsckit.forked', 'multiprocessing'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
 
 
 @needs_split
 def test_children_blocked_on_a_full_pipe_are_ended(big_table, monkeypatch):
-    receive = ranges._receive
+    receive = forked._receive
 
     def fail_on_rows(fd, buf):
         if len(buf) > 16:  # each child now waits to send rows that fill its pipe
@@ -537,7 +530,7 @@ def test_children_blocked_on_a_full_pipe_are_ended(big_table, monkeypatch):
     def hung(*_):
         raise TimeoutError("read_table is still waiting for its children")
 
-    monkeypatch.setattr(ranges, "_receive", fail_on_rows)
+    monkeypatch.setattr(forked, "_receive", fail_on_rows)
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(60)
     try:

@@ -25,7 +25,8 @@ class Dataset:
 
     ``values[i, j]`` is the value of feature i on sample j.  ``y[j]`` is the
     0-based class index of sample j; ``classes`` lists the class identifiers
-    in first-appearance order.
+    in first-appearance order.  ``tuning.deep_search`` keeps its fold fits
+    keyed by the dataset object, so do not change ``values`` or ``y`` in place.
     """
 
     values: np.ndarray

@@ -10,9 +10,12 @@ caps the fold count and runs one or the other.  ``cross_validate`` deals the
 folds of a training matrix of at least ``data._SPLIT_BYTES`` to forked
 children, one share per usable CPU; ``deep_search`` runs in this process.
 
-Each fold is fitted once per call, keeps its held-out samples as z = (x -
-overall) / (s + s0) and sorts each class column of its statistics in the
-order the rules keep them, so every rule keeps a prefix of every column.
+Each fold is fitted once per ``cross_validate`` call.  ``deep_search`` keeps
+the folds of its last plan, so searches of every kind on one dataset object,
+fold plan and set of fit options fit each fold once.  A fold keeps its
+held-out samples as z = (x - overall) / (s + s0) and sorts each class column
+of its statistics in the order the rules of one kind keep them, so every
+rule keeps a prefix of every column; soft and hard share that sort.
 With shrunken statistics d', class k scores |z|^2 - 2 m_k z.d'_k + m_k^2
 |d'_k|^2 - 2 log prior_k, and the common |z|^2 is dropped.  A grid is scored
 against a group of folds in one call: each fold's cross terms are segment
@@ -97,49 +100,66 @@ class DeepSearchTrace:
     stop_reason: str
 
 
-class _HeldOutFold:
-    """Statistics fitted without one fold, and the fold's held-out samples.
+class _RetentionSort:
+    """The entries of each class column of a fold's statistics in the order
+    rules of one group keep them, so that every rule keeps a prefix of every
+    list.  Soft and hard key alike (-|d|) and share one sort; order has its own.
+    """
 
-    The entries of each class column are listed in ``retention_keys`` order,
-    so that every rule keeps a prefix of every list.  The samples are kept as
-    z; a fallback gathers them again from ``values``, the dataset's matrix.
+    def __init__(self, t_stats: np.ndarray, kind: str):
+        self.by_rank = kind == "order"
+        # K x p: row k lists the rows of column k in retention order
+        if self.by_rank:
+            # column k's entries in pooled order, zeros (keyed by the size)
+            # last; column numbers in a small integer type sort by radix
+            K = t_stats.shape[1]
+            flat = magnitude_order(t_stats)
+            col = (flat % K).astype(np.min_scalar_type(K))
+            ranks = np.argsort(col, kind="stable").reshape(K, -1)
+            entries = flat[ranks]
+            self.order = entries // K
+            self.keys = np.where(np.take(t_stats, entries) != 0.0, ranks, flat.size)
+        else:
+            # entries with equal keys are kept together, so any sort will do
+            keys = retention_keys(t_stats, kind).T
+            self.order = np.argsort(keys, axis=1)
+            self.keys = np.take_along_axis(keys, self.order, axis=1)
+
+    def kept(self, kind: str, params: np.ndarray) -> np.ndarray:
+        """Nonzero statistics each rule of ``kind`` keeps in each class, G x K."""
+        return np.stack([kept_counts(keys, kind, params) for keys in self.keys], axis=1)
+
+
+class _HeldOutFold:
+    """Statistics fitted without one fold, the fold's held-out samples, and
+    one retention sort of the statistics, ``sort``.
+
+    The fit is the same for every rule kind.  The samples are kept as z; a
+    fallback gathers them again from ``values``, the dataset's matrix.
     """
 
     def __init__(self, stats: CentroidStats, values: np.ndarray, test_idx: np.ndarray,
-                 y: np.ndarray, kind: str):
+                 y: np.ndarray):
         self.stats = stats
         self.values = values
         self.test_idx = test_idx
         self.y = y
-        self.kind = kind
         sd = stats.pooled_sd + stats.s0
         self.z = (values[:, test_idx].T - stats.overall_centroid) / sd
         # |z| + |overall / sd|: the grid-free part of the size in the bound
         offset = math.sqrt(((stats.overall_centroid / sd) ** 2).sum())
         self.norms = np.sqrt((self.z**2).sum(axis=1)) + offset
-        # K x p: row k lists the rows of column k in retention order
-        K = stats.m.size
-        if kind == "order":
-            # column k's entries in pooled order, zeros (keyed by the size)
-            # last; column numbers in a small integer type sort by radix
-            flat = magnitude_order(stats.t_stats)
-            col = (flat % K).astype(np.min_scalar_type(K))
-            ranks = np.argsort(col, kind="stable").reshape(K, -1)
-            entries = flat[ranks]
-            self.order = entries // K
-            self.keys = np.where(np.take(stats.t_stats, entries) != 0.0, ranks, flat.size)
-        else:
-            # entries with equal keys are kept together, so any sort will do
-            keys = retention_keys(stats.t_stats, kind).T
-            self.order = np.argsort(keys, axis=1)
-            self.keys = np.take_along_axis(keys, self.order, axis=1)
         self.prior_terms = np.array([-2.0 * math.log(pk) for pk in stats.priors])
         # [j, k]: class j < k has the same prior term as class k
         self.earlier_twin = np.triu(self.prior_terms[:, None] == self.prior_terms[None, :], 1)
+        self.sort: _RetentionSort | None = None
 
-    def kept(self, params: np.ndarray) -> np.ndarray:
-        """Nonzero statistics each rule keeps in each class, G x K."""
-        return np.stack([kept_counts(keys, self.kind, params) for keys in self.keys], axis=1)
+    def sorted_for(self, kind: str) -> _HeldOutFold:
+        """This fold, with its statistics sorted for rules of ``kind``; a sort
+        of the other group is replaced."""
+        if self.sort is None or self.sort.by_rank != (kind == "order"):
+            self.sort = _RetentionSort(self.stats.t_stats, kind)
+        return self
 
 
 def _kept_sums(zs: np.ndarray, weights: np.ndarray, cuts: np.ndarray, at: np.ndarray):
@@ -169,14 +189,15 @@ def _predict_group(
     folds: list[_HeldOutFold], grid: list[ThresholdRule], params: np.ndarray
 ) -> np.ndarray:
     """Predicted class of every held-out sample of the folds under every rule,
-    n x G with the folds' samples in turn."""
-    K, p = folds[0].order.shape
+    n x G with the folds' samples in turn; each fold is sorted for the grid's kind."""
+    kind = grid[0].kind
+    K, p = folds[0].sort.order.shape
     cls = np.arange(K)
     sizes = [len(fold.z) for fold in folds]
     of = np.repeat(np.arange(len(folds)), sizes)  # the fold of every row
     rows = [slice(a - n, a) for a, n in zip(np.cumsum(sizes), sizes)]
-    counts = np.stack([fold.kept(params) for fold in folds])
-    soft = folds[0].kind == "soft"
+    counts = np.stack([fold.sort.kept(kind, params) for fold in folds])
+    soft = kind == "soft"
     # Every kept prefix of a fold ends at one of its cuts: its products are
     # summed between cuts and accumulated, one fold's at a time, so cross[r,
     # g, k] = z_r.(m_k d'_k) with the statistics of row r's fold, where d' =
@@ -186,7 +207,7 @@ def _predict_group(
         cuts = np.unique(np.append(kept, 0))
         at = np.searchsorted(cuts, kept)
         # the indices are in range, and wrap is numpy's fastest take for them
-        o = fold.order[:, : cuts[-1]]
+        o = fold.sort.order[:, : cuts[-1]]
         zs = np.take(fold.z, o, axis=1, mode="wrap")
         d = np.take(fold.stats.t_stats, o * K + cls[:, None], mode="wrap")
         m = fold.stats.m[:, None]
@@ -246,7 +267,8 @@ def _group_errors(folds: list[_HeldOutFold], grid, params) -> np.ndarray:
 
 
 def _fitted(ds: Dataset, kind: str, plan, fit_kw: dict) -> Iterator[_HeldOutFold]:
-    """The held-out folds ``plan`` in turn, each fitted when it is asked for."""
+    """The held-out folds ``plan`` in turn, each fitted and sorted for rules
+    of ``kind`` when it is asked for."""
     # Training sets are gathered from a sample-major copy, where each sample
     # is contiguous; the subsets, and so the fits, are the same.
     src = replace(ds, values=np.asfortranarray(ds.values))
@@ -254,8 +276,8 @@ def _fitted(ds: Dataset, kind: str, plan, fit_kw: dict) -> Iterator[_HeldOutFold
         rest = np.setdiff1d(np.arange(ds.n), idx, assume_unique=True)
         # no name holds the training subset or the fit between folds
         yield _HeldOutFold(
-            fit_statistics(src.subset(rest), **fit_kw), ds.values, idx, ds.y[idx], kind
-        )
+            fit_statistics(src.subset(rest), **fit_kw), ds.values, idx, ds.y[idx]
+        ).sorted_for(kind)
 
 
 class _FoldFits:
@@ -398,6 +420,23 @@ def _refine_grid(
     return [ThresholdRule(lo_rule.kind, float(v)) for v in inner]
 
 
+# The folds of the last deep search, as one (ds, (F, seed, fit options),
+# folds) entry or none.  The entry holds ds, so no other dataset can take its
+# id while the folds are kept.
+_last_plan: list[tuple[Dataset, tuple, list[_HeldOutFold]]] = []
+
+
+def _plan_folds(fits: _FoldFits, F: int, seed: int) -> list[_HeldOutFold]:
+    """The folds of ``fits``' plan, sorted for its kind: those of the last
+    deep search when it used the same dataset object, plan and fit options,
+    otherwise fitted here after the last search's are dropped."""
+    key = (F, seed, sorted(fits.fit_kw.items()))
+    if not (_last_plan and _last_plan[0][0] is fits.ds and _last_plan[0][1] == key):
+        _last_plan.clear()
+        _last_plan.append((fits.ds, key, list(fits.fitted())))
+    return [fold.sorted_for(fits.kind) for fold in _last_plan[0][2]]
+
+
 def deep_search(
     ds: Dataset,
     kind: str,
@@ -414,7 +453,10 @@ def deep_search(
     Starts from the standard m-point grid, picks the smallest-error point
     (possibly jumping to a drastically smaller runner-up model), then
     repeatedly re-splits the qualifying neighboring interval and re-runs
-    cross-validation over the same F fold fits, made once per call.  Stops
+    cross-validation over the same F fold fits.  The fits of the last
+    search are kept and reused when ``ds`` is the same object and F, seed
+    and ``fit_kw`` are equal, whatever the kind; any other plan drops them
+    before fitting its own, so at most one plan's folds are alive.  Stops
     when no interval qualifies, the refined grid is empty or cannot improve,
     or the survivor span is exhausted.  Raises ``DeepSearchError`` past ``MAX_ITERATIONS``.
     Every fit takes ``fit_statistics``'s options ``fit_kw`` by name.
@@ -424,7 +466,7 @@ def deep_search(
     if big_gap < 0:
         raise ValidationError(f"big_gap must be non-negative, got {big_gap}")
     fits = _FoldFits(ds, kind, F, seed, fit_kw, full)
-    folds = list(fits.fitted())
+    folds = _plan_folds(fits, F, seed)
     grid = threshold_grid(fits.full, kind, m)
     iterations: list[DeepSearchIteration] = []
     current: CvPoint | None = None

@@ -218,6 +218,109 @@ def test_cross_validate_holds_one_fold_at_a_time(monkeypatch):
         assert_no_children()
 
 
+def count_fold_fits(mp, ds: Dataset) -> list:
+    """Patch tuning's ``fit_statistics`` to record each fit of fewer samples
+    than ``ds`` holds, that is each fold fit; the list grows by one at each."""
+    fits, fit = [], tuning.fit_statistics
+
+    def counted(sub, **kw):
+        if sub.n < ds.n:
+            fits.append(sub.n)
+        return fit(sub, **kw)
+
+    mp.setattr(tuning, "fit_statistics", counted)
+    return fits
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ds=datasets(), seed=st.integers(0, 1000), fit_kw=fit_kws)
+def test_deep_searches_on_one_plan_fit_each_fold_once(ds, seed, fit_kw):
+    """Soft, hard, order and soft again on one dataset, seed and set of fit
+    options: the first search fits the F folds, the others reuse them and
+    re-sort them for their kind, and every curve equals the direct oracle.
+    A new seed, other s0 or prior mode, or an equal but distinct dataset
+    fits again."""
+    F = fold_count(ds, 4)
+    with pytest.MonkeyPatch.context() as mp:
+        fits = count_fold_fits(mp, ds)
+        for kind in ("soft", "hard", "order", "soft"):
+            trace = deep_search(ds, kind, m=6, F=F, seed=seed, **fit_kw)
+            for it in trace.iterations:
+                grid = [pt.rule for pt in it.curve.points]
+                assert [pt.cv_error_count for pt in it.curve.points] == (
+                    oracles.cv_error_counts_direct(ds, grid, F, seed, **fit_kw)
+                )
+            assert len(fits) == F
+        other_s0 = 0.25 if fit_kw["s0"] == "median" else "median"
+        other_prior = "uniform" if fit_kw["prior_mode"] == "empirical" else "empirical"
+        for data, plan_seed, kw in [
+            (ds, seed + 1, fit_kw),
+            (ds, seed, {**fit_kw, "s0": other_s0}),
+            (ds, seed, {**fit_kw, "prior_mode": other_prior}),
+            (dataclasses.replace(ds), seed, fit_kw),
+        ]:
+            deep_search(ds, "hard", m=6, F=F, seed=seed, **fit_kw)
+            fits.clear()
+            deep_search(data, "hard", m=6, F=F, seed=plan_seed, **kw)
+            assert len(fits) == F
+
+
+def test_a_fold_fit_that_raises_keeps_no_folds(monkeypatch):
+    """With s0 = 0, a feature constant in the training set of fold 1 alone
+    fails that fold's fit after fold 0 was fitted: the search raises, and so
+    does the same search again, and the plan kept before it is gone too."""
+    ds = uneven(3)
+    plan = stratified_folds(ds, 4, 0)
+    values = ds.values.copy()
+    values[0] = 1.0
+    values[0, plan[1]] = np.arange(len(plan[1])) + 2.0
+    ds = Dataset.from_arrays(values, ds.labels)
+    deep_search(ds, "hard", m=8, F=4, seed=0, s0=0.25)
+    fits = count_fold_fits(monkeypatch, ds)
+    for _ in range(2):
+        fits.clear()
+        with pytest.raises(DegenerateVarianceError):
+            deep_search(ds, "hard", m=8, F=4, seed=0, s0=0.0)
+        assert len(fits) == 2
+    fits.clear()
+    deep_search(ds, "hard", m=8, F=4, seed=0, s0=0.25)
+    assert len(fits) == 4
+
+
+def test_a_search_on_a_new_seed_never_holds_two_plans(monkeypatch):
+    """Sized like narrow-deep: the folds kept from the search on seed 0 are
+    dropped before the search on seed 1 fits its own, so no more than F folds
+    are alive at a time, and the traced peak of the second search stays below
+    two plans' folds."""
+    train, _ = generate_synthetic(SynthSpec(
+        p=2000, n_classes=3, informative=20, shift=0.8, n_per_class=(24,) * 3,
+        noise_sd=1.0, seed=2003,
+    ))
+    live, most = [0], [0]
+
+    class Counted(tuning._HeldOutFold):
+        def __init__(self, *args):
+            super().__init__(*args)
+            live[0] += 1
+            most[0] = max(most[0], live[0])
+
+        def __del__(self):
+            live[0] -= 1
+
+    monkeypatch.setattr(tuning, "_HeldOutFold", Counted)
+    tracemalloc.start()
+    try:
+        deep_search(train, "soft", F=10, seed=0)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        deep_search(train, "soft", F=10, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert most[0] == 10 and live[0] == 10
+    assert peak < 2 * held
+
+
 @needs_fork
 def test_a_matrix_above_the_split_size_is_split_and_scored_as_directly(monkeypatch):
     train, _ = generate_synthetic(SynthSpec(
@@ -430,12 +533,12 @@ def tie_patterns(p=400):
 def test_order_fold_lists_columns_by_retention_key(pattern):
     ds = tie_patterns()[pattern]
     stats = fit_statistics(ds)
-    fold = tuning._HeldOutFold(stats, ds.values, np.arange(ds.n), ds.y, "order")
+    sort = tuning._RetentionSort(stats.t_stats, "order")
     keys = retention_keys(stats.t_stats, "order")
     for k in range(ds.n_classes):
-        assert sorted(fold.order[k].tolist()) == list(range(ds.p))
-        assert fold.keys[k].tolist() == np.sort(keys[:, k]).tolist()
-        assert keys[fold.order[k], k].tolist() == fold.keys[k].tolist()
+        assert sorted(sort.order[k].tolist()) == list(range(ds.p))
+        assert sort.keys[k].tolist() == np.sort(keys[:, k]).tolist()
+        assert keys[sort.order[k], k].tolist() == sort.keys[k].tolist()
 
 
 matrices = st.builds(
@@ -485,9 +588,7 @@ def test_fold_kept_counts_match_apply_rule(ds, kind, data):
             st.one_of(st.sampled_from(levels), st.floats(0.0, 2 * levels[-1] + 1)),
             min_size=1, max_size=6,
         ))
-    counts = tuning._HeldOutFold(stats, ds.values, np.arange(ds.n), ds.y, kind).kept(
-        np.array(params)
-    )
+    counts = tuning._RetentionSort(t, kind).kept(kind, np.array(params))
     for g, v in enumerate(params):
         shrunk = apply_rule(t, ThresholdRule(kind, v))
         assert counts[g].tolist() == np.count_nonzero(shrunk, axis=0).tolist()
@@ -500,7 +601,7 @@ def group_predict(fits, grid):
     Returns each block's n_f x G predictions.
     """
     params = np.array([rule.param for rule in grid])
-    folds = [tuning._HeldOutFold(stats, X.T, np.arange(len(X)), None, grid[0].kind)
+    folds = [tuning._HeldOutFold(stats, X.T, np.arange(len(X)), None).sorted_for(grid[0].kind)
              for stats, X in fits]
     pred = tuning._predict_group(folds, grid, params)
     return np.split(pred, np.cumsum([len(X) for _, X in fits])[:-1])

@@ -21,7 +21,6 @@ from .thresholds import (
     hard,
     order,
     parse_rule,
-    reference_thresholds,
     soft,
     threshold_grid,
 )

@@ -1,5 +1,6 @@
 """Work split over forked children: the rows of a large table, one range of
-whole lines each, and the folds of a cross-validation, one fixed share each.
+whole lines each, and a sum of count vectors, one share of the work each,
+as ``tuning.cross_validate`` sums the error counts of its fold shares.
 
 ``data.read_table`` and ``tuning.cross_validate`` import this module only
 for work they split, so ``import nsckit`` does not compile it.  Each child,
@@ -19,8 +20,7 @@ import warnings
 
 import numpy as np
 
-from .data import _parse_block, stratified_folds
-from .tuning import CvCurve, _fitted, _FoldFits, _group_errors
+from .data import _parse_block
 
 
 @contextlib.contextmanager
@@ -76,44 +76,36 @@ def _receive(fd, buf) -> bool:
     return True
 
 
-def split_curve(ds, grid, F: int, seed: int, fit_kw: dict, parts: int) -> CvCurve:
-    """``cross_validate``'s curve, with the F folds of its plan dealt into
-    ``parts`` fixed shares, plan[i::parts].  A forked child fits and scores
-    each share but the first and sends its G error counts, while the
-    full-data fit and the first share are done here.  A share whose child
-    sends nothing (it raised, warned or died), or that found no process or
-    pipe to spare, is redone here, with the errors and warnings of the
-    serial path.
+@contextlib.contextmanager
+def split_sum(work, shares, G: int):
+    """Fork a child for each of ``shares`` that sends back the G integer
+    counts ``work(share)`` returns, and yield a function that returns the sum
+    of every share's counts; call it once this process has done its own
+    part.  A share whose child sends nothing (it raised, warned or died), or
+    that found no process or pipe to spare, is redone here by that function,
+    with the errors and warnings of ``work`` in this process.  No child
+    outlives the ``with`` block.
     """
-    kind, params = grid[0].kind, np.array([rule.param for rule in grid])
-    shares = [stratified_folds(ds, F, seed)[i::parts] for i in range(parts)]
-
-    def errors(share):
-        # no name holds a scored fold, so one is alive at a time
-        folds = _fitted(ds, kind, share, fit_kw)
-        return sum(map(lambda fold: _group_errors([fold], grid, params), folds))
 
     def send(pipe, share):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            counts = errors(share)
+            counts = work(share)
         if not caught:
             pipe.write(np.asarray(counts, np.int64).tobytes())
 
+    def receive(fd, share):
+        counts = np.empty(G, np.int64)
+        return counts if fd is not None and _receive(fd, counts.view(np.uint8)) else work(share)
+
     with _children() as children:
         pipes = []
-        for share in shares[1:]:
+        for share in shares:
             try:
                 pipes.append(_fork(children, lambda pipe, share=share: send(pipe, share)))
             except OSError:
                 pipes.append(None)
-        fits = _FoldFits(ds, kind, F, seed, fit_kw)
-        total = errors(shares[0])
-        for fd, share in zip(pipes, shares[1:]):
-            counts = np.empty(len(grid), np.int64)
-            received = fd is not None and _receive(fd, counts.view(np.uint8))
-            total = total + (counts if received else errors(share))
-        return fits.curve(grid, (), total)
+        yield lambda: sum(map(receive, pipes, shares))
 
 
 def parse_rows(path, parts: int, head: str, rows, delim: str, width: int, key_col: int | None):

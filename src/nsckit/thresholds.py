@@ -62,8 +62,8 @@ def parse_rule(text: str) -> ThresholdRule:
 
 def soft(d, delta: float):
     """Soft thresholding: sgn(d) * (|d| - delta)+."""
-    if delta < 0:
-        raise ValidationError(f"threshold must be >= 0, got {delta}")
+    if not math.isfinite(delta) or delta < 0:
+        raise ValidationError(f"threshold must be finite and >= 0, got {delta}")
     d = np.asarray(d, dtype=float)
     out = np.sign(d) * np.maximum(np.abs(d) - delta, 0.0)
     return out if out.ndim else float(out)
@@ -71,8 +71,8 @@ def soft(d, delta: float):
 
 def hard(d, delta: float):
     """Hard thresholding: keep d where |d| > delta (strict), else zero."""
-    if delta < 0:
-        raise ValidationError(f"threshold must be >= 0, got {delta}")
+    if not math.isfinite(delta) or delta < 0:
+        raise ValidationError(f"threshold must be finite and >= 0, got {delta}")
     d = np.asarray(d, dtype=float)
     out = np.where(np.abs(d) > delta, d, 0.0)
     return out if out.ndim else float(out)
@@ -168,26 +168,3 @@ def threshold_grid(stats, kind: str, m: int) -> list[ThresholdRule]:
         return [ThresholdRule("order", int(v)) for v in vals[::-1]]
     top = float(np.abs(stats.t_stats).max())
     return [ThresholdRule(kind, float(v)) for v in np.linspace(0.0, top, m)]
-
-
-def reference_thresholds(n: int, c: float, d_exp: float) -> dict[str, float]:
-    """Literature reference thresholding parameters for sample size n.
-
-    Returns the universal threshold sqrt(2 log n), the Fan-style threshold
-    sqrt(2 log(n * a_n)) with a_n = c * (log n)^(-d_exp), and the
-    (log n)^(3/2) order-thresholding recommendation.  Natural logarithms.
-    """
-    if n < 2:
-        raise ValidationError(f"need n >= 2, got {n}")
-    if c <= 0 or d_exp <= 0:
-        raise ValidationError("c and d_exp must be positive")
-    a_n = c * math.log(n) ** (-d_exp)
-    if n * a_n <= 1:
-        raise ValidationError(
-            f"n * a_n = {n * a_n!r} must exceed 1 for a positive log"
-        )
-    return {
-        "universal": math.sqrt(2 * math.log(n)),
-        "fan": math.sqrt(2 * math.log(n * a_n)),
-        "kim_akritas": math.log(n) ** 1.5,
-    }

@@ -6,9 +6,11 @@ preferring smaller models on ties.  ``deep_search`` repeatedly narrows the
 threshold interval around the selected point, optionally jumping to the
 runner-up when it buys a drastically smaller model at the cost of at most
 one extra misclassified sample.  Callers tune through ``bench.tune``, which
-caps the fold count and runs one or the other.  ``cross_validate`` deals the
-folds of a training matrix of at least ``data._SPLIT_BYTES`` to forked
-children, one share per usable CPU; ``deep_search`` runs in this process.
+caps the fold count and runs one or the other.  ``cross_validate``, the one
+place grid CV runs, sums the error counts of fixed shares of its fold
+plan: one share, unless a training matrix of at least ``data._SPLIT_BYTES``
+is split over forked children (``forked.split_sum``).  ``deep_search`` runs
+in this process.
 
 Each fold is fitted once per ``cross_validate`` call.  ``deep_search`` keeps
 the folds of its last plan, so searches of every kind on one dataset object,
@@ -30,8 +32,9 @@ m_k times the norm of |d| + delta over the entries class k keeps.
 
 from __future__ import annotations
 
+import contextlib
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -185,12 +188,10 @@ def _best_two(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pred, second - best
 
 
-def _predict_group(
-    folds: list[_HeldOutFold], grid: list[ThresholdRule], params: np.ndarray
-) -> np.ndarray:
+def _predict_group(folds: list[_HeldOutFold], grid: list[ThresholdRule]) -> np.ndarray:
     """Predicted class of every held-out sample of the folds under every rule,
     n x G with the folds' samples in turn; each fold is sorted for the grid's kind."""
-    kind = grid[0].kind
+    kind, params = grid[0].kind, np.array([rule.param for rule in grid])
     K, p = folds[0].sort.order.shape
     cls = np.arange(K)
     sizes = [len(fold.z) for fold in folds]
@@ -260,9 +261,9 @@ def _predict_group(
     return pred
 
 
-def _group_errors(folds: list[_HeldOutFold], grid, params) -> np.ndarray:
+def _group_errors(folds: list[_HeldOutFold], grid: list[ThresholdRule]) -> np.ndarray:
     """Misclassified held-out samples of the folds under each rule, G."""
-    pred = _predict_group(folds, grid, params)
+    pred = _predict_group(folds, grid)
     return (pred != np.concatenate([fold.y for fold in folds])[:, None]).sum(axis=0)
 
 
@@ -280,51 +281,33 @@ def _fitted(ds: Dataset, kind: str, plan, fit_kw: dict) -> Iterator[_HeldOutFold
         ).sorted_for(kind)
 
 
-class _FoldFits:
-    """The full-data fit and the fold plan of one ``cross_validate`` or
-    ``deep_search`` call.  ``curve`` scores a grid against groups of the
-    folds of ``fitted``: each alone as it comes, or all of them as one group.
-    """
+def _survivor_curve(full: CentroidStats, kind: str):
+    """A function from a grid of ``kind`` and its G CV error counts to their
+    ``CvCurve``, with survivor counts from ``full``, the fit of all the data."""
+    # a rule keeps a row exactly when it keeps the row's smallest key
+    row_keys = np.sort(retention_keys(full.t_stats, kind).min(axis=1))
 
-    def __init__(
-        self, ds: Dataset, kind: str, F: int, seed: int, fit_kw: dict,
-        full: CentroidStats | None = None,
-    ):
-        self.ds, self.kind, self.fit_kw = ds, kind, fit_kw
-        self.plan = stratified_folds(ds, F, seed)
-        self.full = fit_statistics(ds, **fit_kw) if full is None else full
-        # a rule keeps a row exactly when it keeps the row's smallest key
-        self.row_keys = np.sort(retention_keys(self.full.t_stats, kind).min(axis=1))
+    def curve(grid: list[ThresholdRule], errors) -> CvCurve:
+        survivors = kept_counts(row_keys, kind, [rule.param for rule in grid])
+        return CvCurve(tuple(
+            CvPoint(rule, int(e), int(n)) for rule, e, n in zip(grid, errors, survivors)
+        ))
 
-    def fitted(self) -> Iterator[_HeldOutFold]:
-        """The folds of the plan in turn, each fitted when it is asked for."""
-        return _fitted(self.ds, self.kind, self.plan, self.fit_kw)
-
-    def curve(self, grid: list[ThresholdRule], groups: Iterable[list], counts=0) -> CvCurve:
-        """CV error counts over the folds of ``groups``, each group scored in
-        one call, plus ``counts``, and survivor counts from the full fit.  No
-        name holds a scored group, so folds fitted as they are asked for live
-        one at a time.
-        """
-        params = np.array([rule.param for rule in grid])
-        survivors = kept_counts(self.row_keys, self.kind, params)
-        errors = counts + sum(map(lambda group: _group_errors(group, grid, params), groups))
-        points = tuple(
-            CvPoint(rule, int(errors[g]), int(survivors[g])) for g, rule in enumerate(grid)
-        )
-        return CvCurve(points)
+    return curve
 
 
 def cross_validate(ds: Dataset, grid, F: int, seed: int, **fit_kw) -> CvCurve:
     """Accumulate per-rule misclassification counts over F stratified folds.
 
     Every fit takes ``fit_statistics``'s options ``fit_kw`` by name.  Survivor
-    counts are taken from a fit on the full training set.  Each fold is
+    counts are taken from a fit on the full training set.  The folds are
+    dealt into fixed shares, plan[i::parts], and each fold of a share is
     fitted as the scoring reaches it and scored alone, so one fold is alive
-    at a time.  A training matrix of at least ``_SPLIT_BYTES`` has its folds
-    dealt into one fixed share per usable CPU (at most F), each but the
-    first done in a forked child (``forked.split_curve``).  An order rule
-    that keeps more than the p*K statistics is refused before any fit.
+    at a time.  There is one share unless the training matrix holds at least
+    ``_SPLIT_BYTES``: then there is one per usable CPU (at most F), and a
+    forked child does each share but the first (``forked.split_sum``) while
+    this process fits the full data and does the first.  An order rule that
+    keeps more than the p*K statistics is refused before any fit.
     Deterministic given (ds, grid, F, seed, fit_kw), split or not.
     """
     grid = list(grid)
@@ -336,12 +319,24 @@ def cross_validate(ds: Dataset, grid, F: int, seed: int, **fit_kw) -> CvCurve:
     for rule in grid:
         if rule.kind == "order" and rule.param > size:
             raise ValidationError(f"retained count {rule.param} exceeds statistic count {size}")
-    if ds.values.nbytes >= _SPLIT_BYTES and (parts := min(_cpus(), F)) > 1:
-        from .forked import split_curve  # compiled only where folds are split
+    kind, plan = grid[0].kind, stratified_folds(ds, F, seed)
+    parts = min(_cpus(), F) if ds.values.nbytes >= _SPLIT_BYTES else 1
+    shares = [plan[i::parts] for i in range(parts)]
 
-        return split_curve(ds, grid, F, seed, fit_kw, parts)
-    fits = _FoldFits(ds, grid[0].kind, F, seed, fit_kw)
-    return fits.curve(grid, map(lambda fold: [fold], fits.fitted()))
+    def errors(share):
+        # no name holds a scored fold, so one is alive at a time
+        folds = _fitted(ds, kind, share, fit_kw)
+        return sum(map(lambda fold: _group_errors([fold], grid), folds))
+
+    others = contextlib.nullcontext(lambda: 0)
+    if parts > 1:
+        from .forked import split_sum  # compiled only where folds are split
+
+        others = split_sum(errors, shares[1:], len(grid))
+    with others as rest:
+        # any children, forked on entering, work while this process fits the full data
+        curve = _survivor_curve(fit_statistics(ds, **fit_kw), kind)
+        return curve(grid, errors(shares[0]) + rest())
 
 
 def _preference(curve: CvCurve):
@@ -426,15 +421,17 @@ def _refine_grid(
 _last_plan: list[tuple[Dataset, tuple, list[_HeldOutFold]]] = []
 
 
-def _plan_folds(fits: _FoldFits, F: int, seed: int) -> list[_HeldOutFold]:
-    """The folds of ``fits``' plan, sorted for its kind: those of the last
-    deep search when it used the same dataset object, plan and fit options,
-    otherwise fitted here after the last search's are dropped."""
-    key = (F, seed, sorted(fits.fit_kw.items()))
-    if not (_last_plan and _last_plan[0][0] is fits.ds and _last_plan[0][1] == key):
+def _plan_folds(ds: Dataset, kind: str, F: int, seed: int, fit_kw: dict) -> list[_HeldOutFold]:
+    """The folds of ``ds``'s plan of F folds on ``seed``, sorted for ``kind``:
+    those of the last deep search when it used the same dataset object, plan
+    and fit options, otherwise planned and fitted here after the last
+    search's are dropped."""
+    key = (F, seed, sorted(fit_kw.items()))
+    if not (_last_plan and _last_plan[0][0] is ds and _last_plan[0][1] == key):
         _last_plan.clear()
-        _last_plan.append((fits.ds, key, list(fits.fitted())))
-    return [fold.sorted_for(fits.kind) for fold in _last_plan[0][2]]
+        plan = stratified_folds(ds, F, seed)
+        _last_plan.append((ds, key, list(_fitted(ds, kind, plan, fit_kw))))
+    return [fold.sorted_for(kind) for fold in _last_plan[0][2]]
 
 
 def deep_search(
@@ -452,28 +449,30 @@ def deep_search(
 
     Starts from the standard m-point grid, picks the smallest-error point
     (possibly jumping to a drastically smaller runner-up model), then
-    repeatedly re-splits the qualifying neighboring interval and re-runs
-    cross-validation over the same F fold fits.  The fits of the last
-    search are kept and reused when ``ds`` is the same object and F, seed
-    and ``fit_kw`` are equal, whatever the kind; any other plan drops them
-    before fitting its own, so at most one plan's folds are alive.  Stops
-    when no interval qualifies, the refined grid is empty or cannot improve,
-    or the survivor span is exhausted.  Raises ``DeepSearchError`` past ``MAX_ITERATIONS``.
-    Every fit takes ``fit_statistics``'s options ``fit_kw`` by name.
+    repeatedly re-splits the qualifying neighboring interval and scores each
+    refined grid against all of the same F fold fits in one call.  The fits
+    of the last search are kept and reused when ``ds`` is the same object
+    and F, seed and ``fit_kw`` are equal, whatever the kind; any other plan
+    drops them before fitting its own, so at most one plan's folds are
+    alive.  Stops when no interval qualifies, the refined grid is empty or
+    cannot improve, or the survivor span is exhausted.  Raises
+    ``DeepSearchError`` past ``MAX_ITERATIONS``.  Every fit takes
+    ``fit_statistics``'s options ``fit_kw`` by name.
     ``full``, when given, is the caller's fit of all of ``ds`` with the same
     fit options, used in place of a refit.  ``big_gap`` must be non-negative.
     """
     if big_gap < 0:
         raise ValidationError(f"big_gap must be non-negative, got {big_gap}")
-    fits = _FoldFits(ds, kind, F, seed, fit_kw, full)
-    folds = _plan_folds(fits, F, seed)
-    grid = threshold_grid(fits.full, kind, m)
+    full = fit_statistics(ds, **fit_kw) if full is None else full
+    folds = _plan_folds(ds, kind, F, seed, fit_kw)
+    curve_of = _survivor_curve(full, kind)
+    grid = threshold_grid(full, kind, m)
     iterations: list[DeepSearchIteration] = []
     current: CvPoint | None = None
     anchor_error: int | None = None
     stop_reason = ""
     for _ in range(MAX_ITERATIONS):
-        curve = fits.curve(grid, [folds])
+        curve = curve_of(grid, _group_errors(folds, grid))
         tau = select_smallest(curve)
         if current is not None and curve.points[tau].cv_error_count > current.cv_error_count:
             # refined grid is strictly worse than the incumbent; keep it

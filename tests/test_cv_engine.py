@@ -49,6 +49,11 @@ def split_folds(monkeypatch, cpus: int) -> list:
     return forks
 
 
+def fold_group(ds: Dataset, kind: str, F: int, seed: int) -> list:
+    """The F folds of ds's plan on ``seed``, fitted and sorted for ``kind``."""
+    return list(tuning._fitted(ds, kind, stratified_folds(ds, F, seed), {}))
+
+
 @st.composite
 def datasets(draw):
     """Small datasets with the shapes that stress the engine's tie handling.
@@ -122,14 +127,13 @@ def test_grouped_folds_equal_direct_oracle(ds, kind, seed, data):
     smallest = int(ds.class_sizes.min())
     # two folds of a class of 3 can leave one sample per class, too few to fit
     F = data.draw(st.integers(2 if smallest > 3 else 3, min(5, smallest)))
-    fits = tuning._FoldFits(ds, kind, F, seed, {})
-    folds = list(fits.fitted())
+    folds = fold_group(ds, kind, F, seed)
     if kind == "order":
         params = st.integers(0, ds.p * ds.n_classes)
     else:
         levels = sorted({0.0, *np.abs([f.stats.t_stats for f in folds]).ravel().tolist()})
         params = st.one_of(st.sampled_from(levels), st.floats(0.0, 2 * levels[-1] + 1))
-    grids = [threshold_grid(fits.full, kind, 6)] + [
+    grids = [threshold_grid(fit_statistics(ds), kind, 6)] + [
         [ThresholdRule(kind, v) for v in data.draw(st.lists(params, min_size=1, max_size=6))]
         for _ in range(3)
     ]
@@ -143,7 +147,7 @@ def test_grouped_folds_equal_direct_oracle(ds, kind, seed, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tuning, "_predict_group", recording)
         for grid in grids:
-            assert [pt.cv_error_count for pt in fits.curve(grid, [folds]).points] == (
+            assert tuning._group_errors(folds, grid).tolist() == (
                 oracles.cv_error_counts_direct(ds, grid, F, seed)
             )
     assert groups == [F] * len(grids)
@@ -421,6 +425,25 @@ def test_a_share_whose_child_fails_is_redone_here(monkeypatch, failure):
 
 
 @needs_fork
+def test_the_child_is_forked_before_the_full_data_fit(monkeypatch):
+    """On a two-share split the child's share overlaps this process's
+    full-data fit, which comes after the fork and before its own folds."""
+    ds = uneven(6)
+    grid = threshold_grid(fit_statistics(ds), "hard", 8)
+    split_folds(monkeypatch, 2)
+    events, fork, fit = [], os.fork, tuning.fit_statistics
+    monkeypatch.setattr(os, "fork", lambda: events.append("fork") or fork())
+    monkeypatch.setattr(tuning, "fit_statistics", lambda sub, **kw: events.append(
+        "full" if sub.n == ds.n else "fold") or fit(sub, **kw))
+    curve = cross_validate(ds, grid, 4, 0)
+    assert events == ["fork", "full", "fold", "fold"]
+    assert_no_children()
+    assert [pt.cv_error_count for pt in curve.points] == (
+        oracles.cv_error_counts_direct(ds, grid, 4, 0)
+    )
+
+
+@needs_fork
 def test_a_fold_that_fails_in_a_child_gives_the_serial_error(monkeypatch):
     """With s0 = 0, a feature constant in the training set of fold 1 alone
     fails that fold's fit, and fold 1 falls in the child's share."""
@@ -485,13 +508,11 @@ def test_scoring_holds_one_fold_of_products_at_a_time(kind):
         p=2000, n_classes=3, informative=20, shift=0.8, n_per_class=(24,) * 3,
         noise_sd=1.0, seed=2003,
     ))
-    fits = tuning._FoldFits(train, kind, 10, 0, {})
-    folds = list(fits.fitted())
-    grid = threshold_grid(fits.full, kind, 30)
-    params = np.array([rule.param for rule in grid])
+    folds = fold_group(train, kind, 10, 0)
+    grid = threshold_grid(fit_statistics(train), kind, 30)
     tracemalloc.start()
     try:
-        tuning._predict_group(folds, grid, params)
+        tuning._predict_group(folds, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -505,8 +526,7 @@ def test_fold_fits_equal_subset_fits(layout, rng):
     ds = random_dataset(rng, p=40, n_classes=3, max_n=30)
     ds = Dataset.from_arrays(np.asarray(ds.values, order=layout) * 1e3 + 7.0, ds.labels)
     assert ds.values.flags[f"{layout}_CONTIGUOUS"]
-    fits = tuning._FoldFits(ds, "soft", 2, 1, {})
-    for fold, test_idx in zip(fits.fitted(), stratified_folds(ds, 2, 1)):
+    for fold, test_idx in zip(fold_group(ds, "soft", 2, 1), stratified_folds(ds, 2, 1)):
         want = fit_statistics(ds.subset(np.setdiff1d(np.arange(ds.n), test_idx)))
         for field in dataclasses.fields(want):
             got = getattr(fold.stats, field.name)
@@ -600,10 +620,9 @@ def group_predict(fits, grid):
 
     Returns each block's n_f x G predictions.
     """
-    params = np.array([rule.param for rule in grid])
     folds = [tuning._HeldOutFold(stats, X.T, np.arange(len(X)), None).sorted_for(grid[0].kind)
              for stats, X in fits]
-    pred = tuning._predict_group(folds, grid, params)
+    pred = tuning._predict_group(folds, grid)
     return np.split(pred, np.cumsum([len(X) for _, X in fits])[:-1])
 
 
@@ -706,22 +725,20 @@ def test_offset_near_ties_fall_back_to_predict(monkeypatch):
 
     monkeypatch.setattr(tuning, "predict", counting_predict)
     monkeypatch.setattr(tuning, "_predict_group", grouping)
-    fits = tuning._FoldFits(ds, "soft", 3, 5, {})
-    folds = list(fits.fitted())
+    folds = fold_group(ds, "soft", 3, 5)
     for start in (0, 4):
         grid = threshold_grid(fit_statistics(ds), "soft", 10)[start:]
         for score, sizes in (
-            (lambda: cross_validate(ds, grid, 3, 5), [1, 1, 1]),
-            (lambda: fits.curve(grid, [folds]), [3]),
+            (lambda: [pt.cv_error_count for pt in cross_validate(ds, grid, 3, 5).points],
+             [1, 1, 1]),
+            (lambda: tuning._group_errors(folds, grid).tolist(), [3]),
         ):
             rescored.clear()
             groups.clear()
-            curve = score()
+            errors = score()
             assert groups == sizes
             assert sum(rescored) > 0
-            assert [pt.cv_error_count for pt in curve.points] == (
-                oracles.cv_error_counts_direct(ds, grid, 3, 5)
-            )
+            assert errors == oracles.cv_error_counts_direct(ds, grid, 3, 5)
 
 
 def test_exact_prior_ties_need_no_fallback(monkeypatch):
@@ -750,9 +767,7 @@ def test_prior_ties_that_differ_between_grouped_folds(monkeypatch):
     grid = [ThresholdRule("hard", big), ThresholdRule("hard", big * 2)]
     want = oracles.cv_error_counts_direct(ds, grid, 2, 0)
     assert [pt.cv_error_count for pt in cross_validate(ds, grid, 2, 0).points] == want
-    fits = tuning._FoldFits(ds, "hard", 2, 0, {})
-    group = list(fits.fitted())
-    assert [pt.cv_error_count for pt in fits.curve(grid, [group]).points] == want
+    assert tuning._group_errors(fold_group(ds, "hard", 2, 0), grid).tolist() == want
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e6])

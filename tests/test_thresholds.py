@@ -13,7 +13,6 @@ from nsckit import (
     hard,
     order,
     parse_rule,
-    reference_thresholds,
     soft,
     threshold_grid,
 )
@@ -47,6 +46,11 @@ def test_negative_threshold_rejected():
         hard(1.0, -0.1)
     with pytest.raises(ValidationError):
         ThresholdRule("soft", -1.0)
+    for delta in (math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            soft(1.0, delta)
+        with pytest.raises(ValidationError):
+            hard(1.0, delta)
 
 
 @given(d=finite, delta=nonneg)
@@ -197,24 +201,6 @@ def test_grid_survivor_counts_nonincreasing(rng):
             for r in threshold_grid(stats, kind, 15)
         ]
         assert counts == sorted(counts, reverse=True)
-
-
-def test_reference_thresholds_n100():
-    ref = reference_thresholds(100, c=1.0, d_exp=1.0)
-    assert ref["universal"] == pytest.approx(math.sqrt(2 * math.log(100)), abs=1e-12)
-    assert ref["universal"] == pytest.approx(3.03485, abs=1e-5)
-    assert ref["kim_akritas"] == pytest.approx(math.log(100) ** 1.5, abs=1e-12)
-    assert ref["kim_akritas"] == pytest.approx(9.88254, abs=1e-5)
-    # independently: a_n = 1/log(100), threshold = sqrt(2 log(100/log 100))
-    expected_fan = math.sqrt(2 * (math.log(100) - math.log(math.log(100))))
-    assert ref["fan"] == pytest.approx(expected_fan, abs=1e-12)
-    assert ref["fan"] == pytest.approx(2.48112, abs=1e-5)
-
-
-def test_reference_thresholds_domain_error():
-    # c tiny makes n * a_n fall below 1
-    with pytest.raises(ValidationError):
-        reference_thresholds(100, c=1e-6, d_exp=3.0)
 
 
 def test_parse_rule_round_trip():

@@ -33,10 +33,6 @@ METHODS = {
 }
 
 
-# the options of ``tune`` that are not ``fit_statistics``'s
-_TUNING_OPTIONS = ("m", "folds", "big_gap")
-
-
 def tune(
     ds: Dataset, full: CentroidStats, kind: str, deep: bool, seed: int, *,
     m: int = DEFAULT_M, folds: int = DEFAULT_FOLDS, big_gap: int = DEFAULT_BIG_GAP, **fit_kw,
@@ -129,14 +125,18 @@ def run_experiment(
     method: str,
     runs: int = 100,
     base_seed: int = 0,
-    **options,
+    *,
+    m: int = DEFAULT_M,
+    folds: int = DEFAULT_FOLDS,
+    big_gap: int = DEFAULT_BIG_GAP,
+    **fit_kw,
 ) -> list[RunRecord]:
     """Tune, fit, and score ``runs`` times with seeds base_seed + run index.
 
-    ``options`` are ``tune``'s tuning options and ``fit_statistics``'s
-    options, by name; every fit takes the latter, and ``tune`` takes both.
-    When both sets name their features, test features are matched to the
-    training features by name, as ``nsckit predict`` matches a model's.
+    ``m``, ``folds`` and ``big_gap`` are ``tune``'s, and ``fit_kw`` are
+    ``fit_statistics``'s options, by name, which every fit takes.  When both
+    sets name their features, test features are matched to the training
+    features by name, as ``nsckit predict`` matches a model's.
     """
     method = method.lower()
     if method not in METHODS:
@@ -152,16 +152,16 @@ def run_experiment(
     if names is not None and test.feature_names not in (None, names):
         X_test = X_test[:, column_order(test.feature_names, names)]
     kind, deep = METHODS[method]
-    full_stats = fit_statistics(
-        train, **{k: v for k, v in options.items() if k not in _TUNING_OPTIONS}
-    )
+    full_stats = fit_statistics(train, **fit_kw)
     # test labels mapped through the training class order
     train_index = {cls: k for k, cls in enumerate(train.classes)}
     y_test = np.array([train_index[lab] for lab in test.labels])
     records = []
     for r in range(runs):
         seed = base_seed + r
-        rule = tune(train, full_stats, kind, deep, seed, **options).final_rule
+        rule = tune(
+            train, full_stats, kind, deep, seed, m=m, folds=folds, big_gap=big_gap, **fit_kw
+        ).final_rule
         model = shrink(full_stats, rule)
         pred = predict(model, X_test)
         err_pct = 100.0 * float((pred != y_test).sum()) / test.n

@@ -7,10 +7,10 @@ sortable. Datasets are immutable after construction.
 
 from __future__ import annotations
 
+import codecs
 import math
 import os
 from collections import Counter
-from itertools import chain
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -160,9 +160,9 @@ def read_text(path) -> str:
     return text.removeprefix("\ufeff")
 
 
-# Every character but \n and \r on which str.splitlines breaks a line (a text
-# file's lines end at those two already), and U+001F, which numpy's reader
-# takes as whitespace and float does not.
+# Every character but \n and \r on which str.splitlines breaks a line (a row
+# read ends at \n, and numpy's reader refuses one with a \r inside it), and
+# U+001F, which numpy's reader takes as whitespace and float does not.
 _LINE_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 _WALKED = _LINE_BREAKS + "\x1f"
 
@@ -177,9 +177,44 @@ def _header(line: str, key_col: int | str | None):
             raise ValidationError(f"label column {key_col!r} not in header")
         key_col = header.index(key_col)
     if key_col is not None:
-        key_col = range(width)[key_col]  # a negative index counts from the end
+        if not -width <= key_col < width:
+            raise ValidationError(
+                f"key column index {key_col} is out of range for {width} columns"
+            )
+        key_col %= width  # a negative index counts from the end
         del header[key_col]
     return delim, header, width, key_col
+
+
+def _head(f) -> str:
+    """The first nonblank line of the binary file ``f``, past a byte-order
+    mark and without its line end, leaving ``f`` at the next line.  A
+    ValueError if none is UTF-8 text free of a \\r (a text file's lines end
+    there too) and of ``_LINE_BREAKS``: the walk reads such a file."""
+    if f.read(3) != codecs.BOM_UTF8:
+        f.seek(0)
+    for raw in f:
+        if not (line := raw.decode()).isspace():
+            line = line.removesuffix("\n").removesuffix("\r")
+            if not any(c in line for c in "\r" + _LINE_BREAKS):
+                return line
+            break
+    raise ValueError("header for the walk")
+
+
+def _row_cuts(f, at) -> list[int]:
+    """The position of the binary file ``f``, the start of the first line at
+    or after each offset of ``at`` (ascending) that lies below it, and the
+    end of the file.  Each cut but the first follows a \\n or ends the
+    file, so no range between cuts splits a \\r\\n or a UTF-8 character."""
+    cuts = [f.tell()]
+    for offset in (*at, f.seek(0, os.SEEK_END)):
+        if offset > cuts[-1]:
+            f.seek(offset - 1)
+            while (part := f.readline(1 << 16)) and not part.endswith(b"\n"):
+                pass
+            cuts.append(f.tell())
+    return cuts
 
 
 def _parse_block(rows, delim: str, width: int, key_col: int | None):
@@ -187,20 +222,23 @@ def _parse_block(rows, delim: str, width: int, key_col: int | None):
     reader, or None to walk the table.
 
     ``rows`` is read once, row by row, so a file's rows are never all held
-    as text.  None when a row has the wrong width or holds a character of
-    ``_WALKED``, a cell is one the reader refuses, a value is not finite or
-    the rows are not UTF-8: the walk then gives the error or, for a cell
-    only ``float`` reads, the value.
+    as text.  None when there is no row, a row has the wrong width or holds
+    a character of ``_WALKED``, a cell is one the reader refuses (a lone
+    \\r too), a value is not finite or the rows are not UTF-8: the walk
+    then gives the error or, for a cell only ``float`` reads, the value.
     """
     keys = None if key_col is None else []
 
     def checked():
+        ln = None
         for ln in rows:
             if ln.count(delim) != width - 1 or any(c in ln for c in _WALKED):
                 raise ValueError("row for the walk")
             if keys is not None:
                 keys.append(ln.split(delim, key_col + 1)[key_col].strip())
             yield ln
+        if ln is None:  # before numpy, which warns on no rows
+            raise ValueError("no rows")
 
     try:
         values = np.loadtxt(
@@ -214,6 +252,14 @@ def _parse_block(rows, delim: str, width: int, key_col: int | None):
     return keys, values
 
 
+def parse_range(f, start: int, end: int, delim: str, width: int, key_col: int | None):
+    """``_parse_block`` of the nonblank lines in bytes ``start`` to ``end``
+    of the binary file ``f``, read and decoded one at a time."""
+    f.seek(start)
+    lines = (f.readline().decode() for _ in iter(lambda: f.tell() < end, False))
+    return _parse_block((ln for ln in lines if not ln.isspace()), delim, width, key_col)
+
+
 def read_table(path, key_col: int | str | None = None):
     """Read a delimited table: TAB if the header has one, else comma.
 
@@ -224,37 +270,43 @@ def read_table(path, key_col: int | str | None = None):
     and the rows x columns float array.  Names are stripped of outer
     whitespace.
 
-    A well-formed table goes to numpy's C reader, which parses the numeric
+    The file, which must be seekable, is opened once, in binary, and the
+    rows below its header go to numpy's C reader, which parses the numeric
     cells in one call.  A file of at least ``2 * _SPLIT_BYTES`` bytes, on a
-    system with fork and at least two usable CPUs, is cut below its header
-    into one range of whole lines per usable CPU (each at least
-    ``_SPLIT_BYTES``), and a forked child parses each range into its part
-    of the result; any other table is streamed here, one row at a time.  A
-    table the C reader refuses, in any range, or that holds a non-finite
-    value, a line break other than \\n and \\r or bytes that are not UTF-8,
-    is read whole and walked cell by cell instead, with the same result or
-    error: the walk reports the first bad cell, and accepts the cells that
-    ``float`` reads but the C reader does not (``1_000``, non-ASCII digits).
-    The result and every error are the same whichever way a file is read.
+    system with fork and at least two usable CPUs, is cut into one range of
+    whole lines per usable CPU (each at least ``_SPLIT_BYTES``), and a
+    forked child parses each range into its part of the result; any other
+    file is one range, parsed here.  Either way ``parse_range`` streams a
+    range one line at a time.
+    A table the C reader refuses, in any range, or that holds a non-finite
+    value, a line break other than \\n and \\r\\n or bytes that are not
+    UTF-8, is read whole and walked cell by cell instead, with the same
+    result or error: the walk reports the first bad cell, and accepts the
+    cells that ``float`` reads but the C reader does not (``1_000``,
+    non-ASCII digits).  The result and every error are the same whichever
+    way a file is read.
     """
-    try:
-        with open(path, encoding="utf-8-sig") as f:
-            lines = (ln for ln in f if not ln.isspace())  # a line read holds its \n
-            head, first = next(lines, None), next(lines, None)
-            if first is not None and not any(c in head for c in _LINE_BREAKS):
-                delim, header, width, key_col_at = _header(head, key_col)
-                fmt, rows = (delim, width, key_col_at), chain([first], lines)
-                if (parts := min(_cpus(), os.path.getsize(path) // _SPLIT_BYTES)) > 1:
-                    from .forked import parse_rows  # compiled only where a file is split
+    with open(path, "rb") as f:
+        if not f.seekable():  # a pipe: its header and ranges could not be found again
+            raise ParseError(f"{path}: cannot seek in this file; save it as a regular file first")
+        try:
+            delim, header, width, key_at = _header(_head(f), key_col)
+        except ValueError:  # the walk reports a bad byte before a bad header
+            return _walk_table(path, key_col)
+        fmt = (delim, width, key_at)
+        size = os.fstat(f.fileno()).st_size
+        parts = min(_cpus(), size // _SPLIT_BYTES)
+        cuts = _row_cuts(f, [size * k // parts for k in range(1, parts)])
+        if len(cuts) > 2:
+            from .forked import parse_split  # compiled only where a file is split
 
-                    parsed = parse_rows(path, parts, head, rows, *fmt)
-                else:
-                    parsed = _parse_block(rows, *fmt)
-                if parsed is not None:
-                    return header, *parsed
-    except UnicodeDecodeError:
-        pass
-    return _walk_table(path, key_col)
+            try:
+                parsed = parse_split(path, cuts, *fmt)
+            except OSError:  # no process or pipe to spare: one range, here
+                del cuts[1:-1]
+        if len(cuts) <= 2:
+            parsed = parse_range(f, cuts[0], cuts[-1], *fmt)
+    return _walk_table(path, key_col) if parsed is None else (header, *parsed)
 
 
 # The least work worth a forked child: a range of a file, or a training

@@ -1,6 +1,7 @@
-"""Work split over forked children: the rows of a large table, one range of
-whole lines each, and a sum of count vectors, one share of the work each,
-as ``tuning.cross_validate`` sums the error counts of its fold shares.
+"""Work split over forked children, and nothing else: the rows of a large
+table, one range of whole lines each, and a sum of count vectors, one share
+of the work each, as ``tuning.cross_validate`` sums the error counts of its
+fold shares.  The one-range read and the one-share sum run in the caller.
 
 ``data.read_table`` and ``tuning.cross_validate`` import this module only
 for work they split, so ``import nsckit`` does not compile it.  Each child,
@@ -13,14 +14,13 @@ forked from.
 from __future__ import annotations
 
 import contextlib
-import io
 import os
 import signal
 import warnings
 
 import numpy as np
 
-from .data import _parse_block
+from .data import parse_range
 
 
 @contextlib.contextmanager
@@ -108,71 +108,10 @@ def split_sum(work, shares, G: int):
         yield lambda: sum(map(receive, pipes, shares))
 
 
-def parse_rows(path, parts: int, head: str, rows, delim: str, width: int, key_col: int | None):
-    """``_parse_block`` of the rows below the header line ``head``, cut into
-    ``parts`` ranges of about equal size and joined in file order.
-
-    ``rows``, the same rows as text, is parsed here instead where the file
-    cannot be cut at line ends below ``head`` or there is no process or
-    pipe to spare.
-    """
-    size = os.path.getsize(path)
-    cuts = row_cuts(path, head, [size * k // parts for k in range(1, parts)])
-    if cuts is not None and len(cuts) > 2:
-        try:
-            return parse_split(path, cuts, delim, width, key_col)
-        except OSError:  # no process or pipe to spare
-            pass
-    return _parse_block(rows, delim, width, key_col)
-
-
-def row_cuts(path, head: str, at) -> list[int] | None:
-    """Where the rows below the header line ``head`` start, then the start
-    of the first line at or after each byte offset of ``at`` (ascending)
-    that lies below it, then the end of the file.
-
-    None unless the first nonblank line of the file, read in binary and
-    split at \\n, is ``head`` once its \\r\\n is read as \\n: the header
-    then ends at the same byte as in the text stream.  Each cut follows a
-    \\n, so no range splits a \\r\\n or a UTF-8 character, and the lines
-    of the ranges, read one after another, are the lines of the stream.
-    """
-    with open(path, "rb") as f:
-        for n, raw in enumerate(f):
-            try:
-                line = raw.decode("utf-8-sig" if n == 0 else "utf-8")
-            except UnicodeDecodeError:
-                return None
-            if not line.isspace():
-                break
-        else:
-            return None
-        if line.replace("\r\n", "\n") != head:
-            return None
-        cuts = [f.tell()]
-        for offset in (*at, f.seek(0, os.SEEK_END)):
-            if offset > cuts[-1]:
-                f.seek(offset - 1)
-                while (part := f.readline(1 << 16)) and not part.endswith(b"\n"):
-                    pass
-                cuts.append(f.tell())
-    return cuts
-
-
-def parse_range(path, start: int, end: int, delim: str, width: int, key_col: int | None):
-    """``_parse_block`` of the lines in bytes ``start`` to ``end`` of a file,
-    two offsets of ``row_cuts``."""
-    with open(path, "rb") as f:
-        f.seek(start)
-        text = io.TextIOWrapper(io.BytesIO(f.read(end - start)), encoding="utf-8")
-    with warnings.catch_warnings():  # numpy warns on a range of blank lines only
-        warnings.simplefilter("ignore")
-        return _parse_block((ln for ln in text if not ln.isspace()), delim, width, key_col)
-
-
 def parse_split(path, cuts, delim: str, width: int, key_col: int | None):
-    """``parse_range`` of each pair of consecutive ``cuts``, each in a
-    forked child, joined in file order, or None if a range is refused.
+    """``parse_range`` of each pair of consecutive ``cuts`` of the file
+    ``path``, each in a forked child that opens the file, joined in file
+    order, or None if a range is refused.
 
     Each child sends its row and key byte counts, its rows and its keys, or
     nothing if its range is refused.  All the counts are read first, so the
@@ -180,7 +119,8 @@ def parse_split(path, cuts, delim: str, width: int, key_col: int | None):
     """
 
     def send(pipe, start, end):
-        parsed = parse_range(path, start, end, delim, width, key_col)
+        with open(path, "rb") as f:
+            parsed = parse_range(f, start, end, delim, width, key_col)
         if parsed is not None:
             keys, values = parsed
             names = "\n".join(keys or ()).encode()  # a key holds no line break
@@ -201,5 +141,5 @@ def parse_split(path, cuts, delim: str, width: int, key_col: int | None):
             names = bytearray(int(head[1]))
             if not (_receive(fd, values[a:b].reshape(-1).view(np.uint8)) and _receive(fd, names)):
                 return None
-            keys += names.decode().split("\n") if a < b else []
+            keys += names.decode().split("\n")  # a range that is not refused has a row
         return (None if key_col is None else keys), values

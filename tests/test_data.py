@@ -20,8 +20,10 @@ from nsckit import (
 )
 
 from nsckit import data, forked
-from nsckit.data import _header, _parse_block, _walk_table, read_table, read_text
-from nsckit.forked import parse_range, parse_split, row_cuts
+from nsckit.data import (
+    _head, _header, _parse_block, _row_cuts, _walk_table, parse_range, read_table, read_text,
+)
+from nsckit.forked import parse_split
 
 import oracles
 from conftest import assert_no_children, random_dataset
@@ -221,6 +223,16 @@ def test_read_table_negative_key_index(tmp_path):
     assert values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
+@pytest.mark.parametrize("key_col", [2, -3])
+def test_read_table_key_index_out_of_range(tmp_path, key_col):
+    f = tmp_path / "t.csv"
+    f.write_text("A,B\n1,2\n")
+    message = f"key column index {key_col} is out of range for 2 columns"
+    for read in (read_table, _walk_table):
+        with pytest.raises(ValidationError, match=message):
+            read(f, key_col)
+
+
 def test_byte_order_mark_is_not_part_of_the_header(tmp_path):
     f = tmp_path / "m.csv"
     f.write_bytes(b"\xef\xbb\xbfa,b\n1,2\n")
@@ -235,6 +247,18 @@ def test_byte_order_mark_is_not_part_of_the_header(tmp_path):
     f.write_bytes(b"\xef\xbb\xbfa,b\n\xff,2\n")
     with pytest.raises(ParseError, match=r"not UTF-8 text \(byte 7\)"):
         read_text(f)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_a_pipe_is_refused_in_one_line():
+    r, w = os.pipe()
+    os.write(w, b"label,a\nx,1\ny,2\n")
+    os.close(w)
+    try:
+        with pytest.raises(ParseError, match=r"^/dev/fd/\d+: cannot seek in this file; save it"):
+            read_table(f"/dev/fd/{r}", "label")
+    finally:
+        os.close(r)
 
 
 def test_load_matrix_missing_label_column(tmp_path):
@@ -392,6 +416,9 @@ def outcome(read, path, key):
 # a line break inside the header, and inside a row, that a text file does not break at
 @example(table=(b"case,A\xe2\x80\xa8B\n1,2\n", None))
 @example(table=(b"case,A,B\nr1,1\x0c,2\n", 0))
+# a header without the label column above a byte that is not UTF-8: the
+# walk's byte error comes first, however far below the header the byte is
+@example(table=(b"a,b\n" + b"1,2\n" * 5000 + b"\xff1,2\n", "label"))
 def test_streamed_reader_equals_the_walk(table_dir, table):
     """Whatever the table, read_table gives the result or the error of the
     whole-text walk."""
@@ -434,33 +461,58 @@ def split_tables(draw):
 @given(table=split_tables())
 @example(table=(b"\xef\xbb\xbflabel,a\r\n\r\nx,1\r\n\xc3\xa9,2\r\n\r\n", 0, [0, 12, 21, 24]))
 def test_ranges_cut_anywhere_join_to_the_stream(table_dir, table):
-    """The rows of the ranges between any cuts, each parsed in a forked
-    child and joined in order, are read_table's serial result, and a table
-    the stream refuses has a range that is refused."""
+    """The ranges between cuts at any offsets below the header, each
+    parsed in a forked child and joined in order, give the one-range read
+    of the rows, which is read_table's result; the join is refused exactly
+    when some range is, and always when the one range is."""
     raw, key, at = table
     f = table_dir / "split.txt"
     f.write_bytes(raw)
-    with open(f, encoding="utf-8-sig") as text:
-        head, *lines = [ln for ln in text if not ln.isspace()]
-    delim, header, width, key_at = _header(head, key)
-    stream = _parse_block(lines, delim, width, key_at)
-    cuts = row_cuts(f, head, at)
-    # only a lone CR can end the header at another byte in binary
-    assert (cuts is None) == (b"\r" in raw.replace(b"\r\n", b""))
-    if cuts is None:
-        return
-    assert cuts == sorted(cuts) and cuts[-1] == len(raw)
-    parts = [parse_range(f, a, b, delim, width, key_at) for a, b in zip(cuts, cuts[1:])]
-    assert (stream is None) == (None in parts)
-    joined = parse_split(f, cuts, delim, width, key_at)
+    with open(f, "rb") as rows:
+        try:
+            head = _head(rows)
+        except ValueError:
+            head = None
+        # only a lone CR, where a text file's lines end too, sends the header to the walk
+        assert (head is None) == (b"\r" in raw.replace(b"\r\n", b""))
+        if head is None:
+            return
+        delim, header, width, key_at = _header(head, key)
+        fmt = (delim, width, key_at)
+        cuts = _row_cuts(rows, at)
+        one = parse_range(rows, cuts[0], cuts[-1], *fmt)
+        parts = [parse_range(rows, a, b, *fmt) for a, b in zip(cuts, cuts[1:])]
+    assert cuts == sorted(set(cuts)) and cuts[-1] == len(raw)
+    joined = parse_split(f, cuts, *fmt)
     assert_no_children()
-    if stream is None:
+    assert (joined is None) == (None in parts)
+    if one is None:
         assert joined is None
+    if joined is None:
         return
     keys, values = joined
+    assert keys == one[0] and np.array_equal(bits(values), bits(one[1]))
     names, want_keys, want = read_table(f, key)
-    assert names == header and keys == want_keys == stream[0]
+    assert names == header and keys == want_keys
     assert values.shape == want.shape and np.array_equal(bits(values), bits(want))
+
+
+def test_a_file_below_the_split_size_is_one_range_read_here(tmp_path, monkeypatch):
+    f = tmp_path / "t.csv"
+    f.write_bytes(b"\xef\xbb\xbflabel,a,b\r\nx,1,2\r\n\r\ny,3,4\r\n")
+    calls, forks = [], []
+    one_range = data.parse_range
+
+    def no_fork():
+        forks.append(1)
+        raise OSError("no process to spare")
+
+    monkeypatch.setattr(data, "parse_range", lambda f, *a: calls.append(a[:2]) or one_range(f, *a))
+    monkeypatch.setattr(os, "fork", no_fork)
+    names, keys, values = read_table(f, "label")
+    assert calls == [(14, f.stat().st_size)] and forks == []  # the rows start below the header
+    assert names == ["a", "b"] and keys == ["x", "y"]
+    assert values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 @pytest.fixture(scope="module")

@@ -2,16 +2,19 @@
 
 Datasets are stored feature-major (p x n). Class identifiers are mapped to
 contiguous indices in first-appearance order so labels never need to be
-sortable. Datasets are immutable after construction.
+sortable. Datasets are immutable after construction. ``read_table`` reads
+every table: ``parse_range`` parses its rows, here or in forked children.
 """
 
 from __future__ import annotations
 
 import codecs
+import contextlib
 import math
 import os
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -160,8 +163,8 @@ def read_text(path) -> str:
     return text.removeprefix("\ufeff")
 
 
-# Every character but \n and \r on which str.splitlines breaks a line (a row
-# read ends at \n, and numpy's reader refuses one with a \r inside it), and
+# Every character but \n and \r on which str.splitlines breaks a line (a
+# text file's lines, and those ``parse_range`` reads, end at those two), and
 # U+001F, which numpy's reader takes as whitespace and float does not.
 _LINE_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 _WALKED = _LINE_BREAKS + "\x1f"
@@ -178,43 +181,48 @@ def _header(line: str, key_col: int | str | None):
         key_col = header.index(key_col)
     if key_col is not None:
         if not -width <= key_col < width:
-            raise ValidationError(
-                f"key column index {key_col} is out of range for {width} columns"
-            )
+            raise ValidationError(f"key column index {key_col} is out of range for {width} columns")
         key_col %= width  # a negative index counts from the end
         del header[key_col]
     return delim, header, width, key_col
 
 
-def _head(f) -> str:
+def _head(f) -> tuple[str, bytes]:
     """The first nonblank line of the binary file ``f``, past a byte-order
-    mark and without its line end, leaving ``f`` at the next line.  A
-    ValueError if none is UTF-8 text free of a \\r (a text file's lines end
-    there too) and of ``_LINE_BREAKS``: the walk reads such a file."""
-    if f.read(3) != codecs.BOM_UTF8:
-        f.seek(0)
-    for raw in f:
-        if not (line := raw.decode()).isspace():
-            line = line.removesuffix("\n").removesuffix("\r")
-            if not any(c in line for c in "\r" + _LINE_BREAKS):
-                return line
-            break
-    raise ValueError("header for the walk")
+    mark, decoded and without its line end, and the bytes read after that
+    end: rows, where a lone \\r ends it.  A ValueError, for the walk, if
+    there is none or it is not UTF-8 or holds a character of ``_LINE_BREAKS``."""
+    raw = f.readline().removeprefix(codecs.BOM_UTF8)
+    while raw:
+        line, _, raw = raw.partition(b"\r")  # a text file's line ends there too
+        if (line := line.decode().removesuffix("\n")) and not line.isspace():
+            if any(c in line for c in _LINE_BREAKS):
+                raise ValueError("header for the walk")
+            return line, raw
+        raw = raw or f.readline()
+    raise ValueError("no header")
 
 
-def _row_cuts(f, at) -> list[int]:
-    """The position of the binary file ``f``, the start of the first line at
-    or after each offset of ``at`` (ascending) that lies below it, and the
-    end of the file.  Each cut but the first follows a \\n or ends the
-    file, so no range between cuts splits a \\r\\n or a UTF-8 character."""
-    cuts = [f.tell()]
+def _row_cuts(f, start: int, at) -> list[int]:
+    """``start``, the start of the first line at or after each offset of
+    ``at`` (ascending) above it, and the end of the binary file ``f``, which
+    is left where it was.  A cut after ``start`` follows a \\n or ends the
+    file, so it splits no line, \\r\\n or UTF-8 character."""
+    here, cuts = f.tell(), [start]
     for offset in (*at, f.seek(0, os.SEEK_END)):
         if offset > cuts[-1]:
             f.seek(offset - 1)
-            while (part := f.readline(1 << 16)) and not part.endswith(b"\n"):
-                pass
+            f.readline()
             cuts.append(f.tell())
+    f.seek(here)
     return cuts
+
+
+def byte_range(f, start: int, end: int):
+    """The lines, each read to a \\n, of bytes ``start`` to ``end`` of the binary file ``f``."""
+    f.seek(start)
+    while f.tell() < end:
+        yield f.readline()
 
 
 def _parse_block(rows, delim: str, width: int, key_col: int | None):
@@ -222,27 +230,27 @@ def _parse_block(rows, delim: str, width: int, key_col: int | None):
     reader, or None to walk the table.
 
     ``rows`` is read once, row by row, so a file's rows are never all held
-    as text.  None when there is no row, a row has the wrong width or holds
-    a character of ``_WALKED``, a cell is one the reader refuses (a lone
-    \\r too), a value is not finite or the rows are not UTF-8: the walk
-    then gives the error or, for a cell only ``float`` reads, the value.
+    as text.  None when a row has the wrong width or holds a character of
+    ``_WALKED``, a cell is one the reader refuses, a value is not finite or
+    the rows are not UTF-8: the walk gives the error or a value only ``float`` reads.
     """
     keys = None if key_col is None else []
+    rows = iter(rows)
 
-    def checked():
-        ln = None
-        for ln in rows:
+    def checked(ln):
+        while ln is not None:
             if ln.count(delim) != width - 1 or any(c in ln for c in _WALKED):
                 raise ValueError("row for the walk")
             if keys is not None:
                 keys.append(ln.split(delim, key_col + 1)[key_col].strip())
             yield ln
-        if ln is None:  # before numpy, which warns on no rows
-            raise ValueError("no rows")
+            ln = next(rows, None)
 
     try:
+        if (first := next(rows, None)) is None:  # no rows, on which numpy warns
+            return keys, np.empty((0, width - (key_col is not None)))
         values = np.loadtxt(
-            checked(), delimiter=delim, comments=None, dtype=float, ndmin=2,
+            checked(first), delimiter=delim, comments=None, dtype=float, ndmin=2,
             usecols=[c for c in range(width) if c != key_col],
         )
     except ValueError:  # a UnicodeDecodeError too
@@ -252,12 +260,11 @@ def _parse_block(rows, delim: str, width: int, key_col: int | None):
     return keys, values
 
 
-def parse_range(f, start: int, end: int, delim: str, width: int, key_col: int | None):
-    """``_parse_block`` of the nonblank lines in bytes ``start`` to ``end``
-    of the binary file ``f``, read and decoded one at a time."""
-    f.seek(start)
-    lines = (f.readline().decode() for _ in iter(lambda: f.tell() < end, False))
-    return _parse_block((ln for ln in lines if not ln.isspace()), delim, width, key_col)
+def parse_range(lines, delim: str, width: int, key_col: int | None):
+    """``_parse_block`` of the nonblank lines in ``lines``, byte strings read
+    to a \\n and decoded one at a time; a lone \\r ends a line too."""
+    rows = (ln for raw in lines for ln in raw.decode().split("\r"))
+    return _parse_block((ln for ln in rows if ln and not ln.isspace()), delim, width, key_col)
 
 
 def read_table(path, key_col: int | str | None = None):
@@ -270,43 +277,43 @@ def read_table(path, key_col: int | str | None = None):
     and the rows x columns float array.  Names are stripped of outer
     whitespace.
 
-    The file, which must be seekable, is opened once, in binary, and the
-    rows below its header go to numpy's C reader, which parses the numeric
-    cells in one call.  A file of at least ``2 * _SPLIT_BYTES`` bytes, on a
-    system with fork and at least two usable CPUs, is cut into one range of
-    whole lines per usable CPU (each at least ``_SPLIT_BYTES``), and a
-    forked child parses each range into its part of the result; any other
-    file is one range, parsed here.  Either way ``parse_range`` streams a
-    range one line at a time.
-    A table the C reader refuses, in any range, or that holds a non-finite
-    value, a line break other than \\n and \\r\\n or bytes that are not
-    UTF-8, is read whole and walked cell by cell instead, with the same
-    result or error: the walk reports the first bad cell, and accepts the
-    cells that ``float`` reads but the C reader does not (``1_000``,
-    non-ASCII digits).  The result and every error are the same whichever
-    way a file is read.
+    The file is opened once, in binary, and ``parse_range`` streams the rows
+    below its header to numpy's C reader, which parses the numeric cells in
+    one call.  A file of at least ``2 * _SPLIT_BYTES`` bytes, on a system
+    with fork and at least two usable CPUs, is cut into one range of whole
+    lines per usable CPU (each at least ``_SPLIT_BYTES``), each parsed in a
+    forked child; any other file, a pipe too, is one range, parsed here.
+    A table with no rows, or that the C reader refuses in any range, is
+    walked cell by cell instead, with the same result or error (README,
+    "Input files"); a pipe cannot be read again for the walk, so such a
+    table in a pipe is a ParseError that says so.
     """
     with open(path, "rb") as f:
-        if not f.seekable():  # a pipe: its header and ranges could not be found again
-            raise ParseError(f"{path}: cannot seek in this file; save it as a regular file first")
         try:
-            delim, header, width, key_at = _header(_head(f), key_col)
+            head, rest = _head(f)
+            delim, header, width, key_at = _header(head, key_col)
+            parsed = _parse_rows(path, f, rest, delim, width, key_at)
         except ValueError:  # the walk reports a bad byte before a bad header
-            return _walk_table(path, key_col)
-        fmt = (delim, width, key_at)
-        size = os.fstat(f.fileno()).st_size
-        parts = min(_cpus(), size // _SPLIT_BYTES)
-        cuts = _row_cuts(f, [size * k // parts for k in range(1, parts)])
+            parsed = None
+        if parsed is not None and len(parsed[1]):
+            return header, *parsed
+        if not f.seekable():
+            raise ParseError(f"{path}: a pipe cannot be read again to walk this table")
+    return _walk_table(path, key_col)
+
+
+def _parse_rows(path, f, rest: bytes, delim: str, width: int, key_col: int | None):
+    """The rows of the binary file ``f``, read past ``_head``'s ``rest``: in
+    one range or, in a large regular file, in ranges over forked children."""
+    size = os.fstat(f.fileno()).st_size if f.seekable() else 0
+    if (parts := min(_cpus(), size // _SPLIT_BYTES)) > 1:
+        cuts = _row_cuts(f, f.tell() - len(rest), [size * k // parts for k in range(1, parts)])
         if len(cuts) > 2:
             from .forked import parse_split  # compiled only where a file is split
 
-            try:
-                parsed = parse_split(path, cuts, *fmt)
-            except OSError:  # no process or pipe to spare: one range, here
-                del cuts[1:-1]
-        if len(cuts) <= 2:
-            parsed = parse_range(f, cuts[0], cuts[-1], *fmt)
-    return _walk_table(path, key_col) if parsed is None else (header, *parsed)
+            with contextlib.suppress(OSError):  # no process or pipe to spare: one range, here
+                return parse_split(path, cuts, delim, width, key_col)
+    return parse_range(chain([rest], f), delim, width, key_col)
 
 
 # The least work worth a forked child: a range of a file, or a training

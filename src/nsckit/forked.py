@@ -20,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from .data import parse_range
+from .data import byte_range, parse_range
 
 
 @contextlib.contextmanager
@@ -120,7 +120,7 @@ def parse_split(path, cuts, delim: str, width: int, key_col: int | None):
 
     def send(pipe, start, end):
         with open(path, "rb") as f:
-            parsed = parse_range(f, start, end, delim, width, key_col)
+            parsed = parse_range(byte_range(f, start, end), delim, width, key_col)
         if parsed is not None:
             keys, values = parsed
             names = "\n".join(keys or ()).encode()  # a key holds no line break
@@ -141,5 +141,5 @@ def parse_split(path, cuts, delim: str, width: int, key_col: int | None):
             names = bytearray(int(head[1]))
             if not (_receive(fd, values[a:b].reshape(-1).view(np.uint8)) and _receive(fd, names)):
                 return None
-            keys += names.decode().split("\n")  # a range that is not refused has a row
+            keys += names.decode().split("\n")[: b - a]  # none in a range of blank lines
         return (None if key_col is None else keys), values

@@ -274,6 +274,14 @@ def load_model(path) -> ShrunkenModel:
         raise ParseError(f"{path}: {len(classes)} class names for K={K}")
     if features is not None and len(features) != p:
         raise ParseError(f"{path}: {len(features)} feature names for p={p}")
-    if not np.all(stats.priors > 0):
-        raise ParseError(f"{path}: class priors must be positive")
+    # what fit_statistics refuses to fit, or cannot give
+    for message, ok in (
+        (f"s0 must be >= 0, got {s0!r}", s0 >= 0),
+        ("pooled_sd must be >= 0", np.all(stats.pooled_sd >= 0)),
+        ("pooled_sd + s0 must be positive for every feature", np.all(stats.pooled_sd + s0 > 0)),
+        ("m must be positive", np.all(stats.m > 0)),
+        ("class priors must be positive", np.all(stats.priors > 0)),
+    ):
+        if not ok:
+            raise ParseError(f"{path}: {message}")
     return shrink(stats, rule)

@@ -3,6 +3,10 @@
 Three rules are supported: soft (continuous shrinkage toward zero), hard
 (keep-or-kill with a strict cutoff), and order (retain a fixed number of
 largest-magnitude statistics, pooled over the whole p x K matrix).
+
+A rule keeps the entries whose ``retention_keys`` lie below its cut.
+``apply_rule``, behind ``soft``, ``hard`` and ``order``, zeroes the others;
+``kept_counts`` counts the kept entries of ``retention_lists``' sorted keys.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ class ThresholdRule:
         if self.kind not in KINDS:
             raise ValidationError(f"unknown thresholding kind {self.kind!r}")
         if self.kind == "order":
-            if self.param != int(self.param) or self.param < 0:
+            if not math.isfinite(self.param) or self.param != int(self.param) or self.param < 0:
                 raise ValidationError(
                     f"order threshold must be a nonnegative integer, got {self.param}"
                 )
@@ -62,20 +66,12 @@ def parse_rule(text: str) -> ThresholdRule:
 
 def soft(d, delta: float):
     """Soft thresholding: sgn(d) * (|d| - delta)+."""
-    if not math.isfinite(delta) or delta < 0:
-        raise ValidationError(f"threshold must be finite and >= 0, got {delta}")
-    d = np.asarray(d, dtype=float)
-    out = np.sign(d) * np.maximum(np.abs(d) - delta, 0.0)
-    return out if out.ndim else float(out)
+    return apply_rule(d, ThresholdRule("soft", delta))
 
 
 def hard(d, delta: float):
     """Hard thresholding: keep d where |d| > delta (strict), else zero."""
-    if not math.isfinite(delta) or delta < 0:
-        raise ValidationError(f"threshold must be finite and >= 0, got {delta}")
-    d = np.asarray(d, dtype=float)
-    out = np.where(np.abs(d) > delta, d, 0.0)
-    return out if out.ndim else float(out)
+    return apply_rule(d, ThresholdRule("hard", delta))
 
 
 def magnitude_order(D) -> np.ndarray:
@@ -112,21 +108,19 @@ def order(D, keep: int) -> np.ndarray:
     :func:`magnitude_ranks`.  Zero entries are never counted as retained, so
     the output has exactly min(keep, #nonzero) nonzero entries.
     """
+    return apply_rule(D, ThresholdRule("order", keep))
+
+
+def apply_rule(D, rule: ThresholdRule):
+    """Apply a thresholding rule to a p x K statistic matrix, or to a float:
+    every entry keyed at or above the rule's cut (:func:`retention_keys`)
+    becomes +0.0, and soft moves each kept entry delta toward zero."""
     D = np.asarray(D, dtype=float)
-    if keep != int(keep) or keep < 0:
-        raise ValidationError(f"retained count must be a nonnegative integer, got {keep}")
-    if keep > D.size:
-        raise ValidationError(f"retained count {keep} exceeds statistic count {D.size}")
-    return np.where(retention_keys(D, "order") < keep, D, 0.0)
-
-
-def apply_rule(D: np.ndarray, rule: ThresholdRule) -> np.ndarray:
-    """Apply a thresholding rule to a p x K statistic matrix."""
-    if rule.kind == "soft":
-        return np.asarray(soft(D, rule.param))
-    if rule.kind == "hard":
-        return np.asarray(hard(D, rule.param))
-    return order(D, rule.param)
+    if rule.kind == "order" and rule.param > D.size:
+        raise ValidationError(f"retained count {rule.param} exceeds statistic count {D.size}")
+    kept = retention_keys(D, rule.kind) < _cut(rule.kind, rule.param)
+    out = np.where(kept, D - rule.param * np.sign(D) if rule.kind == "soft" else D, 0.0)
+    return out if out.ndim else float(out)
 
 
 def retention_keys(D, kind: str) -> np.ndarray:
@@ -145,10 +139,33 @@ def retention_keys(D, kind: str) -> np.ndarray:
     return -np.abs(D)
 
 
+def retention_lists(D: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """K x p: row k lists the rows of column k of D in the order rules of
+    ``kind`` keep them, and their :func:`retention_keys`, ascending.  Soft
+    and hard key alike and share one pair of lists; order has its own."""
+    if kind == "order":
+        # column k's entries in pooled order, zeros (keyed by the size)
+        # last; column numbers in a small integer type sort by radix
+        K = D.shape[1]
+        flat = magnitude_order(D)
+        col = (flat % K).astype(np.min_scalar_type(K))
+        ranks = np.argsort(col, kind="stable").reshape(K, -1)
+        entries = flat[ranks]
+        return entries // K, np.where(np.take(D, entries) != 0.0, ranks, flat.size)
+    # entries with equal keys are kept together, so any sort will do
+    keys = retention_keys(D, kind).T
+    rows = np.argsort(keys, axis=1)
+    return rows, np.take_along_axis(keys, rows, axis=1)
+
+
+def _cut(kind: str, param):
+    """The key below which a rule of ``kind`` with ``param`` keeps an entry."""
+    return param if kind == "order" else -param
+
+
 def kept_counts(sorted_keys, kind: str, params) -> np.ndarray:
     """How many of the ascending ``sorted_keys`` the rule with each parameter keeps."""
-    params = np.asarray(params)
-    return np.searchsorted(sorted_keys, params if kind == "order" else -params, side="left")
+    return np.searchsorted(sorted_keys, _cut(kind, np.asarray(params)), side="left")
 
 
 def threshold_grid(stats, kind: str, m: int) -> list[ThresholdRule]:
@@ -158,8 +175,6 @@ def threshold_grid(stats, kind: str, m: int) -> list[ThresholdRule]:
     integers evenly spaced (rounded) on [0, p*K], descending, so that
     survivor counts are non-increasing along every grid.
     """
-    if kind not in KINDS:
-        raise ValidationError(f"unknown thresholding kind {kind!r}")
     if m < 2:
         raise ValidationError(f"grid size must be >= 2, got {m}")
     if kind == "order":

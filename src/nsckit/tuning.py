@@ -16,8 +16,9 @@ Each fold is fitted once per ``cross_validate`` call.  ``deep_search`` keeps
 the folds of its last plan, so searches of every kind on one dataset object,
 fold plan and set of fit options fit each fold once.  A fold keeps its
 held-out samples as z = (x - overall) / (s + s0) and sorts each class column
-of its statistics in the order the rules of one kind keep them, so every
-rule keeps a prefix of every column; soft and hard share that sort.
+of its statistics in the order the rules of one kind keep them
+(``thresholds.retention_lists``), so every rule keeps a prefix of every
+column, of the length ``kept_counts`` gives; soft and hard share that sort.
 With shrunken statistics d', class k scores |z|^2 - 2 m_k z.d'_k + m_k^2
 |d'_k|^2 - 2 log prior_k, and the common |z|^2 is dropped.  A grid is scored
 against a group of folds in one call: each fold's cross terms are segment
@@ -48,8 +49,8 @@ from .thresholds import (  # noqa: F401
     ThresholdRule,
     apply_rule,
     kept_counts,
-    magnitude_order,
     retention_keys,
+    retention_lists,
     threshold_grid,
 )
 
@@ -103,39 +104,10 @@ class DeepSearchTrace:
     stop_reason: str
 
 
-class _RetentionSort:
-    """The entries of each class column of a fold's statistics in the order
-    rules of one group keep them, so that every rule keeps a prefix of every
-    list.  Soft and hard key alike (-|d|) and share one sort; order has its own.
-    """
-
-    def __init__(self, t_stats: np.ndarray, kind: str):
-        self.by_rank = kind == "order"
-        # K x p: row k lists the rows of column k in retention order
-        if self.by_rank:
-            # column k's entries in pooled order, zeros (keyed by the size)
-            # last; column numbers in a small integer type sort by radix
-            K = t_stats.shape[1]
-            flat = magnitude_order(t_stats)
-            col = (flat % K).astype(np.min_scalar_type(K))
-            ranks = np.argsort(col, kind="stable").reshape(K, -1)
-            entries = flat[ranks]
-            self.order = entries // K
-            self.keys = np.where(np.take(t_stats, entries) != 0.0, ranks, flat.size)
-        else:
-            # entries with equal keys are kept together, so any sort will do
-            keys = retention_keys(t_stats, kind).T
-            self.order = np.argsort(keys, axis=1)
-            self.keys = np.take_along_axis(keys, self.order, axis=1)
-
-    def kept(self, kind: str, params: np.ndarray) -> np.ndarray:
-        """Nonzero statistics each rule of ``kind`` keeps in each class, G x K."""
-        return np.stack([kept_counts(keys, kind, params) for keys in self.keys], axis=1)
-
-
 class _HeldOutFold:
     """Statistics fitted without one fold, the fold's held-out samples, and
-    one retention sort of the statistics, ``sort``.
+    the statistics' ``retention_lists``, ``order`` and ``keys``: for order
+    rules when ``by_rank``, for soft and hard otherwise.
 
     The fit is the same for every rule kind.  The samples are kept as z; a
     fallback gathers them again from ``values``, the dataset's matrix.
@@ -155,13 +127,14 @@ class _HeldOutFold:
         self.prior_terms = np.array([-2.0 * math.log(pk) for pk in stats.priors])
         # [j, k]: class j < k has the same prior term as class k
         self.earlier_twin = np.triu(self.prior_terms[:, None] == self.prior_terms[None, :], 1)
-        self.sort: _RetentionSort | None = None
+        self.by_rank: bool | None = None
 
     def sorted_for(self, kind: str) -> _HeldOutFold:
         """This fold, with its statistics sorted for rules of ``kind``; a sort
         of the other group is replaced."""
-        if self.sort is None or self.sort.by_rank != (kind == "order"):
-            self.sort = _RetentionSort(self.stats.t_stats, kind)
+        if self.by_rank != (kind == "order"):
+            self.order, self.keys = retention_lists(self.stats.t_stats, kind)
+            self.by_rank = kind == "order"
         return self
 
 
@@ -192,12 +165,14 @@ def _predict_group(folds: list[_HeldOutFold], grid: list[ThresholdRule]) -> np.n
     """Predicted class of every held-out sample of the folds under every rule,
     n x G with the folds' samples in turn; each fold is sorted for the grid's kind."""
     kind, params = grid[0].kind, np.array([rule.param for rule in grid])
-    K, p = folds[0].sort.order.shape
+    K, p = folds[0].order.shape
     cls = np.arange(K)
     sizes = [len(fold.z) for fold in folds]
     of = np.repeat(np.arange(len(folds)), sizes)  # the fold of every row
     rows = [slice(a - n, a) for a, n in zip(np.cumsum(sizes), sizes)]
-    counts = np.stack([fold.sort.kept(kind, params) for fold in folds])
+    # [f, g, k]: the nonzero statistics rule g keeps in class k of fold f
+    counts = np.stack([[kept_counts(keys, kind, params) for keys in fold.keys]
+                       for fold in folds]).transpose(0, 2, 1)
     soft = kind == "soft"
     # Every kept prefix of a fold ends at one of its cuts: its products are
     # summed between cuts and accumulated, one fold's at a time, so cross[r,
@@ -208,7 +183,7 @@ def _predict_group(folds: list[_HeldOutFold], grid: list[ThresholdRule]) -> np.n
         cuts = np.unique(np.append(kept, 0))
         at = np.searchsorted(cuts, kept)
         # the indices are in range, and wrap is numpy's fastest take for them
-        o = fold.sort.order[:, : cuts[-1]]
+        o = fold.order[:, : cuts[-1]]
         zs = np.take(fold.z, o, axis=1, mode="wrap")
         d = np.take(fold.stats.t_stats, o * K + cls[:, None], mode="wrap")
         m = fold.stats.m[:, None]

@@ -213,3 +213,27 @@ def magnitude_ranks_direct(D):
     for rank, (_, i, k) in enumerate(ordered):
         ranks[i][k] = rank
     return ranks
+
+
+def threshold_direct(D, rule):
+    """A thresholding rule by its definition, entry by entry, as lists; a
+    dropped entry is +0.0.
+
+    Soft is sgn(d)(|d| - delta)+, hard is d 1{|d| > delta}, and order keeps
+    the nonzero entries ranked below its count by :func:`magnitude_ranks_direct`.
+    """
+    ranks = magnitude_ranks_direct(D) if rule.kind == "order" else None
+    out = []
+    for i, row in enumerate(D):
+        out.append([])
+        for k, d in enumerate(row):
+            d = float(d)
+            if rule.kind == "soft":
+                shrunk = max(abs(d) - rule.param, 0.0)
+                v = math.copysign(shrunk, d) if shrunk > 0.0 else 0.0
+            elif rule.kind == "hard":
+                v = d if abs(d) > rule.param else 0.0
+            else:
+                v = d if d != 0.0 and ranks[i][k] < rule.param else 0.0
+            out[i].append(v)
+    return out

@@ -27,7 +27,7 @@ from nsckit import (
     threshold_grid,
 )
 from nsckit.errors import DegenerateVarianceError
-from nsckit.thresholds import kept_counts, retention_keys
+from nsckit.thresholds import kept_counts, retention_keys, retention_lists
 
 import oracles
 from conftest import assert_no_children, random_dataset, tied_matrix
@@ -551,14 +551,16 @@ def tie_patterns(p=400):
 
 @pytest.mark.parametrize("pattern", ["tie-free", "rounded", "constant", "two-class"])
 def test_order_fold_lists_columns_by_retention_key(pattern):
+    """The retention lists of every kind, not only order's."""
     ds = tie_patterns()[pattern]
     stats = fit_statistics(ds)
-    sort = tuning._RetentionSort(stats.t_stats, "order")
-    keys = retention_keys(stats.t_stats, "order")
-    for k in range(ds.n_classes):
-        assert sorted(sort.order[k].tolist()) == list(range(ds.p))
-        assert sort.keys[k].tolist() == np.sort(keys[:, k]).tolist()
-        assert keys[sort.order[k], k].tolist() == sort.keys[k].tolist()
+    for kind in KINDS:
+        rows, sorted_keys = retention_lists(stats.t_stats, kind)
+        keys = retention_keys(stats.t_stats, kind)
+        for k in range(ds.n_classes):
+            assert sorted(rows[k].tolist()) == list(range(ds.p))
+            assert sorted_keys[k].tolist() == np.sort(keys[:, k]).tolist()
+            assert keys[rows[k], k].tolist() == sorted_keys[k].tolist()
 
 
 matrices = st.builds(
@@ -608,7 +610,8 @@ def test_fold_kept_counts_match_apply_rule(ds, kind, data):
             st.one_of(st.sampled_from(levels), st.floats(0.0, 2 * levels[-1] + 1)),
             min_size=1, max_size=6,
         ))
-    counts = tuning._RetentionSort(t, kind).kept(kind, np.array(params))
+    _, keys = retention_lists(t, kind)
+    counts = np.stack([kept_counts(column, kind, np.array(params)) for column in keys], axis=1)
     for g, v in enumerate(params):
         shrunk = apply_rule(t, ThresholdRule(kind, v))
         assert counts[g].tolist() == np.count_nonzero(shrunk, axis=0).tolist()

@@ -317,10 +317,18 @@ def test_tabs_spaces_and_equals_signs_in_names_round_trip(tmp_path, rng):
     ("s0=", "nan", "non-finite number in s0"),
     ("priors ", "0 1", "priors must be positive"),
     ("features=", "a,b", "2 feature names for p=3"),
+    ("s0=", "-0.25", "s0 must be >= 0"),
+    ("pooled_sd ", "1.0 -1.0 2.0", "pooled_sd must be >= 0"),
+    # feature a is constant, so its pooled SD is 0 and s0 = 0 leaves it no scale
+    ("s0=", "0.0", r"pooled_sd \+ s0 must be positive"),
+    ("m ", "0.5 0.0", "m must be positive"),
+    ("m ", "-0.5 0.5", "m must be positive"),
 ])
 def test_malformed_model_file_is_a_parse_error(tmp_path, rng, field, value, message):
     ds = random_dataset(rng, p=3, n_classes=2)
-    ds = Dataset.from_arrays(ds.values, ds.labels, ["a", "b", "c"])
+    values = ds.values.copy()
+    values[0] = 1.0
+    ds = Dataset.from_arrays(values, ds.labels, ["a", "b", "c"])
     path = tmp_path / "model.txt"
     save_model(shrink(fit_statistics(ds), ThresholdRule("soft", 0.0)), path)
     lines = [field + value if ln.startswith(field) else ln

@@ -17,7 +17,7 @@ from nsckit import (
     threshold_grid,
 )
 
-from nsckit.thresholds import magnitude_order, magnitude_ranks
+from nsckit.thresholds import KINDS, magnitude_order, magnitude_ranks
 
 import oracles
 from conftest import random_dataset, tied_matrix
@@ -51,6 +51,8 @@ def test_negative_threshold_rejected():
             soft(1.0, delta)
         with pytest.raises(ValidationError):
             hard(1.0, delta)
+        with pytest.raises(ValidationError):
+            order(np.ones((2, 2)), delta)
 
 
 @given(d=finite, delta=nonneg)
@@ -134,6 +136,38 @@ def test_magnitude_ranks_equal_direct_oracle(matrices, data):
     assert magnitude_ranks(D).tolist() == oracles.magnitude_ranks_direct(D.tolist())
     ranks = magnitude_ranks(D).ravel()
     assert ranks[magnitude_order(D)].tolist() == list(range(D.size))
+
+
+@st.composite
+def rounded_matrices(draw):
+    """Normal entries rounded to one decimal, with a 0.0 / -0.0 pair put in."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    D = np.round(rng.normal(size=(draw(st.integers(2, 30)), draw(st.integers(1, 4)))), 1)
+    i, j = rng.choice(D.size, 2, replace=False)
+    D.flat[i], D.flat[j] = 0.0, -0.0
+    return D
+
+
+@pytest.mark.parametrize("matrices", [tie_free_matrices(), rounded_matrices(), tied_matrices()],
+                         ids=["tie-free", "rounded", "tied"])
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(KINDS), data=st.data())
+def test_apply_rule_equals_direct_definition(matrices, kind, data):
+    """Every rule against its definition: equal on every entry, bit for bit
+    where nonzero, and +0.0 wherever an entry is dropped."""
+    D = data.draw(matrices)
+    if kind == "order":
+        param = data.draw(st.integers(0, D.size))
+    else:
+        levels = sorted({0.0, *np.abs(D).ravel().tolist()})
+        param = data.draw(st.one_of(st.sampled_from(levels), st.floats(0.0, levels[-1] + 1.0)))
+    rule = ThresholdRule(kind, param)
+    got = apply_rule(D, rule)
+    want = np.array(oracles.threshold_direct(D.tolist(), rule))
+    assert got.tolist() == want.tolist()
+    assert got[want != 0.0].tobytes() == want[want != 0.0].tobytes()
+    assert not np.signbit(got[got == 0.0]).any()
 
 
 @settings(max_examples=200, deadline=None)

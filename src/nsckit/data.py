@@ -190,17 +190,47 @@ def _header(line: str, key_col: int | str | None):
 def _head(f) -> tuple[str, bytes]:
     """The first nonblank line of the binary file ``f``, past a byte-order
     mark, decoded and without its line end, and the bytes read after that
-    end: rows, where a lone \\r ends it.  A ValueError, for the walk, if
-    there is none or it is not UTF-8 or holds a character of ``_LINE_BREAKS``."""
-    raw = f.readline().removeprefix(codecs.BOM_UTF8)
+    end (where a lone \\r ends it) and by one more ``_line``, which end at a
+    \\n only where ``f`` goes on by whole lines.  A ValueError, for the
+    walk, if there is none or it is not UTF-8 or holds a character of
+    ``_LINE_BREAKS``."""
+    raw = _line(f).removeprefix(codecs.BOM_UTF8)
     while raw:
+        if b"\r" not in raw and raw[-1:] != b"\n":
+            raw += _line(f)  # the rest of a line a read cut, or nothing at the end
         line, _, raw = raw.partition(b"\r")  # a text file's line ends there too
         if (line := line.decode().removesuffix("\n")) and not line.isspace():
             if any(c in line for c in _LINE_BREAKS):
                 raise ValueError("header for the walk")
-            return line, raw
-        raw = raw or f.readline()
+            return line, raw + _line(f)
+        raw = raw or _line(f)
     raise ValueError("no header")
+
+
+# The most bytes read at once past a line end where lines end at a lone \r.
+_BLOCK = 1 << 16
+
+
+def _line(f) -> bytes:
+    """The bytes of the binary file ``f`` to the next \\n, or, read
+    ``_BLOCK`` bytes at a time, to the end of the first read that holds a \\r."""
+    parts = [f.readline(_BLOCK)]
+    while parts[-1] and parts[-1][-1:] != b"\n" and b"\r" not in parts[-1]:
+        parts.append(f.readline(_BLOCK))
+    return b"".join(parts)
+
+
+def _blocks(f, rest: bytes):
+    """``rest``, then the rest of the binary file ``f`` read ``_BLOCK`` bytes
+    at a time, each cut after its last line end, every \\n made a \\r."""
+    held = []
+    for block in chain([rest], iter(lambda: f.read(_BLOCK), b"")):
+        block = block.replace(b"\n", b"\r")
+        if end := block.rfind(b"\r") + 1:
+            yield b"".join([*held, block[:end]])
+            held = []
+        held.append(block[end:])
+    yield b"".join(held)
 
 
 def _row_cuts(f, start: int, at) -> list[int]:
@@ -262,7 +292,7 @@ def _parse_block(rows, delim: str, width: int, key_col: int | None):
 
 def parse_range(lines, delim: str, width: int, key_col: int | None):
     """``_parse_block`` of the nonblank lines in ``lines``, byte strings read
-    to a \\n and decoded one at a time; a lone \\r ends a line too."""
+    to a \\n or by ``_blocks``, decoded one at a time; a lone \\r ends a line too."""
     rows = (ln for raw in lines for ln in raw.decode().split("\r"))
     return _parse_block((ln for ln in rows if ln and not ln.isspace()), delim, width, key_col)
 
@@ -282,7 +312,8 @@ def read_table(path, key_col: int | str | None = None):
     one call.  A file of at least ``2 * _SPLIT_BYTES`` bytes, on a system
     with fork and at least two usable CPUs, is cut into one range of whole
     lines per usable CPU (each at least ``_SPLIT_BYTES``), each parsed in a
-    forked child; any other file, a pipe too, is one range, parsed here.
+    forked child; any other file, a pipe too, is one range, parsed here,
+    and one whose rows end at a lone \\r is read ``_BLOCK`` bytes at a time.
     A table with no rows, or that the C reader refuses in any range, is
     walked cell by cell instead, with the same result or error (README,
     "Input files"); a pipe cannot be read again for the walk, so such a
@@ -304,7 +335,10 @@ def read_table(path, key_col: int | str | None = None):
 
 def _parse_rows(path, f, rest: bytes, delim: str, width: int, key_col: int | None):
     """The rows of the binary file ``f``, read past ``_head``'s ``rest``: in
-    one range or, in a large regular file, in ranges over forked children."""
+    ``_blocks`` unless ``rest`` ends at a \\n, else by lines in one range or,
+    in a large regular file, in ranges over forked children."""
+    if rest[-1:] != b"\n":
+        return parse_range(_blocks(f, rest), delim, width, key_col)
     size = os.fstat(f.fileno()).st_size if f.seekable() else 0
     if (parts := min(_cpus(), size // _SPLIT_BYTES)) > 1:
         cuts = _row_cuts(f, f.tell() - len(rest), [size * k // parts for k in range(1, parts)])
@@ -313,7 +347,7 @@ def _parse_rows(path, f, rest: bytes, delim: str, width: int, key_col: int | Non
 
             with contextlib.suppress(OSError):  # no process or pipe to spare: one range, here
                 return parse_split(path, cuts, delim, width, key_col)
-    return parse_range(chain([rest], f), delim, width, key_col)
+    return parse_range(chain([rest.replace(b"\n", b"\r")], f), delim, width, key_col)
 
 
 # The least work worth a forked child: a range of a file, or a training

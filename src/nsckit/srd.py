@@ -28,7 +28,8 @@ PERCENTILES = (("xx1", 0.05), ("med", 0.50), ("xx19", 0.95))
 
 @dataclass(frozen=True)
 class PerformanceMatrix:
-    """Rows are cases (datasets), columns are methods."""
+    """Rows are cases (datasets), columns are methods.  ``values`` is a
+    read-only copy of the array given."""
 
     values: np.ndarray
     row_names: tuple[str, ...]
@@ -36,7 +37,8 @@ class PerformanceMatrix:
     lower_is_better: bool = True
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)
+        values.flags.writeable = False
         object.__setattr__(self, "values", values)
         if values.ndim != 2:
             raise ValidationError("performance matrix must be 2-d")
@@ -201,16 +203,31 @@ def _exact_percentiles(r: int) -> tuple[tuple[str, float], ...]:
     return tuple(found)
 
 
+# The last ranking made: (matrix, resolved golden standard, ranks, tie flags).
+# ``srd`` and ``srd_loo`` on one matrix rank it once.  A call reads and
+# replaces the whole entry at once, so concurrent calls may rank again but
+# never read another matrix's ranks.
+_last_ranking: list = [None]
+
+
 def _rank_differences(M: PerformanceMatrix, strategy: str | None):
     """The (r, c + 1) ranks of the golden standard, then of every column;
-    warns once per tied column at the caller of ``srd`` or ``srd_loo``."""
-    gold = golden_standard(M, strategy)
-    values = np.column_stack([gold, M.values])
-    ranks = rank_vector(values, M.lower_is_better)
-    # each column's values in sorted order: ties are adjacent equal entries
-    in_order = np.empty_like(values)
-    in_order[ranks - 1, np.arange(values.shape[1])] = values
-    tied = (in_order[1:] == in_order[:-1]).any(axis=0).tolist()
+    warns once per tied column at the caller of ``srd`` or ``srd_loo``.
+    The ranks and tie flags of the last call are reused when the same
+    matrix object comes with the same golden standard."""
+    if strategy is None:
+        strategy = "min" if M.lower_is_better else "max"
+    kept = _last_ranking[0]
+    if kept is None or kept[0] is not M or kept[1] != strategy:
+        values = np.column_stack([golden_standard(M, strategy), M.values])
+        ranks = rank_vector(values, M.lower_is_better)
+        ranks.flags.writeable = False
+        # each column's values in sorted order: ties are adjacent equal entries
+        in_order = np.empty_like(values)
+        in_order[ranks - 1, np.arange(values.shape[1])] = values
+        tied = (in_order[1:] == in_order[:-1]).any(axis=0).tolist()
+        kept = _last_ranking[0] = (M, strategy, ranks, tied)
+    _, _, ranks, tied = kept
     names = ["golden standard", *(f"column {name!r}" for name in M.col_names)]
     for name in compress(names, tied):
         warnings.warn(
@@ -249,10 +266,10 @@ def srd_loo(M: PerformanceMatrix, strategy: str | None = None) -> dict[str, list
     Ranks break ties in row order and each case's golden value depends on
     its own row only, so removing case d lowers by one every rank above d's,
     in every method column and in the golden standard.  The full matrix is
-    ranked once and every leave-one-out SRD is read off that rank shift in
-    O(r c) time and memory; tie warnings are the full matrix's, once per
-    column.  Only the scaled SRDs are computed; no null distribution is
-    built.
+    ranked once, or its ranking by the last ``srd`` call on it is reused, and
+    every leave-one-out SRD is read off that rank shift in O(r c) time and
+    memory; tie warnings are the full matrix's, once per column.  Only the
+    scaled SRDs are computed; no null distribution is built.
 
     With x_i = R_ic - R_i0 the rank difference of case i in column c, the
     shift moves each other x_i by at most one, so removing case d leaves

@@ -3,7 +3,6 @@ import signal
 import subprocess
 import sys
 import tracemalloc
-from itertools import chain
 
 import numpy as np
 import pytest
@@ -444,6 +443,36 @@ def test_streamed_reader_equals_the_walk(table_dir, table):
     assert outcome(read_table, f, key) == outcome(_walk_table, f, key)
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_a_pipe_read_in_blocks_ends_a_line_at_each_line_end(monkeypatch):
+    """Read 4 bytes at a time, a piped table whose header's line ends at a
+    lone \\r and whose rows end at \\n, \\r\\n and \\r gives its rows, not
+    a refusal to walk it."""
+    monkeypatch.setattr(data, "_BLOCK", 4)
+    r, w = os.pipe()
+    os.write(w, b"label,a\rx,1\ny,2\r\nz,3\r")
+    os.close(w)
+    try:
+        names, keys, values = read_table(f"/dev/fd/{r}", "label")
+    finally:
+        os.close(r)
+    assert names == ["a"] and keys == ["x", "y", "z"] and values.tolist() == [[1.0], [2.0], [3.0]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=raw_tables(), block=st.integers(1, 9))
+@example(table=(b"\xef\xbb\xbf\r\n \rlabel,a\rx,1\r\ny,2\nz,3", "label"), block=4)
+def test_reads_of_a_few_bytes_give_the_walks_table(table_dir, table, block):
+    """With reads of a few bytes, the header and the rows that reads cut
+    still give the result or the error of the whole-text walk."""
+    raw, key = table
+    f = table_dir / "raw.txt"
+    f.write_bytes(raw)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "_BLOCK", block)
+        assert outcome(read_table, f, key) == outcome(_walk_table, f, key)
+
+
 needs_split = pytest.mark.skipif(
     not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
     reason="a file is split only with fork and two usable CPUs",
@@ -489,7 +518,7 @@ def test_ranges_cut_anywhere_join_to_the_stream(table_dir, table):
         delim, header, width, key_at = _header(head, key)
         fmt = (delim, width, key_at)
         cuts = _row_cuts(rows, rows.tell() - len(rest), at)
-        one = parse_range(chain([rest], rows), *fmt)
+        one = data._parse_rows(f, rows, rest, *fmt)  # below the split size: one range
         parts = [parse_range(byte_range(rows, a, b), *fmt) for a, b in zip(cuts, cuts[1:])]
     assert cuts == sorted(set(cuts)) and cuts[-1] == len(raw)
     joined = parse_split(f, cuts, *fmt)
@@ -526,6 +555,29 @@ def test_a_file_below_the_split_size_is_one_range_read_here(tmp_path, monkeypatc
     assert calls == [1] and forks == []
     assert names == ["a", "b"] and keys == ["x", "y"]
     assert values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+def test_lone_cr_rows_are_read_in_blocks_not_whole(tmp_path):
+    """A table whose rows end at a lone \\r, below a header line that ends
+    there too or at a \\n, peaks no higher than 1.5 times the same table
+    with \\n ends: no row is read to a \\n, so the rows are read a block
+    at a time, not held whole."""
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=(70, 2000))
+    head = ",".join(["label", *(f"g{i}" for i in range(2000))])
+    rows = [",".join([f"c{j % 3}", *map(repr, row.tolist())]) for j, row in enumerate(values)]
+    peaks = []
+    for text in (head + "\n" + "\n".join(rows), head + "\r" + "\r".join(rows), head + "\n" + "\r".join(rows)):
+        f = tmp_path / f"t{len(peaks)}.csv"
+        f.write_bytes(text.encode())
+        tracemalloc.start()
+        try:
+            got = read_table(f, "label")[2]
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(bits(got), bits(values))
+    assert max(peaks[1:]) < 1.5 * peaks[0]
 
 
 @pytest.fixture(scope="module")

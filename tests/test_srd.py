@@ -1,6 +1,8 @@
+import gc
 import importlib
 import math
 import warnings
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -34,6 +36,15 @@ class TestPerformanceMatrix:
     def test_repeated_column_name_rejected(self):
         with pytest.raises(ValidationError, match="column name 'A' is repeated"):
             PerformanceMatrix(np.ones((3, 4)), ("a", "b", "c"), ("x", "A", "A", "B"))
+
+    def test_values_are_a_read_only_copy(self):
+        source = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        M = PerformanceMatrix(source, ("a", "b", "c"), ("x", "y"))
+        source[0, 0] = 99.0
+        assert M.values.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+        assert not M.values.flags.writeable
+        with pytest.raises(ValueError):
+            M.values[0, 0] = 99.0
 
 
 class TestGoldenStandard:
@@ -174,6 +185,24 @@ class TestNormalApprox:
         assert null.stdev > 0
         assert null.inv_cdf(0.5) == pytest.approx(null.mean, rel=1e-2)
 
+    def test_displacement_moments_equal_the_closed_forms(self):
+        # Diaconis & Graham (1977): mean (r^2 - 1)/3, variance (r+1)(2r^2+7)/45
+        for r in range(2, 61):
+            mean, var = srd_module._displacement_moments(r)
+            assert mean == pytest.approx((r * r - 1) / 3, rel=1e-12, abs=0)
+            assert var == pytest.approx((r + 1) * (2 * r * r + 7) / 45, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("r", range(14, 23))
+    def test_normal_xx1_is_within_one_step_of_the_exact_xx1(self, r):
+        # the smallest value whose cumulative probability reaches 5 %, as srd
+        # reads the exact null; SRD values are even, so one step is 2
+        counts, total, cum = exact_null_counts(r), math.factorial(r), 0
+        for v in sorted(counts):
+            cum += counts[v]
+            if 20 * cum >= total:
+                break
+        assert abs(normal_approx_null(r).inv_cdf(0.05) - v) < 2
+
 
 class TestNullCalls:
     """The benchmark counts null builds by wrapping these names in srd's module."""
@@ -248,6 +277,71 @@ class TestNullCache:
             for _ in range(2):
                 null = normal_approx_null(r)
                 assert (null.mean, null.stdev) == (mean, math.sqrt(var))
+
+
+class TestRankingSlot:
+    """``srd`` and ``srd_loo`` on one matrix object and golden standard rank it once."""
+
+    @staticmethod
+    def matrix(rng, r=13):
+        # error percentages over 72 samples, so columns tie
+        values = 100.0 * rng.integers(0, 12, size=(r, 4)) / 72
+        return PerformanceMatrix(values, tuple(f"r{i}" for i in range(r)), tuple("abcd"))
+
+    @pytest.fixture
+    def rankings(self, monkeypatch):
+        """The matrices ``rank_vector`` ranks from here on, in call order."""
+        monkeypatch.setattr(srd_module, "_last_ranking", [None])
+        calls, real = [], srd_module.rank_vector
+        monkeypatch.setattr(srd_module, "rank_vector", lambda v, *a: calls.append(v) or real(v, *a))
+        return calls
+
+    def test_a_pair_on_one_matrix_ranks_it_once(self, rng, rankings):
+        for lower_is_better in (True, False):
+            M = self.matrix(rng)
+            M = PerformanceMatrix(M.values, M.row_names, M.col_names, lower_is_better)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                srd(M)
+                srd_loo(M, "min" if lower_is_better else "max")  # the default, spelt out
+        assert len(rankings) == 2
+
+    def test_another_matrix_or_golden_standard_is_ranked_anew(self, rng, rankings):
+        M = self.matrix(rng)
+        twin = PerformanceMatrix(M.values, M.row_names, M.col_names)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for call, matrix, strategy in [
+                (srd, M, None), (srd_loo, twin, None), (srd, twin, "mean"),
+                (srd_loo, twin, "max"), (srd_loo, twin, "max"), (srd, M, "max"),
+            ]:
+                call(matrix, strategy)
+        assert len(rankings) == 5
+
+    def test_the_slot_holds_the_last_matrix_only(self, rng, rankings):
+        first, last = self.matrix(rng), self.matrix(rng)
+        gone = weakref.ref(first)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            srd(first)
+            srd_loo(last)
+        del first
+        gc.collect()
+        assert gone() is None
+        assert len(srd_module._last_ranking) == 1 and srd_module._last_ranking[0][0] is last
+
+    def test_loo_equals_reranking_after_a_hit_and_a_miss(self, rng, rankings):
+        M = self.matrix(rng, 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            full = srd(M, "mean")
+            hit = srd_loo(M, "mean")
+            miss = srd_loo(M, "min")
+            assert len(rankings) == 2
+            assert hit == oracles.srd_loo_direct(M, "mean")
+            assert miss == oracles.srd_loo_direct(M, "min")
+            assert miss != hit
+        assert full.gold_rank.flags.writeable  # a copy, not the kept ranks
 
 
 class TestSrdTable3:

@@ -91,8 +91,8 @@ class SynthSpec:
             raise ValidationError("need one class size per class")
         if any(v < 2 for v in self.n_per_class):
             raise ValidationError("need at least 2 samples per class")
-        if self.noise_sd <= 0:
-            raise ValidationError("noise_sd must be positive")
+        if not (np.isfinite(self.noise_sd) and self.noise_sd > 0):
+            raise ValidationError("noise_sd must be finite and positive")
         if not np.isfinite(self.shift):
             raise ValidationError("shift must be finite")
         if self.seed < 0:
@@ -109,6 +109,7 @@ def _draw(spec: SynthSpec, rng: np.random.Generator) -> Dataset:
         labels.extend([f"c{k + 1}"] * nk)
         col += nk
     values = means + rng.normal(0.0, spec.noise_sd, size=(spec.p, n))
+    values.flags.writeable = False  # no one else holds it: no copy
     names = tuple(f"f{i + 1}" for i in range(spec.p))
     return Dataset.from_arrays(values, labels, names)
 

@@ -28,8 +28,9 @@ class Dataset:
 
     ``values[i, j]`` is the value of feature i on sample j.  ``y[j]`` is the
     0-based class index of sample j; ``classes`` lists the class identifiers
-    in first-appearance order.  ``tuning.deep_search`` keeps its fold fits
-    keyed by the dataset object, so do not change ``values`` or ``y`` in place.
+    in first-appearance order.  ``values`` and ``y`` are read-only, since
+    ``tuning.deep_search`` keeps its fold fits keyed by the dataset object:
+    ``from_arrays`` copies a writeable array and keeps a read-only one.
     """
 
     values: np.ndarray
@@ -67,6 +68,8 @@ class Dataset:
     ) -> "Dataset":
         """Build a Dataset from a p x n array and per-sample labels."""
         values = np.asarray(values, dtype=float)
+        if values.flags.writeable:
+            values = _frozen(values.copy(order="K"))
         if values.ndim != 2:
             raise ValidationError("values must be a 2-d matrix (features x samples)")
         p, n = values.shape
@@ -88,7 +91,7 @@ class Dataset:
             if lab not in index:
                 index[lab] = len(classes)
                 classes.append(lab)
-        y = np.array([index[lab] for lab in labels], dtype=int)
+        y = _frozen(np.array([index[lab] for lab in labels], dtype=int))
         if len(classes) < 2:
             raise ValidationError("need at least two classes")
         if n < len(classes):
@@ -116,12 +119,18 @@ class Dataset:
             missing = self.classes[int(np.flatnonzero(counts == 0)[0])]
             raise ValidationError(f"class {missing!r} has no samples in subset")
         return Dataset(
-            self.values[:, idx],
+            _frozen(self.values[:, idx]),
             tuple(self.labels[i] for i in idx),
             self.classes,
-            y,
+            _frozen(y),
             self.feature_names,
         )
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, an array no one else holds, made read-only."""
+    a.flags.writeable = False
+    return a
 
 
 def _parse_cell(text: str, row: int, col: int) -> float:
@@ -350,14 +359,17 @@ def _parse_rows(path, f, rest: bytes, delim: str, width: int, key_col: int | Non
     return parse_range(chain([rest.replace(b"\n", b"\r")], f), delim, width, key_col)
 
 
-# The least work worth a forked child: a range of a file, or a training
-# matrix whose CV folds are dealt out.  Split over serial time, from a 110 MB
-# process on a 2-core host: read_table (72-row CSVs, medians of 41 reads)
-# 1.34 at 1.0 MB, 1.10 at 2.0, 0.91 at 3.0 and 0.61 at 31.6, so two ranges
-# of 1.5 MB break even; cross_validate (10 folds in two shares, 30-point
-# grids, n = 72, K = 4, medians of 21 and 31 calls) 1.16-1.33 at 0.29 MB of
-# matrix, 0.86-1.29 at 0.58, 0.89-1.21 at 1.15, 0.74-0.75 at 1.50 and
-# 0.64-0.76 at 12.8, split and serial runs interleaved.
+# The least work worth a forked child: a range of a file, or a matrix whose
+# CV folds are dealt out or whose rows are written.  Split over serial time,
+# from a 110 MB process on a 2-core host: read_table (72-row CSVs, medians
+# of 41 reads) 1.34 at 1.0 MB, 1.10 at 2.0, 0.91 at 3.0 and 0.61 at 31.6, so
+# two ranges of 1.5 MB break even; cross_validate (10 folds in two shares,
+# 30-point grids, n = 72, K = 4, medians of 21 and 31 calls) 1.16-1.33 at
+# 0.29 MB of matrix, 0.86-1.29 at 0.58, 0.89-1.21 at 1.15, 0.74-0.75 at 1.50
+# and 0.64-0.76 at 12.8; save_matrix (two shares of 72 rows, medians of 21)
+# 1.28 at 0.29 MB of matrix, 1.12 at 0.58, 0.74 at 1.15, 0.62 at 1.50 and
+# 0.58 at 12.8, so it breaks even near 1 MB; split and serial runs
+# interleaved.
 _SPLIT_BYTES = 1_500_000
 
 
@@ -424,7 +436,7 @@ def load_matrix(
     feature_names, labels, values = read_samples(path, orientation, label_col)
     if labels is None:
         labels = _read_label_file(labels_path, values.shape[1])
-    return Dataset.from_arrays(values, labels, feature_names)
+    return Dataset.from_arrays(_frozen(values), labels, feature_names)
 
 
 def _read_label_file(labels_path, n: int) -> list[str]:
@@ -446,7 +458,11 @@ def save_matrix(ds: Dataset, path) -> None:
     so are the names and labels: a feature named ``label``, and a name or
     label that holds a comma, a TAB or a line break (any on which
     ``str.splitlines`` breaks) or that starts or ends with whitespace, is
-    refused before the file is opened.  The file is written row by row.
+    refused before the file is opened.  The file is written row by row,
+    except that a seekable file of at least ``_SPLIT_BYTES`` of values, on a
+    system with fork and at least two usable CPUs, is written in one share
+    of rows per usable CPU, each but the first formatted in a forked child
+    (``forked.write_split``), with the same bytes.
     """
     names = ds.feature_names or tuple(f"f{i}" for i in range(ds.p))
     if "label" in names:
@@ -457,10 +473,20 @@ def save_matrix(ds: Dataset, path) -> None:
                 f"name {name!r} would not read back: it holds a comma, a TAB or a "
                 "line break, or outer whitespace"
             )
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(",".join(("label", *names)) + "\n")
-        for j in range(ds.n):
-            f.write(",".join((ds.labels[j], *map(repr, ds.values[:, j].tolist()))) + "\n")
+
+    def rows(a, b):
+        for j in range(a, b):
+            yield (",".join((ds.labels[j], *map(repr, ds.values[:, j].tolist()))) + "\n").encode()
+
+    parts = min(_cpus(), ds.n) if ds.values.nbytes >= _SPLIT_BYTES else 1
+    with open(path, "wb") as f:
+        f.write((",".join(("label", *names)) + "\n").encode())
+        if parts > 1 and f.seekable():
+            from .forked import write_split  # compiled only where a write is split
+
+            write_split(f, rows, [ds.n * k // parts for k in range(parts + 1)])
+        else:
+            f.writelines(rows(0, ds.n))
 
 
 def fold_count(ds: Dataset, requested: int) -> int:

@@ -1,10 +1,13 @@
-"""Work split over forked children, and nothing else: the rows of a large
-table, one range of whole lines each, and a sum of count vectors, one share
-of the work each, as ``tuning.cross_validate`` sums the error counts of its
-fold shares.  The one-range read and the one-share sum run in the caller.
+"""Work split over forked children, and nothing else, of three kinds: the
+rows of a large table read, one range of whole lines each; a sum of count
+vectors, one share of the work each, as ``tuning.cross_validate`` sums the
+error counts of its fold shares; and the text of a large table written,
+one share of its rows each.  The one-range read, the one-share sum and the
+one-share write run in the caller.
 
-``data.read_table`` and ``tuning.cross_validate`` import this module only
-for work they split, so ``import nsckit`` does not compile it.  Each child,
+``data.read_table``, ``data.save_matrix`` and ``tuning.cross_validate``
+import this module only for work they split, so ``import nsckit`` does not
+compile it.  Each child,
 forked by ``_fork``, writes its part of the result to its own pipe, or
 nothing if its part is refused or fails, and leaves through ``os._exit``:
 it runs none of the exit handlers or stdio flushes of the process it was
@@ -20,7 +23,7 @@ import warnings
 
 import numpy as np
 
-from .data import byte_range, parse_range
+from .data import _BLOCK, byte_range, parse_range
 
 
 @contextlib.contextmanager
@@ -64,6 +67,14 @@ def _fork(children: list, send) -> int:
         os._exit(0)
 
 
+def _spawn(children: list, send) -> int | None:
+    """``_fork``, or None where there is no process or pipe to spare."""
+    try:
+        return _fork(children, send)
+    except OSError:
+        return None
+
+
 def _receive(fd, buf) -> bool:
     """Fill the writable bytes ``buf`` from the pipe ``fd``; False if it
     ends first."""
@@ -99,13 +110,50 @@ def split_sum(work, shares, G: int):
         return counts if fd is not None and _receive(fd, counts.view(np.uint8)) else work(share)
 
     with _children() as children:
-        pipes = []
-        for share in shares:
-            try:
-                pipes.append(_fork(children, lambda pipe, share=share: send(pipe, share)))
-            except OSError:
-                pipes.append(None)
+        pipes = [_spawn(children, lambda pipe, share=share: send(pipe, share)) for share in shares]
         yield lambda: sum(map(receive, pipes, shares))
+
+
+def write_split(f, rows, cuts):
+    """Write ``rows(a, b)``, the encoded lines of rows a to b, for each pair
+    of consecutive ``cuts`` to the binary file ``f``, in order.
+
+    The first share is formatted here, row by row, while a forked child
+    formats each other share whole and sends its byte count, then its
+    bytes; this process copies them into ``f`` ``_BLOCK`` bytes at a time,
+    so it holds about one row's text and each child about its own share's
+    (16 MB of wide-size text, 72 rows of 22283 values, over two CPUs).
+    A share whose child sends nothing or a short stream (it raised or
+    died), or that found no process or pipe to spare, is cut from ``f`` and
+    written here.  ``f`` must be seekable.  No child outlives the call.
+    """
+
+    def send(pipe, a, b):
+        text = list(rows(a, b))
+        pipe.write(np.int64(sum(map(len, text))).tobytes())
+        pipe.writelines(text)
+
+    def copied(fd) -> bool:
+        size = np.zeros(1, np.int64)
+        if not _receive(fd, size.view(np.uint8)):
+            return False
+        left = int(size[0])
+        while left and (got := os.readv(fd, [block[: min(left, _BLOCK)]])):
+            left -= f.write(block[:got])
+        return not left
+
+    # one buffer for every block: a new bytes object per block (os.read)
+    # left about 20 MB of free heap this process kept after a wide write
+    block = memoryview(bytearray(_BLOCK))
+    with _children() as children:
+        shares = list(zip(cuts, cuts[1:]))
+        pipes = [_spawn(children, lambda pipe, s=s: send(pipe, *s)) for s in shares[1:]]
+        for fd, (a, b) in zip([None, *pipes], shares):
+            start = f.tell()
+            if fd is None or not copied(fd):
+                f.seek(start)
+                f.truncate()
+                f.writelines(rows(a, b))
 
 
 def parse_split(path, cuts, delim: str, width: int, key_col: int | None):

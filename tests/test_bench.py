@@ -49,8 +49,9 @@ class TestSynthSpec:
             spec(n_per_class=(12,))
         with pytest.raises(ValidationError):
             spec(n_per_class=(12, 1))
-        with pytest.raises(ValidationError):
-            spec(noise_sd=0.0)
+        for sd in (0.0, np.nan, np.inf):
+            with pytest.raises(ValidationError, match="noise_sd must be finite and positive"):
+                spec(noise_sd=sd)
         with pytest.raises(ValidationError, match="seed"):
             spec(seed=-1)
 

@@ -53,6 +53,16 @@ class TestSynth:
         assert (again / "train.csv").read_bytes() == (synth_dir / "train.csv").read_bytes()
 
 
+    @pytest.mark.parametrize("sd", ["nan", "inf"])
+    def test_a_non_finite_noise_sd_is_refused(self, tmp_path, capsys, sd):
+        code, out, err = run(
+            capsys, "synth", "--p", "40", "--q", "6", "--k", "2", "--noise-sd", sd,
+            "--out", str(tmp_path / "synth"),
+        )
+        assert (code, out, err) == (1, "", "error: noise_sd must be finite and positive\n")
+        assert not (tmp_path / "synth").exists()
+
+
 class TestTrainPredict:
     def test_round_trip(self, synth_dir, tmp_path, capsys):
         model = tmp_path / "model.txt"

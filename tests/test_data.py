@@ -2,6 +2,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -44,6 +45,19 @@ def test_class_order_is_first_appearance():
     ds = Dataset.from_arrays(np.ones((1, 4)), ["B", "A", "B", "A"])
     assert ds.classes == ("B", "A")
     assert list(ds.y) == [0, 1, 0, 1]
+
+
+def test_dataset_arrays_are_read_only_and_not_the_callers(rng):
+    values = rng.normal(size=(5, 6))
+    ds = Dataset.from_arrays(values, ["a", "b"] * 3)
+    values[:] = 0.0  # a write through the caller's array
+    assert not np.shares_memory(ds.values, values) and np.all(ds.values != 0.0)
+    for built in (ds, ds.subset([0, 1, 2, 3])):
+        assert not built.values.flags.writeable and not built.y.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            built.values[:] = 1.0
+    # a read-only array is kept, not copied
+    assert Dataset.from_arrays(ds.values, ds.labels).values is ds.values
 
 
 def test_rejects_single_class_and_nan():
@@ -298,6 +312,13 @@ def test_load_matrix_tab_delimited_and_sidecar_labels(tmp_path):
     ds = load_matrix(f, labels_path=labels)
     assert ds.classes == ("x", "y")
     assert ds.values[0, 1] == 3.0
+
+
+def test_a_loaded_matrix_is_read_only(tmp_path):
+    f = tmp_path / "m.csv"
+    f.write_text("label,f1,f2\nA,1.0,2.0\nB,3.0,4.0\n")
+    ds = load_matrix(f, label_col="label")
+    assert not ds.values.flags.writeable and not ds.y.flags.writeable
 
 
 def test_load_matrix_features_in_rows(tmp_path):
@@ -700,6 +721,120 @@ def test_save_and_read_hold_about_one_row(tmp_path):
     row = max(len(ln) for ln in out.read_text().splitlines())
     assert saving < 8 * row
     assert reading < 2 * values.nbytes
+
+
+@pytest.fixture
+def split_save(monkeypatch, tmp_path):
+    """A dataset, the bytes of its one-share save and a function that saves
+    it in three shares, each but the first formatted in a forked child
+    whatever this host's CPUs, and returns the bytes and the forks made."""
+    rng = np.random.default_rng(9)
+    ds = Dataset.from_arrays(rng.normal(size=(300, 40)) * 1e3, [f"c{j % 3}" for j in range(40)])
+    monkeypatch.setattr(data, "_SPLIT_BYTES", ds.values.nbytes)
+    monkeypatch.setattr(data, "_cpus", lambda: 1)
+    save_matrix(ds, tmp_path / "one.csv")
+    monkeypatch.setattr(data, "_cpus", lambda: 3)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+
+    def save():
+        save_matrix(ds, tmp_path / "split.csv")
+        assert_no_children()
+        return (tmp_path / "split.csv").read_bytes(), len(forks)
+
+    return ds, (tmp_path / "one.csv").read_bytes(), save
+
+
+def test_a_split_save_gives_the_one_share_bytes(split_save, tmp_path):
+    ds, one, save = split_save
+    assert save() == (one, 2)
+    back = load_matrix(tmp_path / "split.csv", label_col="label")
+    assert np.array_equal(bits(back.values), bits(ds.values)) and back.labels == ds.labels
+
+
+class _Overstated(bytes):
+    def __len__(self):  # so the count sent comes before a stream that ends short
+        return super().__len__() + 1
+
+
+@pytest.mark.parametrize("failure", ["raises", "exits", "short"])
+def test_a_failed_child_has_its_share_written_here(split_save, monkeypatch, failure):
+    """The last share's child raises, exits before it sends, or sends a
+    stream shorter than its count: that share is cut and written here."""
+    ds, one, save = split_save
+    parent, write_split = os.getpid(), forked.write_split
+
+    def failing(f, rows, cuts):
+        def share(a, b):
+            if os.getpid() != parent and b == ds.n:
+                if failure == "raises":
+                    raise RuntimeError("the child fails")
+                if failure == "exits":
+                    os._exit(1)
+                yield from map(_Overstated, rows(a, b))
+            else:
+                yield from rows(a, b)
+
+        write_split(f, share, cuts)
+
+    monkeypatch.setattr(forked, "write_split", failing)
+    assert save() == (one, 2)
+
+
+@pytest.mark.parametrize("call", ["fork", "pipe"])
+def test_no_process_or_pipe_to_spare_writes_the_one_share_bytes(split_save, monkeypatch, call):
+    def none_to_spare():
+        raise OSError(f"no {call} to spare")
+
+    _, one, save = split_save
+    monkeypatch.setattr(os, call, none_to_spare)
+    assert save()[0] == one
+
+
+def test_a_refused_name_starts_no_child_and_makes_no_file(split_save, tmp_path):
+    ds, _, save = split_save
+    bad = Dataset.from_arrays(ds.values, [*ds.labels[:-1], "a,b"])
+    with pytest.raises(ValidationError, match="would not read back"):
+        save_matrix(bad, tmp_path / "bad.csv")
+    assert not (tmp_path / "bad.csv").exists()
+    assert save()[1] == 2  # the forks made: those of this save alone
+
+
+def test_a_pipe_is_saved_in_one_share(split_save, tmp_path):
+    # a child's share that fails is cut from the file, which a pipe cannot do
+    ds, one, save = split_save
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()))
+    reader.start()
+    save_matrix(ds, fifo)
+    reader.join(timeout=60)
+    assert not reader.is_alive() and got == [one]
+    assert save()[1] == 2
+
+
+def test_a_split_save_holds_about_one_row_here(monkeypatch, tmp_path):
+    """Each child's share, 20 rows, is copied here a block at a time, never
+    held whole: this process peaks no more than a row above the one-share
+    save, which holds one row's text at a time."""
+    rng = np.random.default_rng(7)
+    ds = Dataset.from_arrays(rng.normal(size=(4000, 40)), ["a", "b"] * 20)
+    monkeypatch.setattr(data, "_SPLIT_BYTES", ds.values.nbytes)
+    out = tmp_path / "wide.csv"
+    peaks = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(data, "_cpus", lambda cpus=cpus: cpus)
+        tracemalloc.start()
+        try:
+            save_matrix(ds, out)
+            peaks[cpus] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_no_children()
+    row = max(len(ln) for ln in out.read_text().splitlines())
+    assert peaks[2] < peaks[1] + row
 
 
 @pytest.mark.parametrize(

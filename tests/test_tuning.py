@@ -188,6 +188,15 @@ class TestDeepSearch:
         b = deep_search(dataclasses.replace(ds), "soft", m=8, F=4, seed=2)
         assert a == b
 
+    def test_a_dataset_cannot_be_changed_under_its_kept_folds(self):
+        # deep_search keeps its fold fits keyed by the dataset object, so a
+        # write in place would reuse fits of the old values
+        ds, other = generate_synthetic(SynthSpec(200, 3, 20, 0.8, (12,) * 3, 1.0, 5))
+        want = deep_search(ds, "hard", 5, m=10, seed=1)
+        with pytest.raises(ValueError, match="read-only"):
+            ds.values[:] = other.values
+        assert deep_search(dataclasses.replace(ds), "hard", 5, m=10, seed=1) == want
+
     def test_final_rule_in_last_grid(self):
         ds = separable_dataset(seed=5)
         for kind in ("soft", "hard", "order"):

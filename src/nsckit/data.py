@@ -3,7 +3,9 @@
 Datasets are stored feature-major (p x n). Class identifiers are mapped to
 contiguous indices in first-appearance order so labels never need to be
 sortable. Datasets are immutable after construction. ``read_table`` reads
-every table: ``parse_range`` parses its rows, here or in forked children.
+every table, and every range of one, in bounded blocks (``_blocks``), each
+cut after a line end: ``parse_range`` parses its rows, here or in forked
+children.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import contextlib
 import math
 import os
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -30,7 +33,8 @@ class Dataset:
     0-based class index of sample j; ``classes`` lists the class identifiers
     in first-appearance order.  ``values`` and ``y`` are read-only, since
     ``tuning.deep_search`` keeps its fold fits keyed by the dataset object:
-    ``from_arrays`` copies a writeable array and keeps a read-only one.
+    the constructor, and so ``dataclasses.replace`` too, copies a writeable
+    array and keeps a read-only one, and leaves the caller's array as it is.
     """
 
     values: np.ndarray
@@ -38,6 +42,11 @@ class Dataset:
     classes: tuple[str, ...]
     y: np.ndarray
     feature_names: tuple[str, ...] | None = None
+
+    def __post_init__(self):
+        for name in ("values", "y"):
+            if (a := getattr(self, name)).flags.writeable:
+                object.__setattr__(self, name, _frozen(a.copy(order="K")))
 
     @property
     def p(self) -> int:
@@ -68,8 +77,6 @@ class Dataset:
     ) -> "Dataset":
         """Build a Dataset from a p x n array and per-sample labels."""
         values = np.asarray(values, dtype=float)
-        if values.flags.writeable:
-            values = _frozen(values.copy(order="K"))
         if values.ndim != 2:
             raise ValidationError("values must be a 2-d matrix (features x samples)")
         p, n = values.shape
@@ -196,44 +203,39 @@ def _header(line: str, key_col: int | str | None):
     return delim, header, width, key_col
 
 
-def _head(f) -> tuple[str, bytes]:
-    """The first nonblank line of the binary file ``f``, past a byte-order
-    mark, decoded and without its line end, and the bytes read after that
-    end (where a lone \\r ends it) and by one more ``_line``, which end at a
-    \\n only where ``f`` goes on by whole lines.  A ValueError, for the
-    walk, if there is none or it is not UTF-8 or holds a character of
-    ``_LINE_BREAKS``."""
-    raw = _line(f).removeprefix(codecs.BOM_UTF8)
-    while raw:
-        if b"\r" not in raw and raw[-1:] != b"\n":
-            raw += _line(f)  # the rest of a line a read cut, or nothing at the end
-        line, _, raw = raw.partition(b"\r")  # a text file's line ends there too
-        if (line := line.decode().removesuffix("\n")) and not line.isspace():
-            if any(c in line for c in _LINE_BREAKS):
-                raise ValueError("header for the walk")
-            return line, raw + _line(f)
-        raw = raw or _line(f)
+def _head(f) -> tuple[str, Iterator[bytes], int]:
+    """The first nonblank line of the binary file ``f``, read by
+    ``_blocks`` past a byte-order mark, decoded and without its line end;
+    the rows below it, blocks as ``_blocks`` yields them, and their offset
+    in ``f``.  A ValueError, for the walk, if there is none or it is not
+    UTF-8 or holds a character of ``_LINE_BREAKS``."""
+    blocks, offset = _blocks(f), 0
+    for block in blocks:
+        lines = block.split(b"\r")
+        if not offset:  # the first block, which starts the file
+            lines[0] = lines[0].removeprefix(codecs.BOM_UTF8)
+        for i, raw in enumerate(lines):
+            if (line := raw.decode()) and not line.isspace():
+                if any(c in line for c in _LINE_BREAKS):
+                    raise ValueError("header for the walk")
+                rest = b"\r".join(lines[i + 1 :])
+                return line, chain([rest], blocks), offset + len(block) - len(rest)
+        offset += len(block)
     raise ValueError("no header")
 
 
-# The most bytes read at once past a line end where lines end at a lone \r.
+# The most bytes read at once.
 _BLOCK = 1 << 16
 
 
-def _line(f) -> bytes:
-    """The bytes of the binary file ``f`` to the next \\n, or, read
-    ``_BLOCK`` bytes at a time, to the end of the first read that holds a \\r."""
-    parts = [f.readline(_BLOCK)]
-    while parts[-1] and parts[-1][-1:] != b"\n" and b"\r" not in parts[-1]:
-        parts.append(f.readline(_BLOCK))
-    return b"".join(parts)
-
-
-def _blocks(f, rest: bytes):
-    """``rest``, then the rest of the binary file ``f`` read ``_BLOCK`` bytes
-    at a time, each cut after its last line end, every \\n made a \\r."""
+def _blocks(f, size=math.inf):
+    """The next ``size`` bytes of the binary file ``f``, to its end by
+    default, read ``_BLOCK`` bytes at a time, each read cut after its last
+    line end, every \\n made a \\r; the last block is what follows the last
+    line end."""
     held = []
-    for block in chain([rest], iter(lambda: f.read(_BLOCK), b"")):
+    while size and (block := f.read(min(_BLOCK, size))):
+        size -= len(block)
         block = block.replace(b"\n", b"\r")
         if end := block.rfind(b"\r") + 1:
             yield b"".join([*held, block[:end]])
@@ -245,23 +247,17 @@ def _blocks(f, rest: bytes):
 def _row_cuts(f, start: int, at) -> list[int]:
     """``start``, the start of the first line at or after each offset of
     ``at`` (ascending) above it, and the end of the binary file ``f``, which
-    is left where it was.  A cut after ``start`` follows a \\n or ends the
-    file, so it splits no line, \\r\\n or UTF-8 character."""
+    is left where it was.  A cut after ``start`` follows a \\r or a \\n or
+    ends the file, so it splits no UTF-8 character; one inside a \\r\\n
+    leaves a blank line, which is skipped."""
     here, cuts = f.tell(), [start]
     for offset in (*at, f.seek(0, os.SEEK_END)):
         if offset > cuts[-1]:
             f.seek(offset - 1)
-            f.readline()
-            cuts.append(f.tell())
+            block = next(_blocks(f))
+            cuts.append(offset - 1 + (block.find(b"\r") + 1 or len(block)))
     f.seek(here)
     return cuts
-
-
-def byte_range(f, start: int, end: int):
-    """The lines, each read to a \\n, of bytes ``start`` to ``end`` of the binary file ``f``."""
-    f.seek(start)
-    while f.tell() < end:
-        yield f.readline()
 
 
 def _parse_block(rows, delim: str, width: int, key_col: int | None):
@@ -299,10 +295,10 @@ def _parse_block(rows, delim: str, width: int, key_col: int | None):
     return keys, values
 
 
-def parse_range(lines, delim: str, width: int, key_col: int | None):
-    """``_parse_block`` of the nonblank lines in ``lines``, byte strings read
-    to a \\n or by ``_blocks``, decoded one at a time; a lone \\r ends a line too."""
-    rows = (ln for raw in lines for ln in raw.decode().split("\r"))
+def parse_range(blocks, delim: str, width: int, key_col: int | None):
+    """``_parse_block`` of the nonblank lines in ``blocks``, byte strings
+    each cut after a line end as ``_blocks`` cuts them, decoded one at a time."""
+    rows = (ln for raw in blocks for ln in raw.decode().split("\r"))
     return _parse_block((ln for ln in rows if ln and not ln.isspace()), delim, width, key_col)
 
 
@@ -316,23 +312,23 @@ def read_table(path, key_col: int | str | None = None):
     and the rows x columns float array.  Names are stripped of outer
     whitespace.
 
-    The file is opened once, in binary, and ``parse_range`` streams the rows
-    below its header to numpy's C reader, which parses the numeric cells in
-    one call.  A file of at least ``2 * _SPLIT_BYTES`` bytes, on a system
-    with fork and at least two usable CPUs, is cut into one range of whole
-    lines per usable CPU (each at least ``_SPLIT_BYTES``), each parsed in a
-    forked child; any other file, a pipe too, is one range, parsed here,
-    and one whose rows end at a lone \\r is read ``_BLOCK`` bytes at a time.
-    A table with no rows, or that the C reader refuses in any range, is
-    walked cell by cell instead, with the same result or error (README,
-    "Input files"); a pipe cannot be read again for the walk, so such a
-    table in a pipe is a ParseError that says so.
+    The file is opened once, in binary, and read ``_BLOCK`` bytes at a
+    time, each read cut after its last line end; ``parse_range`` streams
+    the rows below the header to numpy's C reader, which parses the numeric
+    cells in one call.  A file of at least ``2 * _SPLIT_BYTES`` bytes, on a
+    system with fork and at least two usable CPUs, is cut into one range of
+    whole lines per usable CPU (each at least ``_SPLIT_BYTES``), each read
+    the same way and parsed in a forked child; any other file, a pipe too,
+    is one range, parsed here.  A table with no rows, or that the C reader
+    refuses in any range, is walked cell by cell instead, with the same
+    result or error (README, "Input files"); a pipe cannot be read again
+    for the walk, so such a table in a pipe is a ParseError that says so.
     """
     with open(path, "rb") as f:
         try:
-            head, rest = _head(f)
+            head, rows, start = _head(f)
             delim, header, width, key_at = _header(head, key_col)
-            parsed = _parse_rows(path, f, rest, delim, width, key_at)
+            parsed = _parse_rows(path, f, rows, start, delim, width, key_at)
         except ValueError:  # the walk reports a bad byte before a bad header
             parsed = None
         if parsed is not None and len(parsed[1]):
@@ -342,21 +338,19 @@ def read_table(path, key_col: int | str | None = None):
     return _walk_table(path, key_col)
 
 
-def _parse_rows(path, f, rest: bytes, delim: str, width: int, key_col: int | None):
-    """The rows of the binary file ``f``, read past ``_head``'s ``rest``: in
-    ``_blocks`` unless ``rest`` ends at a \\n, else by lines in one range or,
-    in a large regular file, in ranges over forked children."""
-    if rest[-1:] != b"\n":
-        return parse_range(_blocks(f, rest), delim, width, key_col)
+def _parse_rows(path, f, rows, start: int, delim: str, width: int, key_col: int | None):
+    """The rows ``rows`` that ``_head`` gives of the binary file ``f``, from
+    byte ``start``: in one range or, in a large regular file, in ranges over
+    forked children."""
     size = os.fstat(f.fileno()).st_size if f.seekable() else 0
     if (parts := min(_cpus(), size // _SPLIT_BYTES)) > 1:
-        cuts = _row_cuts(f, f.tell() - len(rest), [size * k // parts for k in range(1, parts)])
+        cuts = _row_cuts(f, start, [size * k // parts for k in range(1, parts)])
         if len(cuts) > 2:
             from .forked import parse_split  # compiled only where a file is split
 
             with contextlib.suppress(OSError):  # no process or pipe to spare: one range, here
                 return parse_split(path, cuts, delim, width, key_col)
-    return parse_range(chain([rest.replace(b"\n", b"\r")], f), delim, width, key_col)
+    return parse_range(rows, delim, width, key_col)
 
 
 # The least work worth a forked child: a range of a file, or a matrix whose

@@ -1,5 +1,6 @@
 """Work split over forked children, and nothing else, of three kinds: the
-rows of a large table read, one range of whole lines each; a sum of count
+rows of a large table read, one range of whole lines each, read in bounded
+blocks as the one-range read is (``data._blocks``); a sum of count
 vectors, one share of the work each, as ``tuning.cross_validate`` sums the
 error counts of its fold shares; and the text of a large table written,
 one share of its rows each.  The one-range read, the one-share sum and the
@@ -23,7 +24,7 @@ import warnings
 
 import numpy as np
 
-from .data import _BLOCK, byte_range, parse_range
+from .data import _BLOCK, _blocks, parse_range
 
 
 @contextlib.contextmanager
@@ -158,8 +159,9 @@ def write_split(f, rows, cuts):
 
 def parse_split(path, cuts, delim: str, width: int, key_col: int | None):
     """``parse_range`` of each pair of consecutive ``cuts`` of the file
-    ``path``, each in a forked child that opens the file, joined in file
-    order, or None if a range is refused.
+    ``path``, each in a forked child that opens the file and reads its
+    range by ``_blocks``, joined in file order, or None if a range is
+    refused.
 
     Each child sends its row and key byte counts, its rows and its keys, or
     nothing if its range is refused.  All the counts are read first, so the
@@ -168,7 +170,8 @@ def parse_split(path, cuts, delim: str, width: int, key_col: int | None):
 
     def send(pipe, start, end):
         with open(path, "rb") as f:
-            parsed = parse_range(byte_range(f, start, end), delim, width, key_col)
+            f.seek(start)
+            parsed = parse_range(_blocks(f, end - start), delim, width, key_col)
         if parsed is not None:
             keys, values = parsed
             names = "\n".join(keys or ()).encode()  # a key holds no line break

@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import _SPLIT_BYTES, Dataset, _cpus, stratified_folds
+from .data import _SPLIT_BYTES, Dataset, _cpus, _frozen, stratified_folds
 from .errors import DeepSearchError, ValidationError
 from .model import CentroidStats, fit_statistics, predict, shrink
 # apply_rule stays bound here: benchmarks/bench_workloads.py instruments it by
@@ -247,7 +247,7 @@ def _fitted(ds: Dataset, kind: str, plan, fit_kw: dict) -> Iterator[_HeldOutFold
     of ``kind`` when it is asked for."""
     # Training sets are gathered from a sample-major copy, where each sample
     # is contiguous; the subsets, and so the fits, are the same.
-    src = replace(ds, values=np.asfortranarray(ds.values))
+    src = replace(ds, values=_frozen(np.asfortranarray(ds.values)))
     for idx in plan:
         rest = np.setdiff1d(np.arange(ds.n), idx, assume_unique=True)
         # no name holds the training subset or the fit between folds

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import signal
 import subprocess
@@ -22,7 +23,7 @@ from nsckit import (
 
 from nsckit import data, forked
 from nsckit.data import (
-    _head, _header, _parse_block, _row_cuts, _walk_table, byte_range, parse_range, read_table,
+    _blocks, _head, _header, _parse_block, _row_cuts, _walk_table, parse_range, read_table,
     read_text,
 )
 from nsckit.forked import parse_split
@@ -58,6 +59,22 @@ def test_dataset_arrays_are_read_only_and_not_the_callers(rng):
             built.values[:] = 1.0
     # a read-only array is kept, not copied
     assert Dataset.from_arrays(ds.values, ds.labels).values is ds.values
+
+
+def test_the_constructor_and_replace_keep_read_only_copies(rng):
+    values, y = rng.normal(size=(2, 4)), np.array([0, 0, 1, 1])
+    ds = Dataset(values, ("a", "a", "b", "b"), ("a", "b"), y)
+    other = rng.normal(size=(2, 4))
+    replaced = dataclasses.replace(ds, values=other)
+    for built, mine in ((ds, values), (replaced, other)):
+        assert not built.values.flags.writeable and not built.y.flags.writeable
+        assert not np.shares_memory(built.values, mine) and np.array_equal(built.values, mine)
+    # the caller's arrays are left writeable, and writes to them reach no dataset
+    for mine in (values, y, other):
+        assert mine.flags.writeable
+    values[:], y[:], other[:] = 0.0, 1, 0.0
+    assert np.all(ds.values != 0.0) and ds.y.tolist() == [0, 0, 1, 1]
+    assert np.all(replaced.values != 0.0) and replaced.y is ds.y
 
 
 def test_rejects_single_class_and_nan():
@@ -267,7 +284,7 @@ def test_byte_order_mark_is_not_part_of_the_header(tmp_path):
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 @pytest.mark.parametrize("raw", [
     b"\xef\xbb\xbflabel,a\r\nx,1\r\n\r\ny,2\r\n",
-    b"label,a\rx,1\ry,2\r",  # lone CR line ends: the header's line holds the rows
+    b"label,a\rx,1\ry,2\r",  # lone CR line ends
     b"label,a\nx,NA\n",
     b"label,a\n\n",
 ])
@@ -483,6 +500,8 @@ def test_a_pipe_read_in_blocks_ends_a_line_at_each_line_end(monkeypatch):
 @settings(max_examples=200, deadline=None)
 @given(table=raw_tables(), block=st.integers(1, 9))
 @example(table=(b"\xef\xbb\xbf\r\n \rlabel,a\rx,1\r\ny,2\nz,3", "label"), block=4)
+# a byte-order mark that starts a later read is part of the header
+@example(table=(b"\r\n\xef\xbb\xbfa,b\n1,2\n", None), block=1)
 def test_reads_of_a_few_bytes_give_the_walks_table(table_dir, table, block):
     """With reads of a few bytes, the header and the rows that reads cut
     still give the result or the error of the whole-text walk."""
@@ -534,13 +553,18 @@ def test_ranges_cut_anywhere_join_to_the_stream(table_dir, table):
     raw, key, at = table
     f = table_dir / "split.txt"
     f.write_bytes(raw)
+
+    def part(a, b):
+        rows.seek(a)
+        return parse_range(_blocks(rows, b - a), *fmt)
+
     with open(f, "rb") as rows:
-        head, rest = _head(rows)
+        head, lines, start = _head(rows)
         delim, header, width, key_at = _header(head, key)
         fmt = (delim, width, key_at)
-        cuts = _row_cuts(rows, rows.tell() - len(rest), at)
-        one = data._parse_rows(f, rows, rest, *fmt)  # below the split size: one range
-        parts = [parse_range(byte_range(rows, a, b), *fmt) for a, b in zip(cuts, cuts[1:])]
+        cuts = _row_cuts(rows, start, at)
+        one = data._parse_rows(f, rows, lines, start, *fmt)  # below the split size: one range
+        parts = [part(a, b) for a, b in zip(cuts, cuts[1:])]
     assert cuts == sorted(set(cuts)) and cuts[-1] == len(raw)
     joined = parse_split(f, cuts, *fmt)
     assert_no_children()
@@ -580,15 +604,22 @@ def test_a_file_below_the_split_size_is_one_range_read_here(tmp_path, monkeypatc
 
 def test_lone_cr_rows_are_read_in_blocks_not_whole(tmp_path):
     """A table whose rows end at a lone \\r, below a header line that ends
-    there too or at a \\n, peaks no higher than 1.5 times the same table
-    with \\n ends: no row is read to a \\n, so the rows are read a block
-    at a time, not held whole."""
+    there too or at a \\n, or below a header and a first row that end at
+    a \\n, peaks no higher than 1.5 times the same table with \\n ends:
+    whatever the line ends, the rows are read a block at a time, not held
+    whole."""
     rng = np.random.default_rng(5)
     values = rng.normal(size=(70, 2000))
     head = ",".join(["label", *(f"g{i}" for i in range(2000))])
     rows = [",".join([f"c{j % 3}", *map(repr, row.tolist())]) for j, row in enumerate(values)]
     peaks = []
-    for text in (head + "\n" + "\n".join(rows), head + "\r" + "\r".join(rows), head + "\n" + "\r".join(rows)):
+    texts = (
+        head + "\n" + "\n".join(rows),
+        head + "\r" + "\r".join(rows),
+        head + "\n" + "\r".join(rows),
+        head + "\n" + rows[0] + "\n" + "\r".join(rows[1:]),
+    )
+    for text in texts:
         f = tmp_path / f"t{len(peaks)}.csv"
         f.write_bytes(text.encode())
         tracemalloc.start()
@@ -603,8 +634,9 @@ def test_lone_cr_rows_are_read_in_blocks_not_whole(tmp_path):
 
 @pytest.fixture(scope="module")
 def big_table(tmp_path_factory):
-    """A rows-are-samples CSV above the size that read_table splits, and a
-    copy with NA in the last cell of its last row."""
+    """A rows-are-samples CSV above the size that read_table splits, a copy
+    with NA in the last cell of its last row and a copy whose lines end at a
+    lone \\r."""
     rng = np.random.default_rng(11)
     values = rng.normal(size=(60, 1 + 2 * data._SPLIT_BYTES // (60 * 18)))
     lines = [",".join(["label", *(f"g{i}" for i in range(values.shape[1]))])]
@@ -614,28 +646,33 @@ def big_table(tmp_path_factory):
     assert good.stat().st_size >= 2 * data._SPLIT_BYTES
     bad = good.with_name("big-na.csv")
     bad.write_text("\n".join(lines[:-1] + [lines[-1].rsplit(",", 1)[0] + ",NA"]) + "\n")
-    return good, bad
+    lone_cr = good.with_name("big-cr.csv")
+    lone_cr.write_bytes(good.read_bytes().replace(b"\n", b"\r"))
+    return good, bad, lone_cr
 
 
-def test_a_large_file_is_split_and_read_as_walked(big_table, monkeypatch):
-    forks = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    tracemalloc.start()
-    try:
-        values = read_table(big_table[0], "label")[2]
-        reading = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert_no_children()
-    monkeypatch.undo()
-    assert outcome(read_table, big_table[0], "label") == outcome(_walk_table, big_table[0], "label")
-    size = big_table[0].stat().st_size
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    assert len(forks) == (min(cpus, size // data._SPLIT_BYTES) if cpus > 1 else 0)
-    # the children's rows land in the one result array: no second copy,
-    # and a few lines of text (the header, the first row, a read buffer)
-    assert reading < values.nbytes + 8 * size // len(values)
+def test_a_large_file_is_split_and_read_as_walked(big_table):
+    """A large file is split and read as walked, whether its lines end at
+    \\n or at a lone \\r."""
+    for path in (big_table[0], big_table[2]):
+        forks = []
+        fork = os.fork
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, "fork", lambda: forks.append(1) or fork())
+            tracemalloc.start()
+            try:
+                values = read_table(path, "label")[2]
+                reading = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert_no_children()
+        assert outcome(read_table, path, "label") == outcome(_walk_table, path, "label")
+        size = path.stat().st_size
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        assert len(forks) == (min(cpus, size // data._SPLIT_BYTES) if cpus > 1 else 0)
+        # the children's rows land in the one result array: no second copy,
+        # and a few lines of text (the header, the first row, a read buffer)
+        assert reading < values.nbytes + 8 * size // len(values)
 
 
 def test_a_bad_cell_in_the_last_row_of_a_split_file_gives_the_walks_error(big_table):

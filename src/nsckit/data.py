@@ -11,7 +11,6 @@ children.
 from __future__ import annotations
 
 import codecs
-import contextlib
 import math
 import os
 from collections import Counter
@@ -101,8 +100,6 @@ class Dataset:
         y = _frozen(np.array([index[lab] for lab in labels], dtype=int))
         if len(classes) < 2:
             raise ValidationError("need at least two classes")
-        if n < len(classes):
-            raise ValidationError("need at least one sample per class")
         if feature_names is not None:
             feature_names = tuple(str(f) for f in feature_names)
             if len(feature_names) != p:
@@ -312,17 +309,18 @@ def read_table(path, key_col: int | str | None = None):
     and the rows x columns float array.  Names are stripped of outer
     whitespace.
 
-    The file is opened once, in binary, and read ``_BLOCK`` bytes at a
-    time, each read cut after its last line end; ``parse_range`` streams
-    the rows below the header to numpy's C reader, which parses the numeric
-    cells in one call.  A file of at least ``2 * _SPLIT_BYTES`` bytes, on a
-    system with fork and at least two usable CPUs, is cut into one range of
-    whole lines per usable CPU (each at least ``_SPLIT_BYTES``), each read
-    the same way and parsed in a forked child; any other file, a pipe too,
-    is one range, parsed here.  A table with no rows, or that the C reader
-    refuses in any range, is walked cell by cell instead, with the same
-    result or error (README, "Input files"); a pipe cannot be read again
-    for the walk, so such a table in a pipe is a ParseError that says so.
+    The file is opened in binary and read ``_BLOCK`` bytes at a time, each
+    read cut after its last line end; ``parse_range`` streams the rows
+    below the header to numpy's C reader, which parses the numeric cells in
+    one call.  A file of at least ``2 * _SPLIT_BYTES`` bytes, on a system
+    with fork and at least two usable CPUs, is cut into one range of whole
+    lines per usable CPU (each at least ``_SPLIT_BYTES``), each read the
+    same way and parsed in a forked child, or as one range here where a
+    child cannot be forked; any other file, a pipe too, is one range,
+    parsed here.  A table with no rows, or that the C reader refuses in any
+    range, is walked cell by cell instead, with the same result or error
+    (README, "Input files"); a pipe cannot be read again for the walk, so
+    such a table in a pipe is a ParseError that says so.
     """
     with open(path, "rb") as f:
         try:
@@ -348,8 +346,7 @@ def _parse_rows(path, f, rows, start: int, delim: str, width: int, key_col: int 
         if len(cuts) > 2:
             from .forked import parse_split  # compiled only where a file is split
 
-            with contextlib.suppress(OSError):  # no process or pipe to spare: one range, here
-                return parse_split(path, cuts, delim, width, key_col)
+            return parse_split(path, cuts, delim, width, key_col)
     return parse_range(rows, delim, width, key_col)
 
 
@@ -452,11 +449,11 @@ def save_matrix(ds: Dataset, path) -> None:
     so are the names and labels: a feature named ``label``, and a name or
     label that holds a comma, a TAB or a line break (any on which
     ``str.splitlines`` breaks) or that starts or ends with whitespace, is
-    refused before the file is opened.  The file is written row by row,
-    except that a seekable file of at least ``_SPLIT_BYTES`` of values, on a
-    system with fork and at least two usable CPUs, is written in one share
-    of rows per usable CPU, each but the first formatted in a forked child
-    (``forked.write_split``), with the same bytes.
+    refused before the file is opened.  ``forked.write_split`` writes the
+    rows: in one share per usable CPU, each but the first formatted in a
+    forked child, where the file is seekable, the values hold at least
+    ``_SPLIT_BYTES`` and the system has fork and at least two usable CPUs;
+    else in one share, row by row in this process.  The bytes are the same.
     """
     names = ds.feature_names or tuple(f"f{i}" for i in range(ds.p))
     if "label" in names:
@@ -472,15 +469,12 @@ def save_matrix(ds: Dataset, path) -> None:
         for j in range(a, b):
             yield (",".join((ds.labels[j], *map(repr, ds.values[:, j].tolist()))) + "\n").encode()
 
-    parts = min(_cpus(), ds.n) if ds.values.nbytes >= _SPLIT_BYTES else 1
+    from .forked import write_split  # not compiled by `import nsckit`
+
     with open(path, "wb") as f:
         f.write((",".join(("label", *names)) + "\n").encode())
-        if parts > 1 and f.seekable():
-            from .forked import write_split  # compiled only where a write is split
-
-            write_split(f, rows, [ds.n * k // parts for k in range(parts + 1)])
-        else:
-            f.writelines(rows(0, ds.n))
+        parts = min(_cpus(), ds.n) if f.seekable() and ds.values.nbytes >= _SPLIT_BYTES else 1
+        write_split(f, rows, [ds.n * k // parts for k in range(parts + 1)])
 
 
 def fold_count(ds: Dataset, requested: int) -> int:

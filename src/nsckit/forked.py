@@ -3,16 +3,16 @@ rows of a large table read, one range of whole lines each, read in bounded
 blocks as the one-range read is (``data._blocks``); a sum of count
 vectors, one share of the work each, as ``tuning.cross_validate`` sums the
 error counts of its fold shares; and the text of a large table written,
-one share of its rows each.  The one-range read, the one-share sum and the
-one-share write run in the caller.
+one share of its rows each.  Work that no child does is done in the
+caller: the first share of a sum or a write, and any share or read that
+finds no process or pipe to spare.
 
-``data.read_table``, ``data.save_matrix`` and ``tuning.cross_validate``
-import this module only for work they split, so ``import nsckit`` does not
-compile it.  Each child,
-forked by ``_fork``, writes its part of the result to its own pipe, or
-nothing if its part is refused or fails, and leaves through ``os._exit``:
-it runs none of the exit handlers or stdio flushes of the process it was
-forked from.
+``tuning.cross_validate`` and ``data.save_matrix`` import this module on
+each call, ``data.read_table`` for a file it splits, so ``import nsckit``
+does not compile it.  Each child, forked by ``_fork``, writes its part of
+the result to its own pipe, or nothing if its part is refused or fails,
+and leaves through ``os._exit``: it runs none of the exit handlers or
+stdio flushes of the process it was forked from.
 """
 
 from __future__ import annotations
@@ -43,11 +43,14 @@ def _children():
                 os.waitpid(pid, 0)
 
 
-def _fork(children: list, send) -> int:
+def _fork(children: list, send) -> int | None:
     """Fork a child that calls ``send`` with the write end of a new pipe, as
     a binary file, then exits; add it to ``children`` and return the read
-    end.  Raises OSError where there is no process or pipe to spare."""
-    r, w = os.pipe()
+    end, or None where there is no process or pipe to spare."""
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return None
     try:
         with warnings.catch_warnings():  # Python 3.12+ warns on forking a threaded process
             warnings.simplefilter("ignore", DeprecationWarning)
@@ -55,7 +58,7 @@ def _fork(children: list, send) -> int:
     except OSError:
         os.close(r)
         os.close(w)
-        raise
+        return None
     if pid:
         os.close(w)
         children.append((pid, r))
@@ -66,14 +69,6 @@ def _fork(children: list, send) -> int:
             send(pipe)
     finally:
         os._exit(0)
-
-
-def _spawn(children: list, send) -> int | None:
-    """``_fork``, or None where there is no process or pipe to spare."""
-    try:
-        return _fork(children, send)
-    except OSError:
-        return None
 
 
 def _receive(fd, buf) -> bool:
@@ -95,8 +90,8 @@ def split_sum(work, shares, G: int):
     of every share's counts; call it once this process has done its own
     part.  A share whose child sends nothing (it raised, warned or died), or
     that found no process or pipe to spare, is redone here by that function,
-    with the errors and warnings of ``work`` in this process.  No child
-    outlives the ``with`` block.
+    with the errors and warnings of ``work`` in this process; with no
+    ``shares`` the sum is 0.  No child outlives the ``with`` block.
     """
 
     def send(pipe, share):
@@ -111,7 +106,7 @@ def split_sum(work, shares, G: int):
         return counts if fd is not None and _receive(fd, counts.view(np.uint8)) else work(share)
 
     with _children() as children:
-        pipes = [_spawn(children, lambda pipe, share=share: send(pipe, share)) for share in shares]
+        pipes = [_fork(children, lambda pipe, share=share: send(pipe, share)) for share in shares]
         yield lambda: sum(map(receive, pipes, shares))
 
 
@@ -126,7 +121,8 @@ def write_split(f, rows, cuts):
     (16 MB of wide-size text, 72 rows of 22283 values, over two CPUs).
     A share whose child sends nothing or a short stream (it raised or
     died), or that found no process or pipe to spare, is cut from ``f`` and
-    written here.  ``f`` must be seekable.  No child outlives the call.
+    written here, so ``f`` must be seekable unless there is one share.  No
+    child outlives the call.
     """
 
     def send(pipe, a, b):
@@ -143,13 +139,15 @@ def write_split(f, rows, cuts):
             left -= f.write(block[:got])
         return not left
 
-    # one buffer for every block: a new bytes object per block (os.read)
-    # left about 20 MB of free heap this process kept after a wide write
-    block = memoryview(bytearray(_BLOCK))
     with _children() as children:
-        shares = list(zip(cuts, cuts[1:]))
-        pipes = [_spawn(children, lambda pipe, s=s: send(pipe, *s)) for s in shares[1:]]
-        for fd, (a, b) in zip([None, *pipes], shares):
+        first, *shares = zip(cuts, cuts[1:])
+        pipes = [_fork(children, lambda pipe, s=s: send(pipe, *s)) for s in shares]
+        f.writelines(rows(*first))
+        if children:
+            # one buffer for every block: a new bytes object per block (os.read)
+            # left about 20 MB of free heap this process kept after a wide write
+            block = memoryview(bytearray(_BLOCK))
+        for fd, (a, b) in zip(pipes, shares):
             start = f.tell()
             if fd is None or not copied(fd):
                 f.seek(start)
@@ -161,36 +159,40 @@ def parse_split(path, cuts, delim: str, width: int, key_col: int | None):
     """``parse_range`` of each pair of consecutive ``cuts`` of the file
     ``path``, each in a forked child that opens the file and reads its
     range by ``_blocks``, joined in file order, or None if a range is
-    refused.
+    refused.  Where a child cannot be forked, the whole is one range,
+    parsed here the same way.
 
     Each child sends its row and key byte counts, its rows and its keys, or
     nothing if its range is refused.  All the counts are read first, so the
     rows go straight from the pipes into the one result array.
     """
 
-    def send(pipe, start, end):
+    def parsed(start, end):
         with open(path, "rb") as f:
             f.seek(start)
-            parsed = parse_range(_blocks(f, end - start), delim, width, key_col)
-        if parsed is not None:
-            keys, values = parsed
+            return parse_range(_blocks(f, end - start), delim, width, key_col)
+
+    def send(pipe, start, end):
+        if (got := parsed(start, end)) is not None:
+            keys, values = got
             names = "\n".join(keys or ()).encode()  # a key holds no line break
             pipe.write(np.array([len(values), len(names)], np.int64).tobytes())
             pipe.write(values.reshape(-1).view(np.uint8))
             pipe.write(names)
 
     with _children() as children:
-        for start, end in zip(cuts, cuts[1:]):
-            _fork(children, lambda pipe, start=start, end=end: send(pipe, start, end))
-        heads = [np.zeros(2, np.int64) for _ in children]
-        if not all(_receive(fd, head.view(np.uint8)) for (_, fd), head in zip(children, heads)):
-            return None
-        rows = np.cumsum([0, *(int(head[0]) for head in heads)])
-        values = np.empty((rows[-1], width - (key_col is not None)))
-        keys = []
-        for (_, fd), head, a, b in zip(children, heads, rows, rows[1:]):
-            names = bytearray(int(head[1]))
-            if not (_receive(fd, values[a:b].reshape(-1).view(np.uint8)) and _receive(fd, names)):
+        ranges = zip(cuts, cuts[1:])
+        if all(_fork(children, lambda pipe, s=s: send(pipe, *s)) is not None for s in ranges):
+            heads = [np.zeros(2, np.int64) for _ in children]
+            if not all(_receive(fd, head.view(np.uint8)) for (_, fd), head in zip(children, heads)):
                 return None
-            keys += names.decode().split("\n")[: b - a]  # none in a range of blank lines
-        return (None if key_col is None else keys), values
+            rows = np.cumsum([0, *(int(head[0]) for head in heads)])
+            values = np.empty((rows[-1], width - (key_col is not None)))
+            keys = []
+            for (_, fd), head, a, b in zip(children, heads, rows, rows[1:]):
+                names = bytearray(int(head[1]))
+                if not (_receive(fd, values[a:b].reshape(-1).view(np.uint8)) and _receive(fd, names)):
+                    return None
+                keys += names.decode().split("\n")[: b - a]  # none in a range of blank lines
+            return (None if key_col is None else keys), values
+    return parsed(cuts[0], cuts[-1])  # no process or pipe to spare: one range, here

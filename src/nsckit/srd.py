@@ -93,7 +93,7 @@ def rank_vector(v, ascending: bool = True) -> np.ndarray:
 
 def max_srd(r: int) -> int:
     """Largest possible sum |pi(i) - i| over permutations of 1..r."""
-    return r * r // 2 if r % 2 == 0 else (r * r - 1) // 2
+    return r * r // 2
 
 
 def exact_null_counts(r: int) -> dict[int, int]:

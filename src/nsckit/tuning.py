@@ -8,9 +8,9 @@ runner-up when it buys a drastically smaller model at the cost of at most
 one extra misclassified sample.  Callers tune through ``bench.tune``, which
 caps the fold count and runs one or the other.  ``cross_validate``, the one
 place grid CV runs, sums the error counts of fixed shares of its fold
-plan: one share, unless a training matrix of at least ``data._SPLIT_BYTES``
-is split over forked children (``forked.split_sum``).  ``deep_search`` runs
-in this process.
+plan by ``forked.split_sum``: one share, done here, unless a training
+matrix of at least ``data._SPLIT_BYTES`` is split over forked children.
+``deep_search`` runs in this process.
 
 Each fold is fitted once per ``cross_validate`` call.  ``deep_search`` keeps
 the folds of its last plan, so searches of every kind on one dataset object,
@@ -33,7 +33,6 @@ m_k times the norm of |d| + delta over the entries class k keeps.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
@@ -279,8 +278,8 @@ def cross_validate(ds: Dataset, grid, F: int, seed: int, **fit_kw) -> CvCurve:
     dealt into fixed shares, plan[i::parts], and each fold of a share is
     fitted as the scoring reaches it and scored alone, so one fold is alive
     at a time.  There is one share unless the training matrix holds at least
-    ``_SPLIT_BYTES``: then there is one per usable CPU (at most F), and a
-    forked child does each share but the first (``forked.split_sum``) while
+    ``_SPLIT_BYTES``: then there is one per usable CPU (at most F).
+    ``forked.split_sum`` forks a child for each share but the first while
     this process fits the full data and does the first.  An order rule that
     keeps more than the p*K statistics is refused before any fit.
     Deterministic given (ds, grid, F, seed, fit_kw), split or not.
@@ -303,12 +302,9 @@ def cross_validate(ds: Dataset, grid, F: int, seed: int, **fit_kw) -> CvCurve:
         folds = _fitted(ds, kind, share, fit_kw)
         return sum(map(lambda fold: _group_errors([fold], grid), folds))
 
-    others = contextlib.nullcontext(lambda: 0)
-    if parts > 1:
-        from .forked import split_sum  # compiled only where folds are split
+    from .forked import split_sum  # not compiled by `import nsckit`
 
-        others = split_sum(errors, shares[1:], len(grid))
-    with others as rest:
+    with split_sum(errors, shares[1:], len(grid)) as rest:
         # any children, forked on entering, work while this process fits the full data
         curve = _survivor_curve(fit_statistics(ds, **fit_kw), kind)
         return curve(grid, errors(shares[0]) + rest())

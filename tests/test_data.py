@@ -652,12 +652,13 @@ def big_table(tmp_path_factory):
 
 
 def test_a_large_file_is_split_and_read_as_walked(big_table):
-    """A large file is split and read as walked, whether its lines end at
-    \\n or at a lone \\r."""
+    """A large file is split over two usable CPUs, whatever this host's,
+    and read as walked, whether its lines end at \\n or at a lone \\r."""
     for path in (big_table[0], big_table[2]):
         forks = []
         fork = os.fork
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "_cpus", lambda: 2)
             mp.setattr(os, "fork", lambda: forks.append(1) or fork())
             tracemalloc.start()
             try:
@@ -667,12 +668,10 @@ def test_a_large_file_is_split_and_read_as_walked(big_table):
                 tracemalloc.stop()
         assert_no_children()
         assert outcome(read_table, path, "label") == outcome(_walk_table, path, "label")
-        size = path.stat().st_size
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-        assert len(forks) == (min(cpus, size // data._SPLIT_BYTES) if cpus > 1 else 0)
+        assert len(forks) == 2
         # the children's rows land in the one result array: no second copy,
         # and a few lines of text (the header, the first row, a read buffer)
-        assert reading < values.nbytes + 8 * size // len(values)
+        assert reading < values.nbytes + 8 * path.stat().st_size // len(values)
 
 
 def test_a_bad_cell_in_the_last_row_of_a_split_file_gives_the_walks_error(big_table):
@@ -736,6 +735,27 @@ def test_no_process_to_spare_reads_the_stream(big_table, monkeypatch):
     want = outcome(read_table, big_table[0], "label")
     monkeypatch.setattr(os, "fork", no_fork)
     assert outcome(read_table, big_table[0], "label") == want
+    assert_no_children()
+
+
+@pytest.mark.parametrize("spare", [0, 1])
+def test_no_pipe_to_spare_reads_the_file_as_one_range(big_table, monkeypatch, spare):
+    """A split read that finds no pipe for its first or its second range
+    gives the one-range result, with the range forked before ended."""
+    want = outcome(read_table, big_table[0], "label")
+    pipes, forks, pipe, fork = [], [], os.pipe, os.fork
+
+    def some_pipes():
+        if len(pipes) == spare:
+            raise OSError("no pipe to spare")
+        pipes.append(1)
+        return pipe()
+
+    monkeypatch.setattr(data, "_cpus", lambda: 2)
+    monkeypatch.setattr(os, "pipe", some_pipes)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    assert outcome(read_table, big_table[0], "label") == want
+    assert len(forks) == spare
     assert_no_children()
 
 

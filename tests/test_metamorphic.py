@@ -16,7 +16,7 @@ from nsckit import (
     Dataset, SynthSpec, bench, fit_statistics, generate_synthetic, load_matrix,
     predict_labels, run_experiment, save_matrix, shrink,
 )
-from nsckit import data
+from nsckit import data, tuning
 
 from conftest import assert_no_children
 
@@ -27,8 +27,8 @@ def pair(seed):
     return generate_synthetic(SynthSpec(300, 3, 15, 0.7, (10, 12, 9), 1.0, seed))
 
 
-def records(train, test):
-    return [rec for method in METHODS for rec in run_experiment(train, test, method, runs=2, m=12, folds=5)]
+def records(train, test, methods=METHODS):
+    return [rec for method in methods for rec in run_experiment(train, test, method, runs=2, m=12, folds=5)]
 
 
 def remade(ds, values=None, labels=None, names=None):
@@ -46,6 +46,26 @@ def test_scaling_by_a_power_of_two_leaves_every_record_bit_identical(seed):
     for c in (2.0, 0.25, 1024.0):
         got = records(remade(train, train.values * c), remade(test, test.values * c))
         assert [repr(r) for r in got] == [repr(r) for r in want], c
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_split_folds_leave_the_records_and_their_scaling_bit_identical(seed, monkeypatch):
+    """With the folds of every training matrix dealt into two shares, the
+    second scored in a forked child, sth, hth and oth give the records of
+    the unsplit run, and scaling by a power of two leaves them bit-identical."""
+    methods = ("sth", "hth", "oth")
+    train, test = pair(seed)
+    want = [repr(r) for r in records(train, test, methods)]
+    monkeypatch.setattr(tuning, "_SPLIT_BYTES", 0)
+    monkeypatch.setattr(tuning, "_cpus", lambda: 2)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    for c in (1.0, 2.0, 0.25, 1024.0):
+        got = records(remade(train, train.values * c), remade(test, test.values * c), methods)
+        assert_no_children()
+        assert [repr(r) for r in got] == want, c
+        assert len(forks) == 3 * 2  # one cross_validate, so one child, a run
+        forks.clear()
 
 
 @pytest.mark.parametrize("seed", range(6))

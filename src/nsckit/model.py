@@ -98,8 +98,10 @@ def fit_statistics(
     ss = np.zeros(ds.p)
     for k in range(K):
         Xk = X[:, ds.class_members(k)]  # a copy, so squared in place below
-        class_centroids[:, k] = Xk.mean(axis=1)
-        Xk -= class_centroids[:, k][:, None]
+        c = Xk.mean(axis=1)
+        class_centroids[:, k] = c
+        Xk -= c[:, None]  # the contiguous mean, not a strided centroid column
+        del c  # not held over the squared sums below
         Xk *= Xk
         ss += Xk.sum(axis=1)
     pooled_sd = np.sqrt(ss / (n - K))

@@ -24,11 +24,14 @@ With shrunken statistics d', class k scores |z|^2 - 2 m_k z.d'_k + m_k^2
 against a group of folds in one call: each fold's cross terms are segment
 sums of z m_k d between its own kept counts, its squared terms prefix sums
 of d^2 and |d|, and then the scores of all the group's samples are compared
-at once.  A row whose best and second-best scores are closer than the
-rounding error either form could make is re-scored with ``predict``, so the
-predictions equal those of ``predict(shrink(stats, rule), X)`` exactly.
-That error scales with (|z| + |overall / sd| + max_k R_k)^2, where R_k is
-m_k times the norm of |d| + delta over the entries class k keeps.
+at once.  A kept fold keeps the sums of every grid it scored, keyed by the
+grid's kept counts, so hard's first grid reads those of soft's (the same
+parameters), and a re-sort drops them.  A row whose best and second-best
+scores are closer than the rounding error either form could make is
+re-scored with ``predict``, so the predictions equal those of
+``predict(shrink(stats, rule), X)`` exactly.  That error scales with (|z| +
+|overall / sd| + max_k R_k)^2, where R_k is m_k times the norm of |d| +
+delta over the entries class k keeps.
 """
 
 from __future__ import annotations
@@ -110,6 +113,9 @@ class _HeldOutFold:
 
     The fit is the same for every rule kind.  The samples are kept as z; a
     fallback gathers them again from ``values``, the dataset's matrix.
+    ``sums`` holds the sums ``_predict_group`` made for each grid scored
+    since the last sort, keyed by the bytes of the grid's (G, K) kept
+    counts: "cross" and "sq", and for soft also "signs" and "abs".
     """
 
     def __init__(self, stats: CentroidStats, values: np.ndarray, test_idx: np.ndarray,
@@ -134,6 +140,7 @@ class _HeldOutFold:
         if self.by_rank != (kind == "order"):
             self.order, self.keys = retention_lists(self.stats.t_stats, kind)
             self.by_rank = kind == "order"
+            self.sums = {}
         return self
 
 
@@ -177,27 +184,35 @@ def _predict_group(folds: list[_HeldOutFold], grid: list[ThresholdRule]) -> np.n
     # summed between cuts and accumulated, one fold's at a time, so cross[r,
     # g, k] = z_r.(m_k d'_k) with the statistics of row r's fold, where d' =
     # d - delta sgn d on the kept entries for soft and d otherwise.
-    cross, signs, sq, abs_sums = [], [], [], []
+    # The sums depend on the kept counts alone, so a fold keeps them by
+    # those counts: hard's first grid reads soft's, and soft adds its sign
+    # and |d| sums to hard's.  The kept arrays are only ever read.
+    kept_sums = []
     for fold, kept in zip(folds, counts):
-        cuts = np.unique(np.append(kept, 0))
-        at = np.searchsorted(cuts, kept)
-        # the indices are in range, and wrap is numpy's fastest take for them
-        o = fold.order[:, : cuts[-1]]
-        zs = np.take(fold.z, o, axis=1, mode="wrap")
-        d = np.take(fold.stats.t_stats, o * K + cls[:, None], mode="wrap")
-        m = fold.stats.m[:, None]
-        cross.append(_kept_sums(zs, m * d, cuts, at))
-        sq.append(_prefix_sums(d**2)[cls, kept])
-        if soft:
-            signs.append(_kept_sums(zs, m * np.sign(d), cuts, at))
-            abs_sums.append(_prefix_sums(np.abs(d))[cls, kept])
-    cross, sq = np.concatenate(cross), np.stack(sq)
+        sums = fold.sums.setdefault(kept.tobytes(), {})
+        if not sums or soft and "signs" not in sums:
+            cuts = np.unique(np.append(kept, 0))
+            at = np.searchsorted(cuts, kept)
+            # the indices are in range, and wrap is numpy's fastest take for them
+            o = fold.order[:, : cuts[-1]]
+            zs = np.take(fold.z, o, axis=1, mode="wrap")
+            d = np.take(fold.stats.t_stats, o * K + cls[:, None], mode="wrap")
+            m = fold.stats.m[:, None]
+            if not sums:
+                sums.update(cross=_kept_sums(zs, m * d, cuts, at),
+                            sq=_prefix_sums(d**2)[cls, kept])
+            if soft:
+                sums.update(signs=_kept_sums(zs, m * np.sign(d), cuts, at),
+                            abs=_prefix_sums(np.abs(d))[cls, kept])
+        kept_sums.append(sums)
+    cross = np.concatenate([sums["cross"] for sums in kept_sums])
+    sq = np.stack([sums["sq"] for sums in kept_sums])
     reach = sq
     if soft:
         delta = params[:, None]
-        cross -= delta * np.concatenate(signs)
+        cross -= delta * np.concatenate([sums["signs"] for sums in kept_sums])
         # |d'|^2 = Q - 2 delta A + delta^2 c with Q = sum d^2, A = sum |d|
-        a = 2.0 * delta * np.stack(abs_sums)
+        a = 2.0 * delta * np.stack([sums["abs"] for sums in kept_sums])
         c = delta**2 * counts
         sq, reach = sq - a + c, sq + a + c
     m_sq = np.stack([fold.stats.m for fold in folds])[:, None] ** 2

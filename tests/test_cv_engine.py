@@ -325,6 +325,85 @@ def test_a_search_on_a_new_seed_never_holds_two_plans(monkeypatch):
     assert peak < 2 * held
 
 
+def last_search(ds: Dataset, kinds: list[str]):
+    """Drop the kept plan, run deep searches of ``kinds`` in turn on ds's plan
+    of 10 folds on seed 0, and return the last one's trace and, for each grid
+    it scored, how many times ``_kept_sums`` was called."""
+    tuning._last_plan.clear()
+    for kind in kinds[:-1]:
+        deep_search(ds, kind, F=10, seed=0)
+    calls, scorer, summer = [], tuning._predict_group, tuning._kept_sums
+
+    def scoring(folds, grid):
+        calls.append(0)
+        return scorer(folds, grid)
+
+    def summing(*args):
+        calls[-1] += 1
+        return summer(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tuning, "_predict_group", scoring)
+        mp.setattr(tuning, "_kept_sums", summing)
+        return deep_search(ds, kinds[-1], F=10, seed=0), calls
+
+
+@pytest.fixture(scope="module")
+def narrow_deep():
+    """A training set sized like the narrow-deep benchmark's."""
+    return generate_synthetic(SynthSpec(
+        p=2000, n_classes=3, informative=20, shift=0.8, n_per_class=(24,) * 3,
+        noise_sd=1.0, seed=2003,
+    ))[0]
+
+
+def test_hard_reads_the_first_grid_sums_of_soft(narrow_deep):
+    """Soft and hard share their first grid's parameters, so after a soft
+    search the first grid of a hard search on the same plan sums nothing and
+    the search traces as one on folds of its own."""
+    alone, calls = last_search(narrow_deep, ["hard"])
+    assert calls[0] == 10
+    shared, calls = last_search(narrow_deep, ["soft", "hard"])
+    assert calls[0] == 0
+    assert shared == alone
+
+
+def test_soft_after_hard_adds_only_its_sign_sums(narrow_deep):
+    """After a hard search, soft's first grid sums only the signs of each
+    fold, and the soft search traces as it does alone."""
+    alone, calls = last_search(narrow_deep, ["soft"])
+    assert calls[0] == 20
+    shared, calls = last_search(narrow_deep, ["hard", "soft"])
+    assert calls[0] == 10
+    assert shared == alone
+
+
+def test_an_order_search_drops_the_kept_sums(narrow_deep):
+    """Re-sorting the folds for order drops the sums soft kept, so a soft
+    search after the order search sums what a soft search on fresh folds
+    sums, and traces alike."""
+    alone, fresh = last_search(narrow_deep, ["soft"])
+    again, calls = last_search(narrow_deep, ["soft", "order", "soft"])
+    assert calls == fresh
+    assert again == alone
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_grid_reads_only_the_sums_of_its_own_kept_counts(narrow_deep, kind, monkeypatch):
+    """Folds that scored a grid score one with the same first rule and the
+    others reversed as fresh folds do, and the first grid again with no new
+    sums."""
+    grid = threshold_grid(fit_statistics(narrow_deep), kind, 8)
+    folds = fold_group(narrow_deep, kind, 5, 0)
+    calls, summer = [], tuning._kept_sums
+    monkeypatch.setattr(tuning, "_kept_sums", lambda *args: calls.append(1) or summer(*args))
+    for g in (grid, grid[:1] + grid[:0:-1], grid):
+        want = tuning._predict_group(fold_group(narrow_deep, kind, 5, 0), g).tolist()
+        calls.clear()
+        assert tuning._predict_group(folds, g).tolist() == want
+    assert calls == []
+
+
 @needs_fork
 def test_a_matrix_above_the_split_size_is_split_and_scored_as_directly(monkeypatch):
     train, _ = generate_synthetic(SynthSpec(

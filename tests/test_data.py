@@ -766,6 +766,8 @@ def test_save_and_read_hold_about_one_row(tmp_path):
     names = [f"g{i}" for i in range(1000)]
     ds = Dataset.from_arrays(rng.normal(size=(1000, 100)), ["a", "b"] * 50, names)
     out = tmp_path / "wide.csv"
+    # a save imports forked on first use; that import is no part of the save
+    import nsckit.forked  # noqa: F401
     tracemalloc.start()
     try:
         save_matrix(ds, out)

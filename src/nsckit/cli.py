@@ -282,14 +282,21 @@ def _cmd_synth(opts: Options) -> int:
     return 0
 
 
+# Each subcommand's function and the option keys of its flags and of its
+# switches.  Every value is kept as text and typed and checked by Options and
+# the code it reaches, so a flag, its SC_ variable and its config key agree;
+# a switch given bare means on.
 _COMMANDS = {
-    "train": _cmd_train,
-    "predict": _cmd_predict,
-    "cv": _cmd_cv,
-    "tune": _cmd_tune,
-    "bench": _cmd_bench,
-    "srd": _cmd_srd,
-    "synth": _cmd_synth,
+    "train": (_cmd_train, ("data", "samples-in", "label-col", "labels", *_FIT, "rule", "out"), ()),
+    "predict": (_cmd_predict, ("model", "data", "samples-in", "out"), ()),
+    "cv": (_cmd_cv, ("data", "samples-in", "label-col", "labels", *_FIT,
+                     "method", "m", "folds", "seed", "out"), ()),
+    "tune": (_cmd_tune, ("data", "samples-in", "label-col", "labels", *_FIT,
+                         "method", "m", "folds", "seed", "big-gap", "trace"), ("deep-search",)),
+    "bench": (_cmd_bench, ("train", "test", "label-col", *_FIT,
+                           "method", "m", "folds", "seed", "big-gap", "runs", "out"), ()),
+    "srd": (_cmd_srd, ("input", "gold", "out", "dist-out", "loo-out"), ("higher-is-better", "loo")),
+    "synth": (_cmd_synth, ("p", "q", "k", "shift", "n-per-class", "noise-sd", "seed", "out"), ()),
 }
 
 
@@ -299,31 +306,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Shrunken-centroid classification, threshold tuning, and SRD comparison",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, *flags, switches=()):
+    for name, (_, flags, switches) in _COMMANDS.items():
         sp = sub.add_parser(name)
-        for flag in ("--config", *flags):
-            sp.add_argument(flag)
-        for flag in switches:
-            sp.add_argument(flag, nargs="?", const="on")
-
-    # every value is kept as text and typed and checked by Options and the
-    # code it reaches, so a flag, its SC_ variable and its config key agree;
-    # a switch given bare means on
-    data_flags = ("--data", "--samples-in", "--label-col", "--labels")
-    fit_flags = ("--priors", "--s0", "--mk")
-    tune_flags = ("--method", "--m", "--folds", "--seed")
-    add("train", *data_flags, *fit_flags, "--rule", "--out")
-    add("predict", "--model", "--data", "--samples-in", "--out")
-    add("cv", *data_flags, *fit_flags, *tune_flags, "--out")
-    add("tune", *data_flags, *fit_flags, *tune_flags, "--big-gap", "--trace",
-        switches=("--deep-search",))
-    add("bench", "--train", "--test", "--label-col",
-        *fit_flags, *tune_flags, "--big-gap", "--runs", "--out")
-    add("srd", "--input", "--gold", "--out", "--dist-out", "--loo-out",
-        switches=("--higher-is-better", "--loo"))
-    add("synth", "--p", "--q", "--k", "--shift", "--n-per-class", "--noise-sd",
-        "--seed", "--out")
+        for key in ("config", *flags):
+            sp.add_argument("--" + key)
+        for key in switches:
+            sp.add_argument("--" + key, nargs="?", const="on")
     return parser
 
 
@@ -347,7 +335,7 @@ def main(argv=None) -> int:
         with np.errstate(over="raise", invalid="raise", divide="raise"), \
                 warnings.catch_warnings():
             warnings.showwarning = show
-            return _COMMANDS[args.command](opts)
+            return _COMMANDS[args.command][0](opts)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -91,12 +91,8 @@ class Dataset:
             raise ValidationError(
                 f"non-finite value at feature {i}, sample {j}"
             )
-        classes: list[str] = []
-        index = {}
-        for lab in labels:
-            if lab not in index:
-                index[lab] = len(classes)
-                classes.append(lab)
+        classes = tuple(dict.fromkeys(labels))
+        index = {lab: k for k, lab in enumerate(classes)}
         y = _frozen(np.array([index[lab] for lab in labels], dtype=int))
         if len(classes) < 2:
             raise ValidationError("need at least two classes")
@@ -109,7 +105,7 @@ class Dataset:
             if len(set(feature_names)) != p:
                 dup = next(f for f, c in Counter(feature_names).items() if c > 1)
                 raise ValidationError(f"duplicate feature name {dup!r}")
-        return cls(values, labels, tuple(classes), y, feature_names)
+        return cls(values, labels, classes, y, feature_names)
 
     def subset(self, sample_indices) -> "Dataset":
         """Restrict to the given samples, keeping the parent class mapping.
@@ -257,17 +253,19 @@ def _row_cuts(f, start: int, at) -> list[int]:
     return cuts
 
 
-def _parse_block(rows, delim: str, width: int, key_col: int | None):
-    """Keys and values of the nonblank data rows ``rows`` by numpy's C
-    reader, or None to walk the table.
+def parse_range(blocks, delim: str, width: int, key_col: int | None):
+    """Keys and values of the nonblank lines in ``blocks``, byte strings each
+    cut after a line end as ``_blocks`` cuts them and decoded one at a time,
+    by numpy's C reader, or None to walk the table.
 
-    ``rows`` is read once, row by row, so a file's rows are never all held
+    The lines are read once, row by row, so a file's rows are never all held
     as text.  None when a row has the wrong width or holds a character of
     ``_WALKED``, a cell is one the reader refuses, a value is not finite or
     the rows are not UTF-8: the walk gives the error or a value only ``float`` reads.
     """
     keys = None if key_col is None else []
-    rows = iter(rows)
+    lines = (ln for raw in blocks for ln in raw.decode().split("\r"))
+    rows = (ln for ln in lines if ln and not ln.isspace())
 
     def checked(ln):
         while ln is not None:
@@ -292,13 +290,6 @@ def _parse_block(rows, delim: str, width: int, key_col: int | None):
     return keys, values
 
 
-def parse_range(blocks, delim: str, width: int, key_col: int | None):
-    """``_parse_block`` of the nonblank lines in ``blocks``, byte strings
-    each cut after a line end as ``_blocks`` cuts them, decoded one at a time."""
-    rows = (ln for raw in blocks for ln in raw.decode().split("\r"))
-    return _parse_block((ln for ln in rows if ln and not ln.isspace()), delim, width, key_col)
-
-
 def read_table(path, key_col: int | str | None = None):
     """Read a delimited table: TAB if the header has one, else comma.
 
@@ -312,11 +303,11 @@ def read_table(path, key_col: int | str | None = None):
     The file is opened in binary and read ``_BLOCK`` bytes at a time, each
     read cut after its last line end; ``parse_range`` streams the rows
     below the header to numpy's C reader, which parses the numeric cells in
-    one call.  A file of at least ``2 * _SPLIT_BYTES`` bytes, on a system
-    with fork and at least two usable CPUs, is cut into one range of whole
-    lines per usable CPU (each at least ``_SPLIT_BYTES``), each read the
-    same way and parsed in a forked child, or as one range here where a
-    child cannot be forked; any other file, a pipe too, is one range,
+    one call.  A regular file is cut into the ranges of whole lines that
+    ``_shares`` gives for its size, at most one per ``_SPLIT_BYTES``: where
+    there are two or more, each is read the same way and parsed in a forked
+    child by ``forked.parse_split``, or the whole is one range here where a
+    child cannot be forked.  Any other file, a pipe too, is one range,
     parsed here.  A table with no rows, or that the C reader refuses in any
     range, is walked cell by cell instead, with the same result or error
     (README, "Input files"); a pipe cannot be read again for the walk, so
@@ -341,7 +332,7 @@ def _parse_rows(path, f, rows, start: int, delim: str, width: int, key_col: int 
     byte ``start``: in one range or, in a large regular file, in ranges over
     forked children."""
     size = os.fstat(f.fileno()).st_size if f.seekable() else 0
-    if (parts := min(_cpus(), size // _SPLIT_BYTES)) > 1:
+    if (parts := _shares(size, size // _SPLIT_BYTES)) > 1:
         cuts = _row_cuts(f, start, [size * k // parts for k in range(1, parts)])
         if len(cuts) > 2:
             from .forked import parse_split  # compiled only where a file is split
@@ -364,11 +355,12 @@ def _parse_rows(path, f, rows, start: int, delim: str, width: int, key_col: int 
 _SPLIT_BYTES = 1_500_000
 
 
-def _cpus() -> int:
-    """The usable CPUs where the system can fork, else 1."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+def _shares(nbytes: int, most: int) -> int:
+    """The shares to split a job of ``nbytes`` over: one per usable CPU, at
+    most ``most``, from ``_SPLIT_BYTES`` up where the system can fork; else one."""
+    if nbytes < _SPLIT_BYTES or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    return len(os.sched_getaffinity(0))
+    return min(len(os.sched_getaffinity(0)), most)
 
 
 def _walk_table(path, key_col):
@@ -450,10 +442,9 @@ def save_matrix(ds: Dataset, path) -> None:
     label that holds a comma, a TAB or a line break (any on which
     ``str.splitlines`` breaks) or that starts or ends with whitespace, is
     refused before the file is opened.  ``forked.write_split`` writes the
-    rows: in one share per usable CPU, each but the first formatted in a
-    forked child, where the file is seekable, the values hold at least
-    ``_SPLIT_BYTES`` and the system has fork and at least two usable CPUs;
-    else in one share, row by row in this process.  The bytes are the same.
+    rows in the shares that ``_shares`` gives for the values' bytes, each
+    but the first formatted in a forked child, or in one share, row by row
+    in this process, where the file cannot seek.  The bytes are the same.
     """
     names = ds.feature_names or tuple(f"f{i}" for i in range(ds.p))
     if "label" in names:
@@ -473,8 +464,7 @@ def save_matrix(ds: Dataset, path) -> None:
 
     with open(path, "wb") as f:
         f.write((",".join(("label", *names)) + "\n").encode())
-        parts = min(_cpus(), ds.n) if f.seekable() and ds.values.nbytes >= _SPLIT_BYTES else 1
-        write_split(f, rows, [ds.n * k // parts for k in range(parts + 1)])
+        write_split(f, rows, ds.n, ds.values.nbytes)
 
 
 def fold_count(ds: Dataset, requested: int) -> int:

@@ -1,11 +1,14 @@
 """Work split over forked children, and nothing else, of three kinds: the
 rows of a large table read, one range of whole lines each, read in bounded
 blocks as the one-range read is (``data._blocks``); a sum of count
-vectors, one share of the work each, as ``tuning.cross_validate`` sums the
-error counts of its fold shares; and the text of a large table written,
-one share of its rows each.  Work that no child does is done in the
-caller: the first share of a sum or a write, and any share or read that
-finds no process or pipe to spare.
+vectors, one share of a plan each, as ``tuning.cross_validate`` sums the
+error counts of its folds; and the text of a large table written, one
+share of its rows each.  ``split_sum`` and ``write_split`` take a whole
+job and its size in bytes and cut it themselves, into the shares that
+``data._shares`` gives; ``parse_split`` takes the cuts ``data.read_table``
+found.  Work that no child does is done in the caller: the first share of
+a sum or a write, a job of one share, and any share or read that finds no
+process or pipe to spare.
 
 ``tuning.cross_validate`` and ``data.save_matrix`` import this module on
 each call, ``data.read_table`` for a file it splits, so ``import nsckit``
@@ -24,7 +27,7 @@ import warnings
 
 import numpy as np
 
-from .data import _BLOCK, _blocks, parse_range
+from .data import _BLOCK, _blocks, _shares, parse_range
 
 
 @contextlib.contextmanager
@@ -84,15 +87,19 @@ def _receive(fd, buf) -> bool:
 
 
 @contextlib.contextmanager
-def split_sum(work, shares, G: int):
-    """Fork a child for each of ``shares`` that sends back the G integer
-    counts ``work(share)`` returns, and yield a function that returns the sum
-    of every share's counts; call it once this process has done its own
-    part.  A share whose child sends nothing (it raised, warned or died), or
-    that found no process or pipe to spare, is redone here by that function,
-    with the errors and warnings of ``work`` in this process; with no
-    ``shares`` the sum is 0.  No child outlives the ``with`` block.
+def split_sum(work, plan, G: int, nbytes: int):
+    """Deal ``plan`` into the shares plan[i::parts] that ``_shares`` gives
+    for a job of ``nbytes`` (at most one per item), fork a child for each
+    share but the first that sends back the G integer counts ``work(share)``
+    returns, and yield a function that returns the sum of every share's
+    counts; it does the first share itself, so call it once this process
+    has done its own part of the job.  A share whose child sends nothing
+    (it raised, warned or died), or that found no process or pipe to spare,
+    is redone here by that function, with the errors and warnings of
+    ``work`` in this process.  No child outlives the ``with`` block.
     """
+    parts = _shares(nbytes, len(plan))
+    first, *shares = (plan[i::parts] for i in range(parts))
 
     def send(pipe, share):
         with warnings.catch_warnings(record=True) as caught:
@@ -107,12 +114,14 @@ def split_sum(work, shares, G: int):
 
     with _children() as children:
         pipes = [_fork(children, lambda pipe, share=share: send(pipe, share)) for share in shares]
-        yield lambda: sum(map(receive, pipes, shares))
+        yield lambda: work(first) + sum(map(receive, pipes, shares))
 
 
-def write_split(f, rows, cuts):
-    """Write ``rows(a, b)``, the encoded lines of rows a to b, for each pair
-    of consecutive ``cuts`` to the binary file ``f``, in order.
+def write_split(f, rows, n: int, nbytes: int):
+    """Write ``rows(a, b)``, the encoded lines of rows a to b, for rows 0 to
+    n to the binary file ``f``, in order, cut into the shares that
+    ``_shares`` gives for ``nbytes`` of values (at most one per row), or
+    into one share where ``f`` cannot seek.
 
     The first share is formatted here, row by row, while a forked child
     formats each other share whole and sends its byte count, then its
@@ -121,9 +130,10 @@ def write_split(f, rows, cuts):
     (16 MB of wide-size text, 72 rows of 22283 values, over two CPUs).
     A share whose child sends nothing or a short stream (it raised or
     died), or that found no process or pipe to spare, is cut from ``f`` and
-    written here, so ``f`` must be seekable unless there is one share.  No
-    child outlives the call.
+    written here.  No child outlives the call.
     """
+    parts = _shares(nbytes, n) if f.seekable() else 1
+    cuts = [n * k // parts for k in range(parts + 1)]
 
     def send(pipe, a, b):
         text = list(rows(a, b))

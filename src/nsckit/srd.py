@@ -15,7 +15,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import compress
+from itertools import accumulate, compress
 from statistics import NormalDist
 
 import numpy as np
@@ -142,14 +142,21 @@ def exact_null_distribution(r: int) -> dict[int, float]:
             f"exact distribution supports 2 <= r <= {EXACT_LIMIT}, got {r}; "
             "use normal_approx_null beyond"
         )
-    return dict(_exact_probabilities(r))
+    return dict(_exact_null(r)[0])
 
 
 @functools.cache
-def _exact_probabilities(r: int) -> tuple[tuple[int, float], ...]:
-    """The exact null of r cases as (value, probability) pairs, built once."""
+def _exact_null(r: int):
+    """The exact null of r cases, built once: its (value, probability) pairs
+    by increasing value, and each of the ``PERCENTILES`` as (name, value),
+    the smallest value whose cumulative probability reaches its level, or
+    the largest value."""
     total = math.factorial(r)
-    return tuple((v, c / total) for v, c in exact_null_counts(r).items())
+    pairs = tuple((v, c / total) for v, c in exact_null_counts(r).items())
+    values, cum = [v for v, _ in pairs], list(accumulate(prob for _, prob in pairs))
+    found = tuple((name, float(next((v for v, c in zip(values, cum) if c >= q), values[-1])))
+                  for name, q in PERCENTILES)
+    return pairs, found
 
 
 def _displacement_moments(r: int) -> tuple[float, float]:
@@ -185,22 +192,6 @@ def _normal_moments(r: int) -> tuple[float, float]:
     """Mean and standard deviation of the normal null of r cases, built once."""
     mean, var = _displacement_moments(r)
     return mean, math.sqrt(var)
-
-
-@functools.cache
-def _exact_percentiles(r: int) -> tuple[tuple[str, float], ...]:
-    """Each of the ``PERCENTILES`` of the exact null of r cases, found once:
-    the smallest value whose cumulative probability reaches its level, or
-    the largest value."""
-    found = []
-    for name, q in PERCENTILES:
-        cum = 0.0
-        for v, prob in sorted(_exact_probabilities(r)):
-            cum += prob
-            if cum >= q:
-                break
-        found.append((name, float(v)))
-    return tuple(found)
 
 
 # The last ranking made: (matrix, resolved golden standard, ranks, tie flags).
@@ -244,7 +235,7 @@ def srd(M: PerformanceMatrix, strategy: str | None = None) -> SrdResult:
     r = M.values.shape[0]
     if r <= EXACT_LIMIT:
         dist = exact_null_distribution(r)
-        percentiles = dict(_exact_percentiles(r))
+        percentiles = dict(_exact_null(r)[1])
         mode = "exact"
     else:
         null = normal_approx_null(r)

@@ -7,18 +7,20 @@ threshold interval around the selected point, optionally jumping to the
 runner-up when it buys a drastically smaller model at the cost of at most
 one extra misclassified sample.  Callers tune through ``bench.tune``, which
 caps the fold count and runs one or the other.  ``cross_validate``, the one
-place grid CV runs, sums the error counts of fixed shares of its fold
-plan by ``forked.split_sum``: one share, done here, unless a training
-matrix of at least ``data._SPLIT_BYTES`` is split over forked children.
-``deep_search`` runs in this process.
+place grid CV runs, sums the error counts of its fold plan by
+``forked.split_sum``, which deals the folds into shares by the size of
+the training matrix: one share, done here, unless the matrix is large
+enough to split over forked children (``data._shares``).  ``deep_search``
+runs in this process.
 
 Each fold is fitted once per ``cross_validate`` call.  ``deep_search`` keeps
 the folds of its last plan, so searches of every kind on one dataset object,
 fold plan and set of fit options fit each fold once.  A fold keeps its
-held-out samples as z = (x - overall) / (s + s0) and sorts each class column
-of its statistics in the order the rules of one kind keep them
-(``thresholds.retention_lists``), so every rule keeps a prefix of every
-column, of the length ``kept_counts`` gives; soft and hard share that sort.
+held-out samples as z = (x - overall) / (s + s0), and the scorer sorts each
+class column of its statistics in the order the rules of the grid's kind
+keep them (``thresholds.retention_lists``), so every rule keeps a prefix of
+every column, of the length ``kept_counts`` gives; soft and hard share that
+sort, and a fold already sorted for the kind is not sorted again.
 With shrunken statistics d', class k scores |z|^2 - 2 m_k z.d'_k + m_k^2
 |d'_k|^2 - 2 log prior_k, and the common |z|^2 is dropped.  A grid is scored
 against a group of folds in one call: each fold's cross terms are segment
@@ -42,7 +44,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import _SPLIT_BYTES, Dataset, _cpus, _frozen, stratified_folds
+from .data import Dataset, _frozen, stratified_folds
 from .errors import DeepSearchError, ValidationError
 from .model import CentroidStats, fit_statistics, predict, shrink
 # apply_rule stays bound here: benchmarks/bench_workloads.py instruments it by
@@ -107,9 +109,10 @@ class DeepSearchTrace:
 
 
 class _HeldOutFold:
-    """Statistics fitted without one fold, the fold's held-out samples, and
-    the statistics' ``retention_lists``, ``order`` and ``keys``: for order
-    rules when ``by_rank``, for soft and hard otherwise.
+    """Statistics fitted without one fold, the fold's held-out samples, and,
+    once ``sorted_for`` a kind, the statistics' ``retention_lists``,
+    ``order`` and ``keys``: for order rules when ``by_rank``, for soft and
+    hard otherwise.
 
     The fit is the same for every rule kind.  The samples are kept as z; a
     fallback gathers them again from ``values``, the dataset's matrix.
@@ -136,7 +139,7 @@ class _HeldOutFold:
 
     def sorted_for(self, kind: str) -> _HeldOutFold:
         """This fold, with its statistics sorted for rules of ``kind``; a sort
-        of the other group is replaced."""
+        for the same group is kept, one for the other group replaced."""
         if self.by_rank != (kind == "order"):
             self.order, self.keys = retention_lists(self.stats.t_stats, kind)
             self.by_rank = kind == "order"
@@ -169,8 +172,11 @@ def _best_two(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _predict_group(folds: list[_HeldOutFold], grid: list[ThresholdRule]) -> np.ndarray:
     """Predicted class of every held-out sample of the folds under every rule,
-    n x G with the folds' samples in turn; each fold is sorted for the grid's kind."""
+    n x G with the folds' samples in turn; each fold is first sorted for the
+    grid's kind."""
     kind, params = grid[0].kind, np.array([rule.param for rule in grid])
+    for fold in folds:
+        fold.sorted_for(kind)
     K, p = folds[0].order.shape
     cls = np.arange(K)
     sizes = [len(fold.z) for fold in folds]
@@ -256,18 +262,15 @@ def _group_errors(folds: list[_HeldOutFold], grid: list[ThresholdRule]) -> np.nd
     return (pred != np.concatenate([fold.y for fold in folds])[:, None]).sum(axis=0)
 
 
-def _fitted(ds: Dataset, kind: str, plan, fit_kw: dict) -> Iterator[_HeldOutFold]:
-    """The held-out folds ``plan`` in turn, each fitted and sorted for rules
-    of ``kind`` when it is asked for."""
+def _fitted(ds: Dataset, plan, fit_kw: dict) -> Iterator[_HeldOutFold]:
+    """The held-out folds ``plan`` in turn, each fitted when it is asked for."""
     # Training sets are gathered from a sample-major copy, where each sample
     # is contiguous; the subsets, and so the fits, are the same.
     src = replace(ds, values=_frozen(np.asfortranarray(ds.values)))
     for idx in plan:
         rest = np.setdiff1d(np.arange(ds.n), idx, assume_unique=True)
         # no name holds the training subset or the fit between folds
-        yield _HeldOutFold(
-            fit_statistics(src.subset(rest), **fit_kw), ds.values, idx, ds.y[idx]
-        ).sorted_for(kind)
+        yield _HeldOutFold(fit_statistics(src.subset(rest), **fit_kw), ds.values, idx, ds.y[idx])
 
 
 def _survivor_curve(full: CentroidStats, kind: str):
@@ -289,14 +292,13 @@ def cross_validate(ds: Dataset, grid, F: int, seed: int, **fit_kw) -> CvCurve:
     """Accumulate per-rule misclassification counts over F stratified folds.
 
     Every fit takes ``fit_statistics``'s options ``fit_kw`` by name.  Survivor
-    counts are taken from a fit on the full training set.  The folds are
-    dealt into fixed shares, plan[i::parts], and each fold of a share is
+    counts are taken from a fit on the full training set.  Each fold is
     fitted as the scoring reaches it and scored alone, so one fold is alive
-    at a time.  There is one share unless the training matrix holds at least
-    ``_SPLIT_BYTES``: then there is one per usable CPU (at most F).
-    ``forked.split_sum`` forks a child for each share but the first while
-    this process fits the full data and does the first.  An order rule that
-    keeps more than the p*K statistics is refused before any fit.
+    at a time.  ``forked.split_sum`` deals the folds into the shares that
+    ``data._shares`` gives for the training matrix's bytes, one unless it is
+    large enough to split, and forks a child for each share but the first
+    while this process fits the full data, then does the first.  An order
+    rule that keeps more than the p*K statistics is refused before any fit.
     Deterministic given (ds, grid, F, seed, fit_kw), split or not.
     """
     grid = list(grid)
@@ -308,21 +310,18 @@ def cross_validate(ds: Dataset, grid, F: int, seed: int, **fit_kw) -> CvCurve:
     for rule in grid:
         if rule.kind == "order" and rule.param > size:
             raise ValidationError(f"retained count {rule.param} exceeds statistic count {size}")
-    kind, plan = grid[0].kind, stratified_folds(ds, F, seed)
-    parts = min(_cpus(), F) if ds.values.nbytes >= _SPLIT_BYTES else 1
-    shares = [plan[i::parts] for i in range(parts)]
+    plan = stratified_folds(ds, F, seed)
 
     def errors(share):
         # no name holds a scored fold, so one is alive at a time
-        folds = _fitted(ds, kind, share, fit_kw)
-        return sum(map(lambda fold: _group_errors([fold], grid), folds))
+        return sum(map(lambda fold: _group_errors([fold], grid), _fitted(ds, share, fit_kw)))
 
     from .forked import split_sum  # not compiled by `import nsckit`
 
-    with split_sum(errors, shares[1:], len(grid)) as rest:
+    with split_sum(errors, plan, len(grid), ds.values.nbytes) as total:
         # any children, forked on entering, work while this process fits the full data
-        curve = _survivor_curve(fit_statistics(ds, **fit_kw), kind)
-        return curve(grid, errors(shares[0]) + rest())
+        curve = _survivor_curve(fit_statistics(ds, **fit_kw), grid[0].kind)
+        return curve(grid, total())
 
 
 def _preference(curve: CvCurve):
@@ -407,17 +406,15 @@ def _refine_grid(
 _last_plan: list[tuple[Dataset, tuple, list[_HeldOutFold]]] = []
 
 
-def _plan_folds(ds: Dataset, kind: str, F: int, seed: int, fit_kw: dict) -> list[_HeldOutFold]:
-    """The folds of ``ds``'s plan of F folds on ``seed``, sorted for ``kind``:
-    those of the last deep search when it used the same dataset object, plan
-    and fit options, otherwise planned and fitted here after the last
-    search's are dropped."""
+def _plan_folds(ds: Dataset, F: int, seed: int, fit_kw: dict) -> list[_HeldOutFold]:
+    """The folds of ``ds``'s plan of F folds on ``seed``: those of the last
+    deep search when it used the same dataset object, plan and fit options,
+    otherwise planned and fitted here after the last search's are dropped."""
     key = (F, seed, sorted(fit_kw.items()))
     if not (_last_plan and _last_plan[0][0] is ds and _last_plan[0][1] == key):
         _last_plan.clear()
-        plan = stratified_folds(ds, F, seed)
-        _last_plan.append((ds, key, list(_fitted(ds, kind, plan, fit_kw))))
-    return [fold.sorted_for(kind) for fold in _last_plan[0][2]]
+        _last_plan.append((ds, key, list(_fitted(ds, stratified_folds(ds, F, seed), fit_kw))))
+    return _last_plan[0][2]
 
 
 def deep_search(
@@ -450,7 +447,7 @@ def deep_search(
     if big_gap < 0:
         raise ValidationError(f"big_gap must be non-negative, got {big_gap}")
     full = fit_statistics(ds, **fit_kw) if full is None else full
-    folds = _plan_folds(ds, kind, F, seed, fit_kw)
+    folds = _plan_folds(ds, F, seed, fit_kw)
     curve_of = _survivor_curve(full, kind)
     grid = threshold_grid(full, kind, m)
     iterations: list[DeepSearchIteration] = []

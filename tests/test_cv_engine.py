@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import nsckit.data as data
 import nsckit.tuning as tuning
 from nsckit import (
     Dataset,
@@ -42,7 +43,7 @@ def split_folds(monkeypatch, cpus: int) -> list:
     """Deal the folds of any training matrix into one share per CPU of
     ``cpus`` usable ones (at most F); the list returned grows by one at
     each fork."""
-    monkeypatch.setattr(tuning, "_SPLIT_BYTES", 0)
+    monkeypatch.setattr(data, "_SPLIT_BYTES", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
@@ -51,7 +52,7 @@ def split_folds(monkeypatch, cpus: int) -> list:
 
 def fold_group(ds: Dataset, kind: str, F: int, seed: int) -> list:
     """The F folds of ds's plan on ``seed``, fitted and sorted for ``kind``."""
-    return list(tuning._fitted(ds, kind, stratified_folds(ds, F, seed), {}))
+    return [fold.sorted_for(kind) for fold in tuning._fitted(ds, stratified_folds(ds, F, seed), {})]
 
 
 @st.composite
@@ -410,7 +411,7 @@ def test_a_matrix_above_the_split_size_is_split_and_scored_as_directly(monkeypat
         p=5000, n_classes=4, informative=40, shift=0.8, n_per_class=(10,) * 4,
         noise_sd=1.0, seed=7,
     ))
-    assert train.values.nbytes >= tuning._SPLIT_BYTES
+    assert train.values.nbytes >= data._SPLIT_BYTES
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     full = fit_statistics(train)

@@ -23,7 +23,7 @@ from nsckit import (
 
 from nsckit import data, forked
 from nsckit.data import (
-    _blocks, _head, _header, _parse_block, _row_cuts, _walk_table, parse_range, read_table,
+    _blocks, _head, _header, _row_cuts, _walk_table, parse_range, read_table,
     read_text,
 )
 from nsckit.forked import parse_split
@@ -241,7 +241,8 @@ def test_plain_table_takes_the_block_reader(delim, key_col):
     if keys is not None:
         for row, key in zip(cells, keys):
             row.insert(key_col, key)
-    parsed = _parse_block([delim.join(r) for r in cells], delim, len(cells[0]), key_col)
+    block = "\r".join(delim.join(r) for r in cells).encode()  # one block, as _blocks cuts it
+    parsed = parse_range([block], delim, len(cells[0]), key_col)
     assert parsed is not None
     assert parsed[0] == keys
     assert parsed[1].tolist() == [[1.5, 7.0, -2e3], [0.0, 8.0, 4.0]]
@@ -658,7 +659,7 @@ def test_a_large_file_is_split_and_read_as_walked(big_table):
         forks = []
         fork = os.fork
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(data, "_cpus", lambda: 2)
+            mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
             mp.setattr(os, "fork", lambda: forks.append(1) or fork())
             tracemalloc.start()
             try:
@@ -751,7 +752,7 @@ def test_no_pipe_to_spare_reads_the_file_as_one_range(big_table, monkeypatch, sp
         pipes.append(1)
         return pipe()
 
-    monkeypatch.setattr(data, "_cpus", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(os, "pipe", some_pipes)
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     assert outcome(read_table, big_table[0], "label") == want
@@ -790,9 +791,9 @@ def split_save(monkeypatch, tmp_path):
     rng = np.random.default_rng(9)
     ds = Dataset.from_arrays(rng.normal(size=(300, 40)) * 1e3, [f"c{j % 3}" for j in range(40)])
     monkeypatch.setattr(data, "_SPLIT_BYTES", ds.values.nbytes)
-    monkeypatch.setattr(data, "_cpus", lambda: 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     save_matrix(ds, tmp_path / "one.csv")
-    monkeypatch.setattr(data, "_cpus", lambda: 3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
@@ -824,7 +825,7 @@ def test_a_failed_child_has_its_share_written_here(split_save, monkeypatch, fail
     ds, one, save = split_save
     parent, write_split = os.getpid(), forked.write_split
 
-    def failing(f, rows, cuts):
+    def failing(f, rows, n, nbytes):
         def share(a, b):
             if os.getpid() != parent and b == ds.n:
                 if failure == "raises":
@@ -835,7 +836,7 @@ def test_a_failed_child_has_its_share_written_here(split_save, monkeypatch, fail
             else:
                 yield from rows(a, b)
 
-        write_split(f, share, cuts)
+        write_split(f, share, n, nbytes)
 
     monkeypatch.setattr(forked, "write_split", failing)
     assert save() == (one, 2)
@@ -884,7 +885,7 @@ def test_a_split_save_holds_about_one_row_here(monkeypatch, tmp_path):
     out = tmp_path / "wide.csv"
     peaks = {}
     for cpus in (1, 2):
-        monkeypatch.setattr(data, "_cpus", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
         tracemalloc.start()
         try:
             save_matrix(ds, out)

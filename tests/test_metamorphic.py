@@ -16,7 +16,7 @@ from nsckit import (
     Dataset, SynthSpec, bench, fit_statistics, generate_synthetic, load_matrix,
     predict_labels, run_experiment, save_matrix, shrink,
 )
-from nsckit import data, tuning
+from nsckit import cli, data
 
 from conftest import assert_no_children
 
@@ -48,6 +48,22 @@ def test_scaling_by_a_power_of_two_leaves_every_record_bit_identical(seed):
         assert [repr(r) for r in got] == [repr(r) for r in want], c
 
 
+@pytest.mark.parametrize("kind", ["soft", "hard", "order"])
+def test_scaling_by_a_power_of_two_leaves_the_tune_trace_bit_identical(kind, tmp_path):
+    """`tune --trace` writes every deep-search iteration's thresholds, error
+    and survivor counts and choices: the same bytes for each scaled table."""
+    train, _ = pair(1)
+    traces = []
+    for c in (1.0, 2.0, 0.25, 1024.0):
+        table, trace = tmp_path / f"train-{c}.csv", tmp_path / f"trace-{c}.tsv"
+        save_matrix(remade(train, train.values * c), table)
+        assert cli.main(["tune", "--data", str(table), "--label-col", "label", "--method", kind,
+                         "--m", "12", "--folds", "5", "--trace", str(trace)]) == 0
+        traces.append(trace.read_bytes())
+    assert len(traces[0].splitlines()) > 13  # a header and more than one grid
+    assert traces[1:] == traces[:1] * 3
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_split_folds_leave_the_records_and_their_scaling_bit_identical(seed, monkeypatch):
     """With the folds of every training matrix dealt into two shares, the
@@ -56,8 +72,8 @@ def test_split_folds_leave_the_records_and_their_scaling_bit_identical(seed, mon
     methods = ("sth", "hth", "oth")
     train, test = pair(seed)
     want = [repr(r) for r in records(train, test, methods)]
-    monkeypatch.setattr(tuning, "_SPLIT_BYTES", 0)
-    monkeypatch.setattr(tuning, "_cpus", lambda: 2)
+    monkeypatch.setattr(data, "_SPLIT_BYTES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     for c in (1.0, 2.0, 0.25, 1024.0):
@@ -112,7 +128,7 @@ def test_a_split_table_round_trips_bit_for_bit(tmp_path, monkeypatch):
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     for cpus in (2, 1):
-        monkeypatch.setattr(data, "_cpus", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
         path = tmp_path / f"cpus{cpus}.csv"
         save_matrix(ds, path)
         back = load_matrix(path, label_col="label")

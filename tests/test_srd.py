@@ -192,7 +192,8 @@ class TestNormalApprox:
             assert mean == pytest.approx((r * r - 1) / 3, rel=1e-12, abs=0)
             assert var == pytest.approx((r + 1) * (2 * r * r + 7) / 45, rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("r", range(14, 23))
+    # at r = 40 the normal XX1, 444.09, is 2.09 above the exact 442
+    @pytest.mark.parametrize("r", range(14, 40))
     def test_normal_xx1_is_within_one_step_of_the_exact_xx1(self, r):
         # the smallest value whose cumulative probability reaches 5 %, as srd
         # reads the exact null; SRD values are even, so one step is 2
@@ -236,7 +237,7 @@ class TestNullCache:
         )
 
     def test_one_build_per_r(self, monkeypatch, rng):
-        srd_module._exact_probabilities.cache_clear()
+        srd_module._exact_null.cache_clear()
         srd_module._normal_moments.cache_clear()
         builds = Counter()
         for name in ("exact_null_counts", "_displacement_moments"):
@@ -561,3 +562,47 @@ def test_higher_is_better_equals_negated_lower_is_better(values):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the golden standard may tie
         assert srd(higher).srd_raw == srd(negated).srd_raw
+
+
+class TestWholeOutputs:
+    """Relations of a whole SRD result on tie-free tables: normal values, so
+    no column and no golden standard ties, and no rank depends on row order."""
+
+    @staticmethod
+    def tie_free(rng, r, lower_is_better=True):
+        return PerformanceMatrix(
+            rng.normal(size=(r, 4)), tuple(f"r{i}" for i in range(r)), ("a", "b", "c", "d"),
+            lower_is_better,
+        )
+
+    @staticmethod
+    def whole(M):
+        """Every output of srd, srd_report and srd_loo on M, as exact text."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a tie would warn
+            result, loo = srd(M), srd_loo(M)
+        ranks = {name: v.tolist() for name, v in result.method_ranks.items()}
+        return (result.gold_rank.tolist(), ranks, repr(result.srd_raw), repr(result.srd_scaled),
+                repr(result.null_distribution), repr(result.percentiles), result.mode,
+                srd_report(result), repr(loo))
+
+    @pytest.mark.parametrize("r", [3, 7, 13, 14, 40])
+    def test_permuting_the_cases_permutes_each_loo_list(self, rng, r):
+        M = self.tie_free(rng, r)
+        perm = rng.permutation(r)
+        P = PerformanceMatrix(M.values[perm], tuple(M.row_names[i] for i in perm), M.col_names)
+        want, got = self.whole(M), self.whole(P)
+        # srd_raw, srd_scaled, the null, the percentiles and the mode
+        assert got[2:7] == want[2:7]
+        loo, permuted = srd_loo(M), srd_loo(P)
+        for name in M.col_names:
+            assert repr(permuted[name]) == repr([loo[name][i] for i in perm])
+
+    @pytest.mark.parametrize("r", [3, 7, 13, 14, 40])
+    def test_scaling_or_negating_with_the_direction_is_bit_identical(self, rng, r):
+        M = self.tie_free(rng, r)
+        want = self.whole(M)
+        for c in (2.0, 0.25, 1024.0):
+            assert self.whole(PerformanceMatrix(M.values * c, M.row_names, M.col_names)) == want, c
+        flipped = PerformanceMatrix(-M.values, M.row_names, M.col_names, lower_is_better=False)
+        assert self.whole(flipped) == want

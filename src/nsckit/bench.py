@@ -154,9 +154,9 @@ def run_experiment(
         X_test = X_test[:, column_order(test.feature_names, names)]
     kind, deep = METHODS[method]
     full_stats = fit_statistics(train, **fit_kw)
-    # test labels mapped through the training class order
+    # test class codes mapped through the training class order
     train_index = {cls: k for k, cls in enumerate(train.classes)}
-    y_test = np.array([train_index[lab] for lab in test.labels])
+    y_test = np.array([train_index[c] for c in test.classes])[test.y]
     records = []
     for r in range(runs):
         seed = base_seed + r

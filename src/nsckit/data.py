@@ -30,14 +30,14 @@ class Dataset:
 
     ``values[i, j]`` is the value of feature i on sample j.  ``y[j]`` is the
     0-based class index of sample j; ``classes`` lists the class identifiers
-    in first-appearance order.  ``values`` and ``y`` are read-only, since
-    ``tuning.deep_search`` keeps its fold fits keyed by the dataset object:
-    the constructor, and so ``dataclasses.replace`` too, copies a writeable
-    array and keeps a read-only one, and leaves the caller's array as it is.
+    in first-appearance order, and ``labels`` reads each sample's off them.
+    ``values`` and ``y`` are read-only, since ``tuning.deep_search`` keeps
+    its fold fits keyed by the dataset object: the constructor, and so
+    ``dataclasses.replace`` too, copies a writeable array and keeps a
+    read-only one, and leaves the caller's array as it is.
     """
 
     values: np.ndarray
-    labels: tuple[str, ...]
     classes: tuple[str, ...]
     y: np.ndarray
     feature_names: tuple[str, ...] | None = None
@@ -54,6 +54,10 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.values.shape[1]
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(self.classes[k] for k in self.y.tolist())
 
     @property
     def n_classes(self) -> int:
@@ -105,7 +109,7 @@ class Dataset:
             if len(set(feature_names)) != p:
                 dup = next(f for f, c in Counter(feature_names).items() if c > 1)
                 raise ValidationError(f"duplicate feature name {dup!r}")
-        return cls(values, labels, classes, y, feature_names)
+        return cls(values, classes, y, feature_names)
 
     def subset(self, sample_indices) -> "Dataset":
         """Restrict to the given samples, keeping the parent class mapping.
@@ -119,11 +123,7 @@ class Dataset:
             missing = self.classes[int(np.flatnonzero(counts == 0)[0])]
             raise ValidationError(f"class {missing!r} has no samples in subset")
         return Dataset(
-            _frozen(self.values[:, idx]),
-            tuple(self.labels[i] for i in idx),
-            self.classes,
-            _frozen(y),
-            self.feature_names,
+            _frozen(self.values[:, idx]), self.classes, _frozen(y), self.feature_names
         )
 
 
@@ -456,9 +456,11 @@ def save_matrix(ds: Dataset, path) -> None:
                 "line break, or outer whitespace"
             )
 
+    labels = ds.labels
+
     def rows(a, b):
         for j in range(a, b):
-            yield (",".join((ds.labels[j], *map(repr, ds.values[:, j].tolist()))) + "\n").encode()
+            yield (",".join((labels[j], *map(repr, ds.values[:, j].tolist()))) + "\n").encode()
 
     from .forked import write_split  # not compiled by `import nsckit`
 

@@ -5,8 +5,9 @@ ranks of a golden-standard column (by default the per-case best value).
 The sum of absolute rank differences is judged against the null
 distribution of the displacement statistic sum |pi(i) - i| over uniform
 random permutations: exact (dynamic programming) for up to 13 cases,
-normal approximation with exact first two moments beyond.  Each case
-count's null is built once per process and every caller gets its own copy.
+normal approximation with exact first two moments beyond.  Each exact null
+is built once per process and every caller gets its own copy; a normal
+null is made anew from closed forms on each call.
 """
 
 from __future__ import annotations
@@ -160,38 +161,27 @@ def _exact_null(r: int):
 
 
 def _displacement_moments(r: int) -> tuple[float, float]:
-    """Exact mean and variance of sum |pi(i) - i| under a uniform permutation."""
-    i = np.arange(1, r + 1)
-    A = np.abs(i[:, None] - i[None, :]).astype(float)  # A[i, v] = |v - i|
-    S = A.sum(axis=1)  # sum over values v of |v - i|
-    mean = S.sum() / r
-    Q = (A**2).sum(axis=1)
-    T = A @ A.T  # T[i, j] = sum over v of |v - i| |v - j|
-    cross = (np.outer(S, S) - T)
-    np.fill_diagonal(cross, 0.0)
-    second = Q.sum() / r + cross.sum() / (r * (r - 1))
-    return float(mean), float(second - mean**2)
+    """Exact mean and variance of sum |pi(i) - i| under a uniform permutation
+    (Diaconis & Graham, JRSS-B 1977), from three sums in exact integers: of
+    |v - i| and of (v - i)^2 over all (i, v), and of |v - i| |w - j| over
+    i != j, v != w.  The last digits of the normal null's percentiles depend
+    on the float operations that form the moments from these sums."""
+    total, square = r * (r * r - 1) // 3, r * r * (r * r - 1) // 6
+    cross = (r - 1) * r * (r + 1) * (10 * r**3 - 21 * r * r + 5 * r + 24) // 90
+    mean = total / r
+    return mean, square / r + cross / (r * (r - 1)) - mean**2
 
 
 def normal_approx_null(r: int) -> NormalDist:
-    """Normal approximation of the SRD null for r > 13 cases.
-
-    A ``NormalDist`` with the exact first two moments of the displacement
-    statistic, computed by direct summation over value assignments once
-    per r.
-    """
+    """Normal approximation of the SRD null for r > 13 cases: a new
+    ``NormalDist`` with the exact first two moments of the displacement
+    statistic, from their closed forms."""
     if r < EXACT_LIMIT + 1:
         raise ValidationError(
             f"normal approximation is for r >= {EXACT_LIMIT + 1}, got {r}"
         )
-    return NormalDist(*_normal_moments(r))
-
-
-@functools.cache
-def _normal_moments(r: int) -> tuple[float, float]:
-    """Mean and standard deviation of the normal null of r cases, built once."""
     mean, var = _displacement_moments(r)
-    return mean, math.sqrt(var)
+    return NormalDist(mean, math.sqrt(var))
 
 
 # The last ranking made: (matrix, resolved golden standard, ranks, tie flags).

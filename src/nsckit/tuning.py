@@ -452,45 +452,35 @@ def deep_search(
     grid = threshold_grid(full, kind, m)
     iterations: list[DeepSearchIteration] = []
     current: CvPoint | None = None
-    anchor_error: int | None = None
-    stop_reason = ""
+    anchor_error = math.inf
     for _ in range(MAX_ITERATIONS):
         curve = curve_of(grid, _group_errors(folds, grid))
+        pts = curve.points
         tau = select_smallest(curve)
-        if current is not None and curve.points[tau].cv_error_count > current.cv_error_count:
+        if current is not None and pts[tau].cv_error_count > current.cv_error_count:
             # refined grid is strictly worse than the incumbent; keep it
             stop_reason = "no-improvement"
             break
-        best_here = curve.points[tau].cv_error_count
-        anchor_error = best_here if anchor_error is None else min(anchor_error, best_here)
+        anchor_error = min(anchor_error, pts[tau].cv_error_count)
         nu = _runner_up(curve, tau)
-        switched = False
-        ell = tau
-        if nu is not None and _switch_to_runner_up(
-            curve.points[tau], curve.points[nu], big_gap, anchor_error
-        ):
-            ell = nu
-            switched = True
-        current = curve.points[ell]
-        survivors = [pt.survivor_count for pt in curve.points]
+        switched = nu is not None and _switch_to_runner_up(pts[tau], pts[nu], big_gap, anchor_error)
+        ell = nu if switched else tau
+        current = pts[ell]
+        survivors = [pt.survivor_count for pt in pts]
         interval = _candidate_interval(survivors, ell, m)
-        if interval is None:
-            iterations.append(
-                DeepSearchIteration(curve, tau, nu, switched, None, 0)
-            )
-            stop_reason = "no-qualifying-interval"
-            break
-        lo, hi = interval
+        lo, hi = interval or (ell, ell)  # k = 0 when no interval qualifies
         k = min(m, survivors[lo] - survivors[hi])
         iterations.append(DeepSearchIteration(curve, tau, nu, switched, interval, k))
+        if interval is None:
+            stop_reason = "no-qualifying-interval"
+            break
         if k <= 0:
             stop_reason = "survivors-unchanged"
             break
-        next_grid = _refine_grid(curve.points[lo].rule, curve.points[hi].rule, k)
-        if not next_grid:
+        grid = _refine_grid(pts[lo].rule, pts[hi].rule, k)
+        if not grid:
             stop_reason = "empty-refinement"
             break
-        grid = next_grid
     else:
         raise DeepSearchError(f"deep search exceeded the iteration cap of {MAX_ITERATIONS}")
     assert current is not None

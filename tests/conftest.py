@@ -8,6 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import nsckit.data as data
 from nsckit import Dataset
 
 
@@ -41,6 +42,17 @@ def assert_no_children():
     assert multiprocessing.active_children() == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def split_folds(monkeypatch, cpus: int) -> list:
+    """Deal the folds of any training matrix into one share per CPU of
+    ``cpus`` usable ones (at most F); the list returned grows by one at
+    each fork."""
+    monkeypatch.setattr(data, "_SPLIT_BYTES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
 
 
 @pytest.fixture

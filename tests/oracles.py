@@ -13,7 +13,13 @@ from collections import Counter
 import numpy as np
 
 from nsckit import (
+    CvCurve,
+    CvPoint,
+    DeepSearchError,
+    DeepSearchTrace,
     PerformanceMatrix,
+    RunRecord,
+    ThresholdRule,
     fit_statistics,
     golden_standard,
     max_srd,
@@ -21,7 +27,9 @@ from nsckit import (
     rank_vector,
     shrink,
     stratified_folds,
+    threshold_grid,
 )
+from nsckit.tuning import DeepSearchIteration
 
 
 def nsc_scores(x, centroids, pooled_sd, s0, priors):
@@ -110,6 +118,114 @@ def cv_error_counts_direct(ds, grid, F, seed, **fit_kw):
     return errors
 
 
+# Each method's rule kind, and whether it refines the grid by deep search.
+METHOD_KINDS = {
+    "sth": ("soft", False), "hth": ("hard", False), "oth": ("order", False),
+    "sth2": ("soft", True), "hth2": ("hard", True), "oth2": ("order", True),
+}
+
+
+def run_direct(train, test, method, seed, *, m, folds, big_gap, **fit_kw):
+    """One run of ``method`` on fold-plan ``seed`` from the method's
+    description: its ``RunRecord`` and the ``DeepSearchTrace`` of its tuning.
+
+    Every grid is scored by :func:`cv_error_counts_direct`, on the plan of
+    ``stratified_folds`` with at most the smallest class size of folds, and
+    every survivor count is that of the shrunken fit of all of ``train``.
+    The first grid is ``threshold_grid``'s.  A grid method keeps the
+    smallest-error point of that grid.  A deep search repeats, grid by grid:
+
+    - tau is the smallest-error point: fewest errors, then fewest
+      survivors, then the later grid position; nu is the best other point.
+    - A grid whose tau has more errors than the point kept so far stops the
+      search (no-improvement), and that point stays.
+    - The anchor is the fewest errors of any tau so far.  The search moves
+      to nu when nu's errors are at most one above the anchor and nu keeps
+      less than half of tau's survivors, or more than ``big_gap`` fewer.
+    - Around the point l kept, the interval reaches right when survivors
+      drop by more than one from l to l + 1, and left when they drop by
+      less than m from l - 1 to l; with neither, the search stops
+      (no-qualifying-interval).
+    - k is m or the survivor drop across the interval, whichever is
+      smaller; none stops it (survivors-unchanged).
+    - The next grid is k evenly spaced points strictly inside the interval,
+      for order the distinct counts they round to, in decreasing order;
+      none stops it (empty-refinement).
+    """
+    kind, deep = METHOD_KINDS[method]
+    F = min(folds, int(train.class_sizes.min()))
+    full = fit_statistics(train, **fit_kw)
+
+    def curve(grid):
+        errors = cv_error_counts_direct(train, grid, F, seed, **fit_kw)
+        return CvCurve(tuple(
+            CvPoint(rule, e, int(shrink(full, rule).survivors.size))
+            for rule, e in zip(grid, errors)
+        ))
+
+    def best(points, skip=None):
+        rest = [i for i in range(len(points)) if i != skip]
+        return min(rest, key=lambda i: (points[i].cv_error_count, points[i].survivor_count, -i),
+                   default=None)
+
+    grid = threshold_grid(full, kind, m)
+    if not deep:
+        c = curve(grid)
+        tau = best(c.points)
+        trace = DeepSearchTrace((DeepSearchIteration(c, tau, None, False, None, 0),),
+                                c.points[tau].rule, "grid-only")
+    else:
+        iterations, kept, anchor = [], None, math.inf
+        for _ in range(50):
+            c = curve(grid)
+            pts = c.points
+            tau = best(pts)
+            if kept is not None and pts[tau].cv_error_count > kept.cv_error_count:
+                stop = "no-improvement"
+                break
+            anchor = min(anchor, pts[tau].cv_error_count)
+            nu = best(pts, skip=tau)
+            switched = nu is not None and pts[nu].cv_error_count <= anchor + 1 and (
+                2 * pts[nu].survivor_count < pts[tau].survivor_count
+                or pts[tau].survivor_count - pts[nu].survivor_count > big_gap
+            )
+            ell = nu if switched else tau
+            kept = pts[ell]
+            surv = [pt.survivor_count for pt in pts]
+            right = ell + 1 < len(pts) and surv[ell] - surv[ell + 1] > 1
+            left = ell > 0 and surv[ell - 1] - surv[ell] < m
+            if not (left or right):
+                iterations.append(DeepSearchIteration(c, tau, nu, switched, None, 0))
+                stop = "no-qualifying-interval"
+                break
+            lo, hi = ell - left, ell + right
+            k = min(m, surv[lo] - surv[hi])
+            iterations.append(DeepSearchIteration(c, tau, nu, switched, (lo, hi), k))
+            if k <= 0:
+                stop = "survivors-unchanged"
+                break
+            a, b = pts[lo].rule.param, pts[hi].rule.param
+            inside = np.linspace(a, b, k + 2)[1:-1].tolist()
+            if kind == "order":
+                counts = sorted({round(v) for v in inside}, reverse=True)
+                grid = [ThresholdRule(kind, v) for v in counts if min(a, b) < v < max(a, b)]
+            else:
+                grid = [ThresholdRule(kind, v) for v in inside]
+            if not grid:
+                stop = "empty-refinement"
+                break
+        else:
+            raise DeepSearchError("deep search ran past 50 grids")
+        trace = DeepSearchTrace(tuple(iterations), kept.rule, stop)
+    model = shrink(full, trace.final_rule)
+    codes = {c: k for k, c in enumerate(train.classes)}
+    truth = [codes[test.classes[k]] for k in test.y]
+    wrong = sum(int(a != b) for a, b in zip(predict(model, test.values.T), truth))
+    record = RunRecord(method, seed, trace.final_rule, 100.0 * wrong / test.n,
+                       int(model.survivors.size))
+    return record, trace
+
+
 def srd_null_by_enumeration(r):
     """Counts of sum |pi(i) - i| over all r! permutations."""
     counts = Counter()
@@ -135,6 +251,22 @@ def srd_null_counts_direct(r):
             moved[a + 1, cost] += n
         states = {(a, cost + 2 * a): n for (a, cost), n in moved.items()}
     return dict(sorted((cost, n) for (a, cost), n in states.items() if a == 0))
+
+
+def displacement_moments_direct(r):
+    """Mean and variance of sum |pi(i) - i| under a uniform permutation by
+    summing over value assignments: |v - i| over every (i, v), its square,
+    and |v - i| |w - j| over i != j, v != w, as float64 matrix sums.  The
+    sums are exact integers while they stay below 2**53, up to r = 658."""
+    i = np.arange(1, r + 1)
+    A = np.abs(i[:, None] - i[None, :]).astype(float)  # A[i, v] = |v - i|
+    S = A.sum(axis=1)  # sum over values v of |v - i|
+    mean = S.sum() / r
+    T = A @ A.T  # T[i, j] = sum over v of |v - i| |v - j|
+    cross = np.outer(S, S) - T
+    np.fill_diagonal(cross, 0.0)
+    second = (A**2).sum() / r + cross.sum() / (r * (r - 1))
+    return float(mean), float(second - mean**2)
 
 
 def max_displacement_by_enumeration(r):

@@ -31,23 +31,12 @@ from nsckit.errors import DegenerateVarianceError
 from nsckit.thresholds import kept_counts, retention_keys, retention_lists
 
 import oracles
-from conftest import assert_no_children, random_dataset, tied_matrix
+from conftest import assert_no_children, random_dataset, split_folds, tied_matrix
 
 KINDS = ("soft", "hard", "order")
 
 CAN_FORK = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
 needs_fork = pytest.mark.skipif(not CAN_FORK, reason="folds are split only with fork")
-
-
-def split_folds(monkeypatch, cpus: int) -> list:
-    """Deal the folds of any training matrix into one share per CPU of
-    ``cpus`` usable ones (at most F); the list returned grows by one at
-    each fork."""
-    monkeypatch.setattr(data, "_SPLIT_BYTES", 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    forks, fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    return forks
 
 
 def fold_group(ds: Dataset, kind: str, F: int, seed: int) -> list:

@@ -63,7 +63,7 @@ def test_dataset_arrays_are_read_only_and_not_the_callers(rng):
 
 def test_the_constructor_and_replace_keep_read_only_copies(rng):
     values, y = rng.normal(size=(2, 4)), np.array([0, 0, 1, 1])
-    ds = Dataset(values, ("a", "a", "b", "b"), ("a", "b"), y)
+    ds = Dataset(values, ("a", "b"), y)
     other = rng.normal(size=(2, 4))
     replaced = dataclasses.replace(ds, values=other)
     for built, mine in ((ds, values), (replaced, other)):
@@ -75,6 +75,15 @@ def test_the_constructor_and_replace_keep_read_only_copies(rng):
     values[:], y[:], other[:] = 0.0, 1, 0.0
     assert np.all(ds.values != 0.0) and ds.y.tolist() == [0, 0, 1, 1]
     assert np.all(replaced.values != 0.0) and replaced.y is ds.y
+
+
+def test_a_constructed_dataset_reads_back_with_its_classes(tmp_path):
+    # a sample's label is its class, so the file holds the classes of y
+    ds = Dataset(np.arange(8.0).reshape(2, 4), ("a", "b"), np.array([0, 0, 1, 1]))
+    save_matrix(ds, tmp_path / "ds.csv")
+    back = load_matrix(tmp_path / "ds.csv", label_col="label")
+    assert back.labels == ds.labels == ("a", "a", "b", "b")
+    assert back.classes == ds.classes and np.array_equal(back.y, ds.y)
 
 
 def test_rejects_single_class_and_nan():

@@ -192,6 +192,11 @@ class TestNormalApprox:
             assert mean == pytest.approx((r * r - 1) / 3, rel=1e-12, abs=0)
             assert var == pytest.approx((r + 1) * (2 * r * r + 7) / 45, rel=1e-12, abs=0)
 
+    def test_displacement_moments_equal_the_direct_sums(self):
+        # 658 is the largest r at which the oracle's float64 sums are exact
+        for r in (*range(2, 201), 658):
+            assert srd_module._displacement_moments(r) == oracles.displacement_moments_direct(r), r
+
     # at r = 40 the normal XX1, 444.09, is 2.09 above the exact 442
     @pytest.mark.parametrize("r", range(14, 40))
     def test_normal_xx1_is_within_one_step_of_the_exact_xx1(self, r):
@@ -228,7 +233,7 @@ class TestNullCalls:
 
 
 class TestNullCache:
-    """Each r's null is built once per process; every caller gets its own copy."""
+    """Each r's exact null is built once per process; every caller gets its own copy."""
 
     @staticmethod
     def matrix(rng, r):
@@ -238,22 +243,13 @@ class TestNullCache:
 
     def test_one_build_per_r(self, monkeypatch, rng):
         srd_module._exact_null.cache_clear()
-        srd_module._normal_moments.cache_clear()
         builds = Counter()
-        for name in ("exact_null_counts", "_displacement_moments"):
-            real = getattr(srd_module, name)
-
-            def counted(r, real=real, name=name):
-                builds[name, r] += 1
-                return real(r)
-
-            monkeypatch.setattr(srd_module, name, counted)
+        real = srd_module.exact_null_counts
+        monkeypatch.setattr(srd_module, "exact_null_counts",
+                            lambda r: builds.update([r]) or real(r))
         for r in (13, 5, 40, 13, 20, 40, 5, 13, 40):
             srd(self.matrix(rng, r), "min")
-        assert builds == {
-            ("exact_null_counts", 5): 1, ("exact_null_counts", 13): 1,
-            ("_displacement_moments", 20): 1, ("_displacement_moments", 40): 1,
-        }
+        assert builds == {5: 1, 13: 1}
 
     def test_mutating_a_copy_leaves_later_calls_unchanged(self, rng):
         want = exact_null_distribution(13)

@@ -34,7 +34,8 @@ class Dataset:
     ``values`` and ``y`` are read-only, since ``tuning.deep_search`` keeps
     its fold fits keyed by the dataset object: the constructor, and so
     ``dataclasses.replace`` too, copies a writeable array and keeps a
-    read-only one, and leaves the caller's array as it is.
+    read-only one, and leaves the caller's array as it is.  ``y`` must hold
+    an integer code for every sample, and every class a sample.
     """
 
     values: np.ndarray
@@ -43,6 +44,12 @@ class Dataset:
     feature_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        y, K = self.y, len(self.classes)
+        if not (isinstance(y, np.ndarray) and y.ndim == 1 and y.dtype.kind in "iu"
+                and len(y) == self.n and ((0 <= y) & (y < K)).all()):
+            raise ValidationError(f"y must hold one class code in range({K}) per sample")
+        if (empty := np.flatnonzero(np.bincount(y, minlength=K) == 0)).size:
+            raise ValidationError(f"class {self.classes[empty[0]]!r} has no samples")
         for name in ("values", "y"):
             if (a := getattr(self, name)).flags.writeable:
                 object.__setattr__(self, name, _frozen(a.copy(order="K")))
@@ -117,13 +124,8 @@ class Dataset:
         Raises if any class of the parent would become empty.
         """
         idx = np.asarray(sample_indices, dtype=int)
-        y = self.y[idx]
-        counts = np.bincount(y, minlength=self.n_classes)
-        if np.any(counts == 0):
-            missing = self.classes[int(np.flatnonzero(counts == 0)[0])]
-            raise ValidationError(f"class {missing!r} has no samples in subset")
         return Dataset(
-            _frozen(self.values[:, idx]), self.classes, _frozen(y), self.feature_names
+            _frozen(self.values[:, idx]), self.classes, _frozen(self.y[idx]), self.feature_names
         )
 
 

@@ -139,23 +139,22 @@ def retention_keys(D, kind: str) -> np.ndarray:
     return -np.abs(D)
 
 
-def retention_lists(D: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """K x p: row k lists the rows of column k of D in the order rules of
-    ``kind`` keep them, and their :func:`retention_keys`, ascending.  Soft
-    and hard key alike and share one pair of lists; order has its own."""
-    if kind == "order":
-        # column k's entries in pooled order, zeros (keyed by the size)
-        # last; column numbers in a small integer type sort by radix
-        K = D.shape[1]
-        flat = magnitude_order(D)
-        col = (flat % K).astype(np.min_scalar_type(K))
-        ranks = np.argsort(col, kind="stable").reshape(K, -1)
-        entries = flat[ranks]
-        return entries // K, np.where(np.take(D, entries) != 0.0, ranks, flat.size)
-    # entries with equal keys are kept together, so any sort will do
-    keys = retention_keys(D, kind).T
-    rows = np.argsort(keys, axis=1)
-    return rows, np.take_along_axis(keys, rows, axis=1)
+def retention_lists(D: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """K x p: row k lists the rows of column k of D by descending |d|, ties
+    to the smaller row, the order in which rules of every kind keep them;
+    then, along those lists, the :func:`retention_keys` of soft and hard
+    and those of order, each ascending."""
+    # column k's entries in pooled order, which is its own by |d| and row;
+    # column numbers in a small integer type sort by radix
+    K = D.shape[1]
+    flat = magnitude_order(D)
+    col = (flat % K).astype(np.min_scalar_type(K))
+    ranks = np.argsort(col, kind="stable").reshape(K, -1)
+    entries = flat[ranks]
+    d = np.take(D, entries)
+    ranks[d == 0.0] = D.size
+    np.abs(d, out=d)
+    return entries // K, np.negative(d, out=d), ranks
 
 
 def _cut(kind: str, param):

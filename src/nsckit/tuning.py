@@ -16,24 +16,23 @@ runs in this process.
 Each fold is fitted once per ``cross_validate`` call.  ``deep_search`` keeps
 the folds of its last plan, so searches of every kind on one dataset object,
 fold plan and set of fit options fit each fold once.  A fold keeps its
-held-out samples as z = (x - overall) / (s + s0), and the scorer sorts each
-class column of its statistics in the order the rules of the grid's kind
-keep them (``thresholds.retention_lists``), so every rule keeps a prefix of
-every column, of the length ``kept_counts`` gives; soft and hard share that
-sort, and a fold already sorted for the kind is not sorted again.
+held-out samples as z = (x - overall) / (s + s0), and sorts each class
+column of its statistics once, by descending |d|, the order the rules of
+every kind keep them in (``thresholds.retention_lists``), so every rule
+keeps a prefix of every column, of the length ``kept_counts`` gives.
 With shrunken statistics d', class k scores |z|^2 - 2 m_k z.d'_k + m_k^2
 |d'_k|^2 - 2 log prior_k, and the common |z|^2 is dropped.  A grid is scored
 against a group of folds in one call: each fold's cross terms are segment
 sums of z m_k d between its own kept counts, its squared terms prefix sums
 of d^2 and |d|, and then the scores of all the group's samples are compared
-at once.  A kept fold keeps the sums of every grid it scored, keyed by the
-grid's kept counts, so hard's first grid reads those of soft's (the same
-parameters), and a re-sort drops them.  A row whose best and second-best
-scores are closer than the rounding error either form could make is
-re-scored with ``predict``, so the predictions equal those of
-``predict(shrink(stats, rule), X)`` exactly.  That error scales with (|z| +
-|overall / sd| + max_k R_k)^2, where R_k is m_k times the norm of |d| +
-delta over the entries class k keeps.
+at once.  A kept fold keeps the sums of every grid it scored, of any kind,
+keyed by the grid's kept counts, so hard's first grid reads those of soft's
+(the same parameters).  A row whose best and second-best scores are closer
+than the rounding error either form could make is re-scored with
+``predict``, so the predictions equal those of ``predict(shrink(stats,
+rule), X)`` exactly.  That error scales with (|z| + |overall / sd| + max_k
+R_k)^2, where R_k is m_k times the norm of |d| + delta over the entries
+class k keeps.
 """
 
 from __future__ import annotations
@@ -109,16 +108,14 @@ class DeepSearchTrace:
 
 
 class _HeldOutFold:
-    """Statistics fitted without one fold, the fold's held-out samples, and,
-    once ``sorted_for`` a kind, the statistics' ``retention_lists``,
-    ``order`` and ``keys``: for order rules when ``by_rank``, for soft and
-    hard otherwise.
+    """Statistics fitted without one fold, the fold's held-out samples, and
+    the statistics' ``retention_lists``: ``order``, and ``keys`` by kind.
 
-    The fit is the same for every rule kind.  The samples are kept as z; a
-    fallback gathers them again from ``values``, the dataset's matrix.
-    ``sums`` holds the sums ``_predict_group`` made for each grid scored
-    since the last sort, keyed by the bytes of the grid's (G, K) kept
-    counts: "cross" and "sq", and for soft also "signs" and "abs".
+    The fit and the sort are the same for every rule kind.  The samples are
+    kept as z; a fallback gathers them again from ``values``, the dataset's
+    matrix.  ``sums`` holds the sums ``_predict_group`` made for each grid
+    scored, keyed by the bytes of the grid's (G, K) kept counts: "cross"
+    and "sq", and for soft also "signs" and "abs".
     """
 
     def __init__(self, stats: CentroidStats, values: np.ndarray, test_idx: np.ndarray,
@@ -135,16 +132,9 @@ class _HeldOutFold:
         self.prior_terms = np.array([-2.0 * math.log(pk) for pk in stats.priors])
         # [j, k]: class j < k has the same prior term as class k
         self.earlier_twin = np.triu(self.prior_terms[:, None] == self.prior_terms[None, :], 1)
-        self.by_rank: bool | None = None
-
-    def sorted_for(self, kind: str) -> _HeldOutFold:
-        """This fold, with its statistics sorted for rules of ``kind``; a sort
-        for the same group is kept, one for the other group replaced."""
-        if self.by_rank != (kind == "order"):
-            self.order, self.keys = retention_lists(self.stats.t_stats, kind)
-            self.by_rank = kind == "order"
-            self.sums = {}
-        return self
+        self.order, magnitude, rank = retention_lists(stats.t_stats)
+        self.keys = {"soft": magnitude, "hard": magnitude, "order": rank}
+        self.sums = {}
 
 
 def _kept_sums(zs: np.ndarray, weights: np.ndarray, cuts: np.ndarray, at: np.ndarray):
@@ -172,27 +162,25 @@ def _best_two(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _predict_group(folds: list[_HeldOutFold], grid: list[ThresholdRule]) -> np.ndarray:
     """Predicted class of every held-out sample of the folds under every rule,
-    n x G with the folds' samples in turn; each fold is first sorted for the
-    grid's kind."""
+    n x G with the folds' samples in turn."""
     kind, params = grid[0].kind, np.array([rule.param for rule in grid])
-    for fold in folds:
-        fold.sorted_for(kind)
     K, p = folds[0].order.shape
     cls = np.arange(K)
     sizes = [len(fold.z) for fold in folds]
     of = np.repeat(np.arange(len(folds)), sizes)  # the fold of every row
     rows = [slice(a - n, a) for a, n in zip(np.cumsum(sizes), sizes)]
     # [f, g, k]: the nonzero statistics rule g keeps in class k of fold f
-    counts = np.stack([[kept_counts(keys, kind, params) for keys in fold.keys]
+    counts = np.stack([[kept_counts(keys, kind, params) for keys in fold.keys[kind]]
                        for fold in folds]).transpose(0, 2, 1)
     soft = kind == "soft"
     # Every kept prefix of a fold ends at one of its cuts: its products are
     # summed between cuts and accumulated, one fold's at a time, so cross[r,
     # g, k] = z_r.(m_k d'_k) with the statistics of row r's fold, where d' =
     # d - delta sgn d on the kept entries for soft and d otherwise.
-    # The sums depend on the kept counts alone, so a fold keeps them by
-    # those counts: hard's first grid reads soft's, and soft adds its sign
-    # and |d| sums to hard's.  The kept arrays are only ever read.
+    # Every kind keeps a prefix of the same lists, so the sums depend on the
+    # kept counts alone and a fold keeps them by those counts: hard's first
+    # grid reads soft's, and soft adds its sign and |d| sums to hard's.  The
+    # kept arrays are only ever read.
     kept_sums = []
     for fold, kept in zip(folds, counts):
         sums = fold.sums.setdefault(kept.tobytes(), {})

@@ -39,9 +39,9 @@ CAN_FORK = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
 needs_fork = pytest.mark.skipif(not CAN_FORK, reason="folds are split only with fork")
 
 
-def fold_group(ds: Dataset, kind: str, F: int, seed: int) -> list:
-    """The F folds of ds's plan on ``seed``, fitted and sorted for ``kind``."""
-    return [fold.sorted_for(kind) for fold in tuning._fitted(ds, stratified_folds(ds, F, seed), {})]
+def fold_group(ds: Dataset, F: int, seed: int) -> list:
+    """The F folds of ds's plan on ``seed``, fitted and sorted."""
+    return list(tuning._fitted(ds, stratified_folds(ds, F, seed), {}))
 
 
 @st.composite
@@ -117,7 +117,7 @@ def test_grouped_folds_equal_direct_oracle(ds, kind, seed, data):
     smallest = int(ds.class_sizes.min())
     # two folds of a class of 3 can leave one sample per class, too few to fit
     F = data.draw(st.integers(2 if smallest > 3 else 3, min(5, smallest)))
-    folds = fold_group(ds, kind, F, seed)
+    folds = fold_group(ds, F, seed)
     if kind == "order":
         params = st.integers(0, ds.p * ds.n_classes)
     else:
@@ -368,14 +368,25 @@ def test_soft_after_hard_adds_only_its_sign_sums(narrow_deep):
     assert shared == alone
 
 
-def test_an_order_search_drops_the_kept_sums(narrow_deep):
-    """Re-sorting the folds for order drops the sums soft kept, so a soft
-    search after the order search sums what a soft search on fresh folds
-    sums, and traces alike."""
+def test_a_soft_search_after_soft_and_order_sums_nothing(narrow_deep):
+    """An order search keeps the sums soft kept, as every kind sorts a fold
+    alike, so a soft search after soft and order sums nothing and traces as
+    it does alone."""
     alone, fresh = last_search(narrow_deep, ["soft"])
     again, calls = last_search(narrow_deep, ["soft", "order", "soft"])
-    assert calls == fresh
+    assert min(fresh) > 0 and calls == [0] * len(fresh)
     assert again == alone
+
+
+@pytest.mark.parametrize("kinds", [("soft", "hard", "order"), ("hard", "soft", "order")])
+def test_searches_of_every_kind_sort_each_fold_once(narrow_deep, kinds, monkeypatch):
+    """sth2, hth2 and oth2, in either order, on one plan of 10 folds."""
+    tuning._last_plan.clear()
+    calls, lists = [], tuning.retention_lists
+    monkeypatch.setattr(tuning, "retention_lists", lambda t: calls.append(1) or lists(t))
+    for kind in kinds:
+        deep_search(narrow_deep, kind, F=10, seed=0)
+    assert len(calls) == 10
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -384,11 +395,11 @@ def test_a_grid_reads_only_the_sums_of_its_own_kept_counts(narrow_deep, kind, mo
     others reversed as fresh folds do, and the first grid again with no new
     sums."""
     grid = threshold_grid(fit_statistics(narrow_deep), kind, 8)
-    folds = fold_group(narrow_deep, kind, 5, 0)
+    folds = fold_group(narrow_deep, 5, 0)
     calls, summer = [], tuning._kept_sums
     monkeypatch.setattr(tuning, "_kept_sums", lambda *args: calls.append(1) or summer(*args))
     for g in (grid, grid[:1] + grid[:0:-1], grid):
-        want = tuning._predict_group(fold_group(narrow_deep, kind, 5, 0), g).tolist()
+        want = tuning._predict_group(fold_group(narrow_deep, 5, 0), g).tolist()
         calls.clear()
         assert tuning._predict_group(folds, g).tolist() == want
     assert calls == []
@@ -577,7 +588,7 @@ def test_scoring_holds_one_fold_of_products_at_a_time(kind):
         p=2000, n_classes=3, informative=20, shift=0.8, n_per_class=(24,) * 3,
         noise_sd=1.0, seed=2003,
     ))
-    folds = fold_group(train, kind, 10, 0)
+    folds = fold_group(train, 10, 0)
     grid = threshold_grid(fit_statistics(train), kind, 30)
     tracemalloc.start()
     try:
@@ -595,7 +606,7 @@ def test_fold_fits_equal_subset_fits(layout, rng):
     ds = random_dataset(rng, p=40, n_classes=3, max_n=30)
     ds = Dataset.from_arrays(np.asarray(ds.values, order=layout) * 1e3 + 7.0, ds.labels)
     assert ds.values.flags[f"{layout}_CONTIGUOUS"]
-    for fold, test_idx in zip(fold_group(ds, "soft", 2, 1), stratified_folds(ds, 2, 1)):
+    for fold, test_idx in zip(fold_group(ds, 2, 1), stratified_folds(ds, 2, 1)):
         want = fit_statistics(ds.subset(np.setdiff1d(np.arange(ds.n), test_idx)))
         for field in dataclasses.fields(want):
             got = getattr(fold.stats, field.name)
@@ -620,16 +631,15 @@ def tie_patterns(p=400):
 
 @pytest.mark.parametrize("pattern", ["tie-free", "rounded", "constant", "two-class"])
 def test_order_fold_lists_columns_by_retention_key(pattern):
-    """The retention lists of every kind, not only order's."""
-    ds = tie_patterns()[pattern]
-    stats = fit_statistics(ds)
-    for kind in KINDS:
-        rows, sorted_keys = retention_lists(stats.t_stats, kind)
-        keys = retention_keys(stats.t_stats, kind)
-        for k in range(ds.n_classes):
-            assert sorted(rows[k].tolist()) == list(range(ds.p))
-            assert sorted_keys[k].tolist() == np.sort(keys[:, k]).tolist()
-            assert keys[rows[k], k].tolist() == sorted_keys[k].tolist()
+    """One list per column serves every kind: the stable sort by -|d|, along
+    which both key arrays are the kinds' retention keys, ascending."""
+    t = fit_statistics(tie_patterns()[pattern]).t_stats
+    rows, magnitude, rank = retention_lists(t)
+    assert rows.tolist() == np.argsort(-np.abs(t).T, axis=1, kind="stable").tolist()
+    for kind, sorted_keys in (("soft", magnitude), ("hard", magnitude), ("order", rank)):
+        keys = np.take_along_axis(retention_keys(t, kind).T, rows, axis=1)
+        assert sorted_keys.tolist() == keys.tolist()
+        assert np.all(np.diff(sorted_keys, axis=1) >= 0)
 
 
 matrices = st.builds(
@@ -679,7 +689,8 @@ def test_fold_kept_counts_match_apply_rule(ds, kind, data):
             st.one_of(st.sampled_from(levels), st.floats(0.0, 2 * levels[-1] + 1)),
             min_size=1, max_size=6,
         ))
-    _, keys = retention_lists(t, kind)
+    _, magnitude, rank = retention_lists(t)
+    keys = rank if kind == "order" else magnitude
     counts = np.stack([kept_counts(column, kind, np.array(params)) for column in keys], axis=1)
     for g, v in enumerate(params):
         shrunk = apply_rule(t, ThresholdRule(kind, v))
@@ -692,8 +703,7 @@ def group_predict(fits, grid):
 
     Returns each block's n_f x G predictions.
     """
-    folds = [tuning._HeldOutFold(stats, X.T, np.arange(len(X)), None).sorted_for(grid[0].kind)
-             for stats, X in fits]
+    folds = [tuning._HeldOutFold(stats, X.T, np.arange(len(X)), None) for stats, X in fits]
     pred = tuning._predict_group(folds, grid)
     return np.split(pred, np.cumsum([len(X) for _, X in fits])[:-1])
 
@@ -797,7 +807,7 @@ def test_offset_near_ties_fall_back_to_predict(monkeypatch):
 
     monkeypatch.setattr(tuning, "predict", counting_predict)
     monkeypatch.setattr(tuning, "_predict_group", grouping)
-    folds = fold_group(ds, "soft", 3, 5)
+    folds = fold_group(ds, 3, 5)
     for start in (0, 4):
         grid = threshold_grid(fit_statistics(ds), "soft", 10)[start:]
         for score, sizes in (
@@ -839,7 +849,7 @@ def test_prior_ties_that_differ_between_grouped_folds(monkeypatch):
     grid = [ThresholdRule("hard", big), ThresholdRule("hard", big * 2)]
     want = oracles.cv_error_counts_direct(ds, grid, 2, 0)
     assert [pt.cv_error_count for pt in cross_validate(ds, grid, 2, 0).points] == want
-    assert tuning._group_errors(fold_group(ds, "hard", 2, 0), grid).tolist() == want
+    assert tuning._group_errors(fold_group(ds, 2, 0), grid).tolist() == want
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e6])

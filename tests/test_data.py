@@ -77,6 +77,22 @@ def test_the_constructor_and_replace_keep_read_only_copies(rng):
     assert np.all(replaced.values != 0.0) and replaced.y is ds.y
 
 
+@pytest.mark.parametrize("y,match", [
+    (np.array([0, 0, 2, 2]), "class code"),  # class 1 empty, code 2 unknown
+    (np.array([0, 1]), "class code"),  # 2 codes for 4 samples
+    (np.array([0, 0, 1, 1.0]), "class code"),
+    (np.array([[0, 0, 1, 1]]), "class code"),
+    (np.array([0, 0, 0, 0]), "'b' has no samples"),
+], ids=["unknown-code", "too-few", "float", "2-d", "empty-class"])
+def test_the_constructor_refuses_codes_that_are_not_one_class_per_sample(y, match):
+    values = np.arange(8.0).reshape(2, 4)
+    with pytest.raises(ValidationError, match=match):
+        Dataset(values, ("a", "b"), y)
+    ds = Dataset(values, ("a", "b"), np.array([0, 0, 1, 1]))
+    with pytest.raises(ValidationError, match=match):
+        dataclasses.replace(ds, y=y)
+
+
 def test_a_constructed_dataset_reads_back_with_its_classes(tmp_path):
     # a sample's label is its class, so the file holds the classes of y
     ds = Dataset(np.arange(8.0).reshape(2, 4), ("a", "b"), np.array([0, 0, 1, 1]))

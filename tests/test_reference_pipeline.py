@@ -1,8 +1,9 @@
 """All six methods against ``oracles.run_direct``, the pipeline written out
-from the methods' description, in three settings: each method alone, deep
+from the methods' description, in four settings: each method alone, deep
 searches back to back on one dataset object, so that they share its kept
-fold plan, sorts and sums, and the grid methods with their folds split over
-two forked shares."""
+fold plan and sums, deep searches whose kept plan belongs to another seed,
+dataset object or set of fit options, and the grid methods with their folds
+split over two forked shares."""
 
 import dataclasses
 import os
@@ -89,3 +90,34 @@ def test_six_methods_equal_the_reference_pipeline(pair, seed, kw, fit_kw):
                 assert run(train, test, method, seed, kw) == want[method], method
         assert len(forks) == 3
         assert_no_children()
+
+
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(pair=pairs(), seed=st.integers(0, 1000), kw=run_kws, fit_kw=fit_kws)
+def test_a_kept_plan_of_another_seed_dataset_or_fit_is_replaced(pair, seed, kw, fit_kw):
+    """Deep searches whose last plan is not their own: seeds s and s + 1 in
+    turn on one dataset object, two copies of the training set in turn, the
+    second with its samples' values in reverse order under the same labels,
+    and one object tuned under two sets of fit options."""
+    train, test = pair
+    flipped = dataclasses.replace(train, values=train.values[:, ::-1])
+    other_kw = {**fit_kw, "s0": 0.25 if fit_kw["s0"] == "median" else "median"}
+    want = {}
+
+    def check(ds, method, s, fit, base=train):
+        key = (method, s, tuple(fit.items()), base is train)
+        if key not in want:
+            want[key] = oracles.run_direct(base, test, method, s, **kw, **fit)
+        assert run(ds, test, method, s, {**kw, **fit}) == want[key], key
+
+    one = dataclasses.replace(train)
+    for method, s in (("sth2", seed), ("sth2", seed + 1), ("oth2", seed),
+                      ("hth2", seed + 1), ("hth2", seed), ("oth2", seed + 1)):
+        check(one, method, s, fit_kw)
+    copies = ((dataclasses.replace(train), train), (dataclasses.replace(flipped), flipped))
+    for method, (ds, base) in zip(("sth2", "oth2", "hth2", "oth2"), copies * 2):
+        check(ds, method, seed, fit_kw, base)
+    one = dataclasses.replace(train)
+    for method, fit in (("sth2", fit_kw), ("sth2", other_kw), ("oth2", fit_kw),
+                        ("hth2", other_kw), ("hth2", fit_kw), ("oth2", other_kw)):
+        check(one, method, seed, fit)
